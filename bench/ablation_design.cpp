@@ -1,7 +1,7 @@
 /**
  * @file
- * Ablation of the three modelling refinements DESIGN.md documents for
- * the DR-STRaNGe reproduction:
+ * Ablation of the three modelling refinements the simulator adds to the
+ * paper's description of DR-STRaNGe (the mem::McConfig ablation knobs):
  *
  *  1. RNG-mode parking between demand bursts (the RNG-aware batching
  *     the paper motivates in Section 2),
@@ -44,7 +44,7 @@ Outcome
 run(const Variant &v, const workloads::WorkloadSpec &spec)
 {
     sim::SimConfig cfg = bench::baseConfig();
-    sim::applyDesign(cfg, sim::SystemDesign::DrStrange);
+    sim::DesignRegistry::instance().apply("drstrange", cfg);
 
     std::vector<std::unique_ptr<cpu::TraceSource>> traces;
     traces.push_back(std::make_unique<workloads::SyntheticTrace>(

@@ -34,7 +34,7 @@ main()
         std::vector<double> non_rng, rng, unf;
         for (const auto &mix : workloads::dualCoreMixes(mbps)) {
             const auto res =
-                runner.run(sim::SystemDesign::RngOblivious, mix);
+                runner.run("oblivious", mix);
             non_rng.push_back(res.avgNonRngSlowdown());
             rng.push_back(res.rngSlowdown());
             unf.push_back(res.unfairnessIndex);

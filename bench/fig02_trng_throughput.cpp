@@ -45,7 +45,7 @@ main()
         std::vector<double> slowdowns, unfairnesses;
         for (const auto &mix : workloads::dualCoreMixes(5120.0)) {
             const auto res =
-                runner.run(sim::SystemDesign::RngOblivious, mix);
+                runner.run("oblivious", mix);
             slowdowns.push_back(res.avgNonRngSlowdown());
             unfairnesses.push_back(res.unfairnessIndex);
         }

@@ -31,7 +31,7 @@ main()
         std::vector<std::unique_ptr<cpu::TraceSource>> traces;
         traces.push_back(std::make_unique<workloads::SyntheticTrace>(
             workloads::appByName(app), cfg.geometry, 0, cfg.seed));
-        sim::applyDesign(cfg, sim::SystemDesign::RngOblivious);
+        sim::DesignRegistry::instance().apply("oblivious", cfg);
         sim::System sys(cfg, std::move(traces));
         sys.run();
 

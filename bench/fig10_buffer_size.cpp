@@ -29,9 +29,8 @@ main()
         sim::SimConfig cfg = bench::baseConfig();
         cfg.bufferEntries = entries;
         // "No buffer" means the RNG-aware design without buffering.
-        sim::applyDesign(cfg, entries == 0
-                                  ? sim::SystemDesign::RngAwareNoBuffer
-                                  : sim::SystemDesign::DrStrangeNoPred);
+        sim::DesignRegistry::instance().apply(
+            entries == 0 ? "rng-aware" : "drstrange-nopred", cfg);
         for (const auto &mix : mixes) {
             sim::SweepRunner::Cell cell;
             cell.config = cfg;

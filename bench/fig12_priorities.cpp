@@ -40,17 +40,17 @@ main()
         std::vector<sim::SweepRunner::Cell> cells;
         for (const auto &mix : mixes) {
             sim::SimConfig base_cfg = cfg;
-            sim::applyDesign(base_cfg, sim::SystemDesign::RngOblivious);
+            sim::DesignRegistry::instance().apply("oblivious", base_cfg);
 
             // Non-RNG applications prioritized (priority 5 vs 0).
             sim::SimConfig non_cfg = cfg;
-            sim::applyDesign(non_cfg, sim::SystemDesign::DrStrange);
+            sim::DesignRegistry::instance().apply("drstrange", non_cfg);
             non_cfg.priorities.assign(cores, 5);
             non_cfg.priorities.back() = 0; // the RNG core
 
             // RNG application prioritized.
             sim::SimConfig rng_cfg = cfg;
-            sim::applyDesign(rng_cfg, sim::SystemDesign::DrStrange);
+            sim::DesignRegistry::instance().apply("drstrange", rng_cfg);
             rng_cfg.priorities.assign(cores, 0);
             rng_cfg.priorities.back() = 5;
 

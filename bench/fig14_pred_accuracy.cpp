@@ -19,9 +19,7 @@ main()
 
     sim::SimConfig cfg = bench::baseConfig();
     sim::SweepRunner sweep = bench::baseSweepRunner();
-    const std::vector<std::string> designs = {
-        sim::designKey(sim::SystemDesign::DrStrange),
-        sim::designKey(sim::SystemDesign::DrStrangeRl)};
+    const std::vector<std::string> designs = {"drstrange", "drstrange-rl"};
 
     TablePrinter t;
     t.setHeader({"workload", "DR-STRANGE", "DR-STRANGE+RL"});

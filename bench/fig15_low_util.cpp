@@ -19,10 +19,7 @@ main()
 
     sim::SweepRunner sweep = bench::baseSweepRunner();
     const std::vector<std::string> designs = {
-        sim::designKey(sim::SystemDesign::RngOblivious),
-        sim::designKey(sim::SystemDesign::DrStrangeNoLowUtil),
-        sim::designKey(sim::SystemDesign::DrStrange),
-    };
+        "oblivious", "drstrange-nolowutil", "drstrange"};
     const auto mixes = workloads::dualCorePlottedMixes(5120.0);
     const auto results = bench::runCellsOrExit(
         sweep, sim::SweepRunner::grid(designs, mixes));

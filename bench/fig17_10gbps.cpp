@@ -18,10 +18,7 @@ main()
 
     sim::SweepRunner sweep = bench::baseSweepRunner();
     const std::vector<std::string> designs = {
-        sim::designKey(sim::SystemDesign::RngOblivious),
-        sim::designKey(sim::SystemDesign::GreedyIdle),
-        sim::designKey(sim::SystemDesign::DrStrange),
-    };
+        "oblivious", "greedy", "drstrange"};
     const auto mixes = workloads::dualCorePlottedMixes(10240.0);
     const auto results = bench::runCellsOrExit(
         sweep, sim::SweepRunner::grid(designs, mixes));

@@ -32,7 +32,7 @@ main()
     sim::SweepRunner sweep = bench::baseSweepRunner();
     sweep.runner().setCollectIdlePeriods(true);
     sim::SimConfig run_cfg = cfg;
-    sim::applyDesign(run_cfg, sim::SystemDesign::RngOblivious);
+    sim::DesignRegistry::instance().apply("oblivious", run_cfg);
 
     struct Group
     {

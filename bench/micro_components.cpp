@@ -17,7 +17,8 @@ using namespace dstrange;
 static void
 BM_AddressDecode(benchmark::State &state)
 {
-    const dram::AddressMapper mapper{dram::DramGeometry{}};
+    const dram::InterleavedMapping mapper{dram::DramGeometry{},
+                                          dram::kRowBankColCh};
     Addr addr = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(mapper.decode(addr));
@@ -157,7 +158,7 @@ static void
 BM_SystemBusCycle(benchmark::State &state)
 {
     sim::SimConfig cfg;
-    sim::applyDesign(cfg, sim::SystemDesign::DrStrange);
+    sim::DesignRegistry::instance().apply("drstrange", cfg);
     cfg.instrBudget = 1u << 30;
     std::vector<std::unique_ptr<cpu::TraceSource>> traces;
     traces.push_back(std::make_unique<workloads::SyntheticTrace>(

@@ -30,7 +30,7 @@ class Channel
     explicit Channel(unsigned partitions)
     {
         sim::SimConfig sc;
-        sim::applyDesign(sc, sim::SystemDesign::DrStrange);
+        sim::DesignRegistry::instance().apply("drstrange", sc);
         sc.bufferPartitions = partitions;
         mem::McConfig mc_cfg = sim::mcConfigFor(sc);
         mc = std::make_unique<mem::MemoryController>(

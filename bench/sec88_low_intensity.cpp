@@ -23,8 +23,8 @@ main()
 
     for (const auto &mix : workloads::dualCorePlottedMixes(640.0)) {
         const auto base =
-            runner.run(sim::SystemDesign::RngOblivious, mix);
-        const auto dr = runner.run(sim::SystemDesign::DrStrange, mix);
+            runner.run("oblivious", mix);
+        const auto dr = runner.run("drstrange", mix);
         base_non.push_back(base.avgNonRngSlowdown());
         base_rng.push_back(base.rngSlowdown());
         base_unf.push_back(base.unfairnessIndex);

@@ -94,13 +94,13 @@ main()
     a.setHeader({"configuration", "storage (KB)", "area (mm^2)",
                  "% of Cascade Lake core"});
     sim::SimConfig cfg = bench::baseConfig();
-    for (sim::SystemDesign d : {sim::SystemDesign::DrStrange,
-                                sim::SystemDesign::DrStrangeRl}) {
-        sim::applyDesign(cfg, d);
+    const sim::DesignRegistry &registry = sim::DesignRegistry::instance();
+    for (const char *design : {"drstrange", "drstrange-rl"}) {
+        registry.apply(design, cfg);
         const auto est =
             sim::drStrangeArea(sim::mcConfigFor(cfg),
                                cfg.geometry.channels);
-        a.addRow({sim::designName(d),
+        a.addRow({registry.displayName(design),
                   bench::num(est.storageBits / 8.0 / 1024.0, 3),
                   bench::num(est.mm2, 4),
                   bench::num(est.fractionOfCascadeLakeCore() * 100.0, 5)});

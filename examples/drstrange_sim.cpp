@@ -122,7 +122,7 @@ int
 main(int argc, char **argv)
 {
     sim::SimulationBuilder builder;
-    builder.design(sim::SystemDesign::DrStrange).instrBudget(200000);
+    builder.design("drstrange").instrBudget(200000);
     std::vector<std::string> apps;
     std::vector<std::string> trace_files;
     double rng_mbps = 5120.0;

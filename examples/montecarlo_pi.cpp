@@ -58,14 +58,14 @@ main()
     t.setHeader({"design", "pi estimate", "total RNG wait (us)",
                  "avg ns/draw"});
 
-    for (sim::SystemDesign design : {sim::SystemDesign::RngOblivious,
-                                     sim::SystemDesign::DrStrange}) {
+    const sim::DesignRegistry &registry = sim::DesignRegistry::instance();
+    for (const char *design : {"oblivious", "drstrange"}) {
         api::RandomDevice::Config cfg;
-        sim::applyDesign(cfg.sim, design);
+        registry.apply(design, cfg.sim);
         api::RandomDevice dev(cfg);
         double rng_ns = 0.0;
         const double pi = estimatePi(dev, kSamples, rng_ns);
-        t.addRow({sim::designName(design), TablePrinter::num(pi, 4),
+        t.addRow({registry.displayName(design), TablePrinter::num(pi, 4),
                   TablePrinter::num(rng_ns / 1000.0, 1),
                   TablePrinter::num(rng_ns / kSamples, 1)});
     }

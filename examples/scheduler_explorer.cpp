@@ -69,7 +69,7 @@ registerFcfsDesign()
         });
     sim::DesignRegistry::instance().add(
         "fcfs-baseline", "FCFS", [](sim::SimConfig &cfg) {
-            sim::applyDesign(cfg, sim::SystemDesign::RngOblivious);
+            sim::DesignRegistry::instance().apply("oblivious", cfg);
             cfg.scheduler = "fcfs";
         });
 }

@@ -51,13 +51,6 @@ SimulationBuilder::fromText(const std::string &text)
 }
 
 SimulationBuilder &
-SimulationBuilder::design(SystemDesign d)
-{
-    applyDesign(cfg, d);
-    return *this;
-}
-
-SimulationBuilder &
 SimulationBuilder::design(const std::string &name)
 {
     DesignRegistry::instance().apply(name, cfg);

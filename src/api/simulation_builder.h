@@ -9,7 +9,7 @@
  * Runner, or api::RandomDevice instances.
  *
  *   auto runner = sim::SimulationBuilder()
- *                     .design(sim::SystemDesign::DrStrange)
+ *                     .design("drstrange")
  *                     .mechanism("quac")
  *                     .bufferEntries(32)
  *                     .instrBudget(200000)
@@ -54,12 +54,11 @@ class SimulationBuilder
     static SimulationBuilder fromText(const std::string &text);
 
     // --- Design presets ----------------------------------------------
-    /** Reset the policy knobs to a paper design. */
-    SimulationBuilder &design(SystemDesign d);
     /**
      * Reset the policy knobs to a design registered in
-     * sim::DesignRegistry (key or display name; covers user-registered
-     * designs). @throws std::out_of_range when unknown.
+     * sim::DesignRegistry (key or display name; covers the paper's
+     * kPaperDesigns and user-registered designs).
+     * @throws std::out_of_range when unknown.
      */
     SimulationBuilder &design(const std::string &name);
 

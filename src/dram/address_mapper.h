@@ -1,6 +1,8 @@
 /**
  * @file
- * Physical address to DRAM coordinate translation.
+ * Physical address to DRAM coordinate translation: the memory
+ * geometry, the coordinate tuple, and the AddressMapping interface that
+ * the policies in mapping_registry.h implement.
  */
 
 #ifndef DSTRANGE_DRAM_ADDRESS_MAPPER_H
@@ -80,23 +82,6 @@ class AddressMapping
 
   protected:
     DramGeometry geom;
-};
-
-/**
- * Row:Rank:Bank:Column:Channel mapping (channel interleaved at
- * cache-line granularity) — the high-bandwidth mapping typical of
- * Ramulator setups, which lets streaming applications use all channels.
- * Registered in MappingRegistry as "row-bank-col-ch": the rank digit
- * sits just below the row, so with one rank per channel it vanishes and
- * the mapping is bit-identical to the historical single-rank scheme.
- */
-class AddressMapper final : public AddressMapping
-{
-  public:
-    explicit AddressMapper(const DramGeometry &geometry);
-
-    DramCoord decode(Addr addr) const override;
-    Addr encode(const DramCoord &coord) const override;
 };
 
 } // namespace dstrange::dram

@@ -16,12 +16,6 @@ isPowerOfTwo(unsigned v)
     return v != 0 && (v & (v - 1)) == 0;
 }
 
-/** LSB-up digit order realizing the "row-bank-col-ch" key. */
-constexpr std::array<InterleavedMapping::Dim, 5> kRowBankColCh = {
-    InterleavedMapping::Dim::Channel, InterleavedMapping::Dim::Col,
-    InterleavedMapping::Dim::Bank, InterleavedMapping::Dim::Rank,
-    InterleavedMapping::Dim::Row};
-
 /** LSB-up digit order realizing the "row-bank-col-rank-ch" key. */
 constexpr std::array<InterleavedMapping::Dim, 5> kRowBankColRankCh = {
     InterleavedMapping::Dim::Channel, InterleavedMapping::Dim::Rank,
@@ -169,7 +163,7 @@ PermutedBankMapping::encode(const DramCoord &coord) const
 MappingRegistry::MappingRegistry()
 {
     add(kDefault, [](const DramGeometry &g) {
-        return std::make_unique<AddressMapper>(g);
+        return std::make_unique<InterleavedMapping>(g, kRowBankColCh);
     });
     add("row-bank-col-rank-ch", [](const DramGeometry &g) {
         return std::make_unique<InterleavedMapping>(g, kRowBankColRankCh);

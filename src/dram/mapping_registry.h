@@ -70,6 +70,17 @@ class InterleavedMapping : public AddressMapping
 };
 
 /**
+ * LSB-up digit order of the default "row-bank-col-ch" key
+ * (Row:Rank:Bank:Column:Channel): the channel is interleaved at line
+ * granularity, and the rank digit sits just below the row, so with one
+ * rank per channel it vanishes.
+ */
+inline constexpr std::array<InterleavedMapping::Dim, 5> kRowBankColCh = {
+    InterleavedMapping::Dim::Channel, InterleavedMapping::Dim::Col,
+    InterleavedMapping::Dim::Bank, InterleavedMapping::Dim::Rank,
+    InterleavedMapping::Dim::Row};
+
+/**
  * "row-bank-col-ch" order with the in-rank bank index XOR-permuted by
  * the low row bits; the XOR is self-inverse, so encode/decode stay exact
  * inverses. @throws std::invalid_argument unless banksPerRank is a
@@ -99,7 +110,7 @@ class MappingRegistry
         std::function<std::unique_ptr<const AddressMapping>(
             const DramGeometry &)>;
 
-    /** Key of the default policy (the historical hardwired mapping). */
+    /** Key of the default policy (kRowBankColCh). */
     static constexpr const char *kDefault = "row-bank-col-ch";
 
     static MappingRegistry &instance();

@@ -42,7 +42,11 @@ using BackendFactory =
  * Process-global backend registry. Built-in backends are registered on
  * first access:
  *
- *   "ddr4"           the cycle-level dram::DramChannel (the default)
+ *   "ddr4"           the cycle-level dram::DramChannel (the default).
+ *                    It models DDR3-1600 (dram::DramTimings, the
+ *                    paper's Table 1); the key name is historical and
+ *                    stays because "backend=ddr4" is part of config
+ *                    text, run fingerprints and alone-cache keys.
  *   "fixed-latency"  the analytical constant-latency cross-check model
  *
  * Thread-safe: lookups take a shared lock and add() an exclusive one,

@@ -123,7 +123,7 @@ struct McConfig
     /** Precharge power-down after this many idle cycles (0 = off). */
     Cycle powerDownThreshold = 0;
 
-    // --- Modelling-refinement ablation knobs (see DESIGN.md) ---------
+    // --- Modelling-refinement ablation knobs (bench/ablation_design) --
     /** RNG-aware designs park channels in RNG mode between demand
      *  bursts instead of switching out after every generation. */
     bool enableParking = true;

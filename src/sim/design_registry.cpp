@@ -9,9 +9,15 @@ namespace dstrange::sim {
 
 DesignRegistry::DesignRegistry()
 {
-    for (SystemDesign d : kAllDesigns) {
-        add(designKey(d), designName(d),
-            [d](SimConfig &cfg) { applyDesign(cfg, d); });
+    for (const DesignPreset &row : kPaperDesigns) {
+        add(row.key, row.displayName, [row](SimConfig &cfg) {
+            cfg.scheduler = row.scheduler;
+            cfg.rngAwareQueueing = row.rngAwareQueueing;
+            cfg.buffering = row.buffering;
+            cfg.fillPolicy = row.fillPolicy;
+            cfg.predictor = row.predictor;
+            cfg.lowUtilFill = row.lowUtilFill;
+        });
     }
 }
 

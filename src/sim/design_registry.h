@@ -1,16 +1,18 @@
 /**
  * @file
  * String-keyed registry of named system designs (presets over the
- * SimConfig policy knobs). The paper's nine designs are built in; user
- * code can register additional presets — typically pairing a custom
- * scheduler or predictor factory with the policy knobs that select it —
- * and they become reachable from the CLI's --design flag, config text
- * (design=KEY), and Runner::run(name) without any library edits.
+ * SimConfig policy knobs). The paper's nine designs are built in from
+ * the kPaperDesigns table; user code can register additional presets —
+ * typically pairing a custom scheduler or predictor factory with the
+ * policy knobs that select it — and they become reachable from the
+ * CLI's --design flag, config text (design=KEY), and Runner::run(name)
+ * without any library edits.
  */
 
 #ifndef DSTRANGE_SIM_DESIGN_REGISTRY_H
 #define DSTRANGE_SIM_DESIGN_REGISTRY_H
 
+#include <array>
 #include <functional>
 #include <map>
 #include <shared_mutex>
@@ -22,11 +24,57 @@
 namespace dstrange::sim {
 
 /**
- * Process-global design-preset registry. Keys are the designKey()
- * strings for the built-in designs ("oblivious", "greedy", "drstrange",
- * "drstrange-nopred", "drstrange-rl", "drstrange-nolowutil",
- * "rng-aware", "frfcfs", "bliss"); lookups also accept display names
- * ("DR-STRANGE").
+ * One paper design: its registry key, the display name shown in
+ * tables, and the value of every SimConfig policy knob. Applying a row
+ * sets all six knobs, so reapplying a preset from any prior state is
+ * deterministic; numeric parameters are left untouched.
+ */
+struct DesignPreset
+{
+    const char *key;
+    const char *displayName;
+    const char *scheduler;
+    bool rngAwareQueueing;
+    bool buffering;
+    const char *fillPolicy;
+    const char *predictor;
+    bool lowUtilFill;
+};
+
+/** The paper's nine evaluated designs, in sweep order. */
+inline constexpr std::array<DesignPreset, 9> kPaperDesigns = {{
+    // Baseline: FR-FCFS+Cap16, on-demand all-channel RNG.
+    {"oblivious", "RNG-Oblivious", "fr-fcfs-cap", false, false, "none",
+     "simple", false},
+    // Oracle zero-overhead buffer fill + RNG-aware queue.
+    {"greedy", "Greedy", "fr-fcfs-cap", true, true, "greedy-oracle",
+     "simple", false},
+    // Full design: simple predictor, low-utilization fill.
+    {"drstrange", "DR-STRANGE", "fr-fcfs-cap", true, true, "engine",
+     "simple", true},
+    // Simple buffering (every quiet period assumed long).
+    {"drstrange-nopred", "DR-STRANGE(NoPred)", "fr-fcfs-cap", true, true,
+     "engine", "none", false},
+    // Q-learning idleness predictor.
+    {"drstrange-rl", "DR-STRANGE+RL", "fr-fcfs-cap", true, true, "engine",
+     "rl", true},
+    // Simple predictor, low-utilization fill disabled.
+    {"drstrange-nolowutil", "DR-STRANGE(Thr=0)", "fr-fcfs-cap", true,
+     true, "engine", "simple", false},
+    // RNG-aware scheduler only (Fig. 11 ablation).
+    {"rng-aware", "RNG-Aware", "fr-fcfs-cap", true, false, "none",
+     "simple", false},
+    // RNG-oblivious with classic (uncapped) FR-FCFS.
+    {"frfcfs", "FR-FCFS", "fr-fcfs", false, false, "none", "simple",
+     false},
+    // RNG-oblivious with the BLISS scheduler.
+    {"bliss", "BLISS", "bliss", false, false, "none", "simple", false},
+}};
+
+/**
+ * Process-global design-preset registry. The built-in keys are the
+ * kPaperDesigns keys ("oblivious", "greedy", "drstrange", ...); lookups
+ * also accept display names ("DR-STRANGE").
  *
  * Thread-safe: lookups take a shared lock and add() an exclusive one,
  * so parallel sweeps (sim::SweepRunner) can apply presets while user

@@ -62,10 +62,10 @@ Runner::makeRngTrace(double mbps, CoreId core,
 }
 
 SimConfig
-Runner::aloneConfig(const SimConfig &from, SystemDesign design)
+Runner::aloneConfig(const SimConfig &from, const std::string &design)
 {
     SimConfig cfg = from;
-    applyDesign(cfg, design);
+    DesignRegistry::instance().apply(design, cfg);
     cfg.priorities.clear();
     // Alone baselines never record (they would clobber the workload's
     // tape) and never replay (the tape stands in for the shared run).
@@ -186,23 +186,15 @@ Runner::aloneRngImpl(double mbps, const SimConfig &alone_cfg)
 }
 
 const AloneResult &
-Runner::alone(const std::string &app_name, SystemDesign design)
+Runner::alone(const std::string &app_name, const std::string &design)
 {
     return aloneApp(app_name, aloneConfig(baseCfg, design));
 }
 
 const AloneResult &
-Runner::aloneRng(double mbps, SystemDesign design)
+Runner::aloneRng(double mbps, const std::string &design)
 {
     return aloneRngImpl(mbps, aloneConfig(baseCfg, design));
-}
-
-Runner::WorkloadResult
-Runner::run(SystemDesign design, const workloads::WorkloadSpec &spec)
-{
-    SimConfig cfg = baseCfg;
-    applyDesign(cfg, design);
-    return run(cfg, spec);
 }
 
 Runner::WorkloadResult
@@ -301,8 +293,7 @@ Runner::run(const SimConfig &cfg, const workloads::WorkloadSpec &spec)
     // Both execution-time slowdown and the MCPI-based memory slowdown
     // are normalized to the RNG-oblivious single-core baseline alone
     // run (Section 7), derived from this run's own configuration.
-    const SimConfig alone_cfg =
-        aloneConfig(cfg, SystemDesign::RngOblivious);
+    const SimConfig alone_cfg = aloneConfig(cfg);
 
     std::vector<double> mem_slowdowns;
     std::vector<double> ipc_shared, ipc_alone;

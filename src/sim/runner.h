@@ -91,10 +91,6 @@ class Runner
      *  cache (nullptr = none), ignoring DS_CACHE_DIR. */
     Runner(SimConfig base, std::shared_ptr<ResultStore> store);
 
-    /** Run one workload under the given design preset. */
-    WorkloadResult run(SystemDesign design,
-                       const workloads::WorkloadSpec &spec);
-
     /**
      * Run one workload under a design registered in sim::DesignRegistry
      * (built-in preset keys like "drstrange" or user-registered ones).
@@ -124,13 +120,11 @@ class Runner
      * runs alone"), so pass the design under evaluation for the latter.
      */
     const AloneResult &alone(const std::string &app_name,
-                             SystemDesign design =
-                                 SystemDesign::RngOblivious);
+                             const std::string &design = "oblivious");
 
     /** Alone-run baseline of the RNG benchmark (cached). */
     const AloneResult &aloneRng(double mbps,
-                                SystemDesign design =
-                                    SystemDesign::RngOblivious);
+                                const std::string &design = "oblivious");
 
     /**
      * Mutable base configuration (mechanism, budget, seed, ...). Not
@@ -173,10 +167,10 @@ class Runner
                  const SimConfig &cfg) const;
     std::unique_ptr<cpu::TraceSource>
     makeRngTrace(double mbps, CoreId core, const SimConfig &cfg) const;
-    /** RNG-oblivious alone-run config over @p from (priorities cleared,
-     *  @p design policies applied). */
+    /** Alone-run config over @p from (priorities cleared, the
+     *  registered @p design preset applied). */
     static SimConfig aloneConfig(const SimConfig &from,
-                                 SystemDesign design);
+                                 const std::string &design = "oblivious");
     const AloneResult &aloneApp(const std::string &app_name,
                                 const SimConfig &alone_cfg);
     const AloneResult &aloneRngImpl(double mbps,

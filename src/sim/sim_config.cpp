@@ -4,131 +4,6 @@
 
 namespace dstrange::sim {
 
-const char *
-designName(SystemDesign design)
-{
-    switch (design) {
-      case SystemDesign::RngOblivious:
-        return "RNG-Oblivious";
-      case SystemDesign::GreedyIdle:
-        return "Greedy";
-      case SystemDesign::DrStrange:
-        return "DR-STRANGE";
-      case SystemDesign::DrStrangeNoPred:
-        return "DR-STRANGE(NoPred)";
-      case SystemDesign::DrStrangeRl:
-        return "DR-STRANGE+RL";
-      case SystemDesign::DrStrangeNoLowUtil:
-        return "DR-STRANGE(Thr=0)";
-      case SystemDesign::RngAwareNoBuffer:
-        return "RNG-Aware";
-      case SystemDesign::FrFcfsBaseline:
-        return "FR-FCFS";
-      case SystemDesign::BlissBaseline:
-        return "BLISS";
-    }
-    return "?";
-}
-
-const char *
-designKey(SystemDesign design)
-{
-    switch (design) {
-      case SystemDesign::RngOblivious:
-        return "oblivious";
-      case SystemDesign::GreedyIdle:
-        return "greedy";
-      case SystemDesign::DrStrange:
-        return "drstrange";
-      case SystemDesign::DrStrangeNoPred:
-        return "drstrange-nopred";
-      case SystemDesign::DrStrangeRl:
-        return "drstrange-rl";
-      case SystemDesign::DrStrangeNoLowUtil:
-        return "drstrange-nolowutil";
-      case SystemDesign::RngAwareNoBuffer:
-        return "rng-aware";
-      case SystemDesign::FrFcfsBaseline:
-        return "frfcfs";
-      case SystemDesign::BlissBaseline:
-        return "bliss";
-    }
-    return "?";
-}
-
-std::optional<SystemDesign>
-designFromString(std::string_view name)
-{
-    for (SystemDesign d : kAllDesigns)
-        if (name == designKey(d) || name == designName(d))
-            return d;
-    return std::nullopt;
-}
-
-void
-applyDesign(SimConfig &cfg, SystemDesign design)
-{
-    // Start from the RNG-oblivious baseline so reapplying a preset from
-    // any prior state is deterministic.
-    cfg.scheduler = "fr-fcfs-cap";
-    cfg.rngAwareQueueing = false;
-    cfg.buffering = false;
-    cfg.fillPolicy = "none";
-    cfg.predictor = "simple";
-    cfg.lowUtilFill = false;
-
-    switch (design) {
-      case SystemDesign::RngOblivious:
-        break;
-      case SystemDesign::FrFcfsBaseline:
-        cfg.scheduler = "fr-fcfs";
-        break;
-      case SystemDesign::BlissBaseline:
-        cfg.scheduler = "bliss";
-        break;
-      case SystemDesign::RngAwareNoBuffer:
-        cfg.rngAwareQueueing = true;
-        break;
-      case SystemDesign::GreedyIdle:
-        cfg.rngAwareQueueing = true;
-        cfg.buffering = true;
-        cfg.fillPolicy = "greedy-oracle";
-        break;
-      case SystemDesign::DrStrangeNoPred:
-        cfg.rngAwareQueueing = true;
-        cfg.buffering = true;
-        cfg.fillPolicy = "engine";
-        cfg.predictor = "none";
-        break;
-      case SystemDesign::DrStrange:
-        cfg.rngAwareQueueing = true;
-        cfg.buffering = true;
-        cfg.fillPolicy = "engine";
-        cfg.lowUtilFill = true;
-        break;
-      case SystemDesign::DrStrangeNoLowUtil:
-        cfg.rngAwareQueueing = true;
-        cfg.buffering = true;
-        cfg.fillPolicy = "engine";
-        break;
-      case SystemDesign::DrStrangeRl:
-        cfg.rngAwareQueueing = true;
-        cfg.buffering = true;
-        cfg.fillPolicy = "engine";
-        cfg.predictor = "rl";
-        cfg.lowUtilFill = true;
-        break;
-    }
-}
-
-SimConfig
-designConfig(SystemDesign design)
-{
-    SimConfig cfg;
-    applyDesign(cfg, design);
-    return cfg;
-}
-
 mem::McConfig
 mcConfigFor(const SimConfig &cfg)
 {

@@ -4,20 +4,19 @@
  * intra-queue scheduler, RNG-queue policy, buffering, buffer-fill
  * policy, idleness predictor, low-utilization fill — plus the numeric
  * parameters they consume. The paper's nine named system designs are
- * presets over this policy space (applyDesign/designConfig); nothing in
- * the construction path switches on a design enum, so new policies
- * registered in mem::SchedulerRegistry / strange::PredictorRegistry or
- * sim::DesignRegistry compose with every existing sweep.
+ * presets over this policy space (sim::kPaperDesigns, applied through
+ * sim::DesignRegistry); nothing in the construction path switches on a
+ * design, so new policies registered in mem::SchedulerRegistry /
+ * strange::PredictorRegistry or sim::DesignRegistry compose with every
+ * existing sweep.
  */
 
 #ifndef DSTRANGE_SIM_SIM_CONFIG_H
 #define DSTRANGE_SIM_SIM_CONFIG_H
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "dram/address_mapper.h"
@@ -29,43 +28,10 @@
 
 namespace dstrange::sim {
 
-/** The named system designs evaluated in the paper (presets). */
-enum class SystemDesign : std::uint8_t
-{
-    RngOblivious,     ///< Baseline: FR-FCFS+Cap16, on-demand all-channel RNG.
-    GreedyIdle,       ///< Oracle zero-overhead buffer fill + RNG-aware queue.
-    DrStrange,        ///< Full design: simple predictor, low-util threshold 4.
-    DrStrangeNoPred,  ///< Simple buffering (every quiet period assumed long).
-    DrStrangeRl,      ///< Q-learning idleness predictor.
-    DrStrangeNoLowUtil, ///< Simple predictor, low-utilization disabled.
-    RngAwareNoBuffer, ///< RNG-aware scheduler only (Fig. 11 ablation).
-    FrFcfsBaseline,   ///< RNG-oblivious with classic (uncapped) FR-FCFS.
-    BlissBaseline,    ///< RNG-oblivious with the BLISS scheduler.
-};
-
-/** All paper designs, in sweep order. */
-inline constexpr std::array<SystemDesign, 9> kAllDesigns = {
-    SystemDesign::RngOblivious,      SystemDesign::GreedyIdle,
-    SystemDesign::DrStrange,         SystemDesign::DrStrangeNoPred,
-    SystemDesign::DrStrangeRl,       SystemDesign::DrStrangeNoLowUtil,
-    SystemDesign::RngAwareNoBuffer,  SystemDesign::FrFcfsBaseline,
-    SystemDesign::BlissBaseline,
-};
-
-/** Short display name of a design (e.g. "DR-STRANGE"). */
-const char *designName(SystemDesign design);
-
-/** Stable machine-readable key of a design (e.g. "drstrange"), as used
- *  by the CLI's --design flag, config text, and sim::DesignRegistry. */
-const char *designKey(SystemDesign design);
-
-/** Parse a design from its key or display name; nullopt when unknown. */
-std::optional<SystemDesign> designFromString(std::string_view name);
-
 /**
  * Full simulation configuration. The first block is the composable
  * policy space; a default-constructed SimConfig selects the full
- * DR-STRaNGe design (the same default the legacy design enum had).
+ * DR-STRaNGe design (the "drstrange" row of sim::kPaperDesigns).
  */
 struct SimConfig
 {
@@ -138,16 +104,6 @@ struct SimConfig
      *  (empty = off; see trace/trace_replay_source.h). */
     std::string traceReplay;
 };
-
-/**
- * Reset the policy knobs of @p cfg to the named paper design. Numeric
- * parameters (buffer size, thresholds, mechanism, budget, seed, ...)
- * are left untouched.
- */
-void applyDesign(SimConfig &cfg, SystemDesign design);
-
-/** A default SimConfig with the named design's policy knobs applied. */
-SimConfig designConfig(SystemDesign design);
 
 /** Map the policy knobs onto the memory controller configuration. */
 mem::McConfig mcConfigFor(const SimConfig &cfg);

@@ -54,8 +54,9 @@ TrngMechanism::dRange()
     // resulting non-RNG slowdowns of Figures 1 and 6. A fill session
     // interrupted during the switch-in (timing-parameter swap) aborts
     // and yields nothing, which is what makes idle-period *prediction*
-    // profitable over unconditional filling (Fig. 13); see
-    // EXPERIMENTS.md for the calibration discussion.
+    // profitable over unconditional filling (Fig. 13). The
+    // ReproductionBands tests in tests/regression_test.cpp pin the
+    // calibrated end-to-end behaviour.
     m.bitsPerRound = 8.0;
     m.roundLatency = 5;
     m.switchInLatency = 5;

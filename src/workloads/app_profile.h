@@ -7,7 +7,7 @@
  * memory intensity (MPKI), read fraction, row-buffer locality, bank
  * parallelism and burstiness. Profile values are chosen so the paper's
  * L/M/H categories and the plotted per-application ordering hold
- * (see DESIGN.md, substitution table).
+ * (tests/workloads_test.cpp checks both).
  */
 
 #ifndef DSTRANGE_WORKLOADS_APP_PROFILE_H

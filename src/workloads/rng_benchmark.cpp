@@ -17,11 +17,11 @@ RngBenchmark::gapForThroughput(double mbps)
 }
 
 RngBenchmark::RngBenchmark(double throughput_mbps,
-                           const dram::DramGeometry &geometry,
+                           const dram::DramGeometry & /*geometry*/,
                            std::uint64_t seed, double regular_read_mpki)
     : benchName("rng" + std::to_string(static_cast<int>(throughput_mbps))),
       mbps(throughput_mbps), gap(gapForThroughput(throughput_mbps)),
-      mapper(geometry), gen(mix64(seed) ^ 0xc0ffee)
+      gen(mix64(seed) ^ 0xc0ffee)
 {
     // Convert the light regular-read MPKI into a per-op probability:
     // ops arrive every `gap` instructions, so reads/op = mpki*gap/1000.

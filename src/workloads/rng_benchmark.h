@@ -23,7 +23,9 @@ class RngBenchmark : public cpu::TraceSource
   public:
     /**
      * @param throughput_mbps required RNG throughput (e.g. 640..10240)
-     * @param geometry memory geometry for the regular-read addresses
+     * @param geometry memory geometry (unused: the regular-read stride
+     *        is geometry-independent; kept so every trace generator is
+     *        built from the same arguments)
      * @param seed deterministic stream seed
      * @param regular_read_mpki light non-RNG intensity (paper: the RNG
      *        benchmarks are not memory intensive in terms of non-RNG
@@ -51,7 +53,6 @@ class RngBenchmark : public cpu::TraceSource
     std::string benchName;
     double mbps;
     std::uint64_t gap;
-    dram::AddressMapper mapper;
     Xoshiro256ss gen;
     double readProbability; ///< P(regular read instead of RNG request).
     std::uint64_t lineCursor = 0;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "api/random_device.h"
+#include "sim/design_registry.h"
 #include "trng/bit_quality.h"
 
 using namespace dstrange;
@@ -23,7 +24,7 @@ TEST(RandomDevice, ReturnsRequestedBytes)
 TEST(RandomDevice, ColdStartGeneratesOnDemand)
 {
     RandomDevice::Config cfg;
-    sim::applyDesign(cfg.sim, sim::SystemDesign::RngOblivious);
+    sim::DesignRegistry::instance().apply("oblivious", cfg.sim);
     RandomDevice dev(cfg);
     const auto res = dev.getRandom(8);
     EXPECT_FALSE(res.servedFromBuffer);
@@ -47,7 +48,7 @@ TEST(RandomDevice, IdleTimeFillsBufferAndSpeedsUpServes)
 TEST(RandomDevice, ObliviousDesignNeverBuffers)
 {
     RandomDevice::Config cfg;
-    sim::applyDesign(cfg.sim, sim::SystemDesign::RngOblivious);
+    sim::DesignRegistry::instance().apply("oblivious", cfg.sim);
     RandomDevice dev(cfg);
     dev.idle(10000.0);
     EXPECT_DOUBLE_EQ(dev.bufferLevelBits(), 0.0);

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the composable policy API: design presets vs. the legacy
- * enum expansion (frozen here as reference data), the scheduler /
+ * per-design expansion (frozen here as reference data), the scheduler /
  * predictor / design registries, the SimulationBuilder facade, the
  * key=value config text format, and the Runner's configuration-keyed
  * alone-run cache.
@@ -22,12 +22,13 @@ using namespace dstrange::sim;
 namespace {
 
 /**
- * The pre-refactor SystemDesign switch, frozen verbatim (modulo the
- * enum-to-registry-key renames) as the reference expansion. Every
- * preset built on the policy knobs must keep reproducing it exactly.
+ * The hand-written per-design McConfig expansion that predates the
+ * policy knobs, frozen as reference data and keyed by registry key.
+ * Every preset built on the policy knobs must keep reproducing it
+ * exactly.
  */
 mem::McConfig
-legacyMcConfigFor(SystemDesign design, const SimConfig &cfg)
+legacyMcConfigFor(const std::string &design, const SimConfig &cfg)
 {
     mem::McConfig mc;
     mc.scheduler = "fr-fcfs-cap";
@@ -44,49 +45,40 @@ legacyMcConfigFor(SystemDesign design, const SimConfig &cfg)
                 fill_mech.switchOutLatency);
     mc.powerDownThreshold = cfg.powerDownThreshold;
 
-    switch (design) {
-      case SystemDesign::RngOblivious:
-        break;
-      case SystemDesign::FrFcfsBaseline:
+    if (design == "oblivious") {
+    } else if (design == "frfcfs") {
         mc.scheduler = "fr-fcfs";
-        break;
-      case SystemDesign::BlissBaseline:
+    } else if (design == "bliss") {
         mc.scheduler = "bliss";
-        break;
-      case SystemDesign::RngAwareNoBuffer:
+    } else if (design == "rng-aware") {
         mc.rngAwareQueueing = true;
-        break;
-      case SystemDesign::GreedyIdle:
+    } else if (design == "greedy") {
         mc.rngAwareQueueing = true;
         mc.bufferEntries = cfg.bufferEntries;
         mc.bufferPartitions = cfg.bufferPartitions;
         mc.fill = mem::FillMode::GreedyOracle;
-        break;
-      case SystemDesign::DrStrangeNoPred:
+    } else if (design == "drstrange-nopred") {
         mc.rngAwareQueueing = true;
         mc.bufferEntries = cfg.bufferEntries;
         mc.bufferPartitions = cfg.bufferPartitions;
         mc.fill = mem::FillMode::Engine;
         mc.predictor = "none";
         mc.lowUtilThreshold = 0;
-        break;
-      case SystemDesign::DrStrange:
+    } else if (design == "drstrange") {
         mc.rngAwareQueueing = true;
         mc.bufferEntries = cfg.bufferEntries;
         mc.bufferPartitions = cfg.bufferPartitions;
         mc.fill = mem::FillMode::Engine;
         mc.predictor = "simple";
         mc.lowUtilThreshold = cfg.lowUtilThreshold;
-        break;
-      case SystemDesign::DrStrangeNoLowUtil:
+    } else if (design == "drstrange-nolowutil") {
         mc.rngAwareQueueing = true;
         mc.bufferEntries = cfg.bufferEntries;
         mc.bufferPartitions = cfg.bufferPartitions;
         mc.fill = mem::FillMode::Engine;
         mc.predictor = "simple";
         mc.lowUtilThreshold = 0;
-        break;
-      case SystemDesign::DrStrangeRl:
+    } else if (design == "drstrange-rl") {
         mc.rngAwareQueueing = true;
         mc.bufferEntries = cfg.bufferEntries;
         mc.bufferPartitions = cfg.bufferPartitions;
@@ -94,7 +86,9 @@ legacyMcConfigFor(SystemDesign design, const SimConfig &cfg)
         mc.predictor = "rl";
         mc.lowUtilThreshold = cfg.lowUtilThreshold;
         mc.rlConfig.seed = cfg.seed * 7919 + 17;
-        break;
+    } else {
+        ADD_FAILURE() << "no legacy expansion for design '" << design
+                      << "'";
     }
     return mc;
 }
@@ -172,38 +166,37 @@ expectSameResult(const Runner::WorkloadResult &a,
 } // namespace
 
 // ---------------------------------------------------------------------
-// Preset equivalence: builder presets == legacy enum expansion.
+// Preset equivalence: builder presets == frozen legacy expansion.
 // ---------------------------------------------------------------------
 
 TEST(PresetEquivalence, McConfigMatchesLegacyExpansionForAllDesigns)
 {
-    for (SystemDesign d : kAllDesigns) {
+    for (const DesignPreset &d : kPaperDesigns) {
         SimConfig base;
         base.bufferEntries = 8;
         base.bufferPartitions = 2;
         base.lowUtilThreshold = 6;
         base.powerDownThreshold = 50;
         base.seed = 3;
-        SCOPED_TRACE(designName(d));
+        SCOPED_TRACE(d.key);
 
         SimConfig preset = base;
-        applyDesign(preset, d);
+        DesignRegistry::instance().apply(d.key, preset);
         expectSameMcConfig(mcConfigFor(preset),
-                           legacyMcConfigFor(d, base));
+                           legacyMcConfigFor(d.key, base));
     }
 }
 
 TEST(PresetEquivalence, McConfigMatchesLegacyExpansionWithHybridFill)
 {
-    for (SystemDesign d :
-         {SystemDesign::DrStrange, SystemDesign::DrStrangeRl}) {
+    for (const char *d : {"drstrange", "drstrange-rl"}) {
         SimConfig base;
         base.mechanism = trng::TrngMechanism::dRange();
         base.fillMechanism = trng::TrngMechanism::quacTrng();
-        SCOPED_TRACE(designName(d));
+        SCOPED_TRACE(d);
 
         SimConfig preset = base;
-        applyDesign(preset, d);
+        DesignRegistry::instance().apply(d, preset);
         expectSameMcConfig(mcConfigFor(preset),
                            legacyMcConfigFor(d, base));
     }
@@ -215,17 +208,17 @@ TEST(PresetEquivalence, RunnerMetricsIdenticalAcrossEnumKeyAndBuilder)
     base.instrBudget = 20000;
     const auto spec = dualMix("soplex");
 
-    for (SystemDesign d : kAllDesigns) {
-        SCOPED_TRACE(designName(d));
-        Runner by_enum(base);
-        const auto a = by_enum.run(d, spec);
-
+    for (const DesignPreset &d : kPaperDesigns) {
+        SCOPED_TRACE(d.key);
         Runner by_key(base);
-        const auto b = by_key.run(designKey(d), spec);
+        const auto a = by_key.run(d.key, spec);
+
+        Runner by_display_name(base);
+        const auto b = by_display_name.run(d.displayName, spec);
 
         Runner by_builder(base);
         const auto c = by_builder.run(
-            SimulationBuilder(base).design(d).config(), spec);
+            SimulationBuilder(base).design(d.key).config(), spec);
 
         expectSameResult(a, b);
         expectSameResult(a, c);
@@ -239,10 +232,8 @@ TEST(PresetEquivalence, RunnerMetricsIdenticalAcrossEnumKeyAndBuilder)
  */
 TEST(PresetEquivalence, SystemMatchesHandDrivenLegacyController)
 {
-    for (SystemDesign d :
-         {SystemDesign::DrStrange, SystemDesign::GreedyIdle,
-          SystemDesign::BlissBaseline, SystemDesign::DrStrangeRl}) {
-        SCOPED_TRACE(designName(d));
+    for (const char *d : {"drstrange", "greedy", "bliss", "drstrange-rl"}) {
+        SCOPED_TRACE(d);
         SimConfig base;
         base.instrBudget = 15000;
 
@@ -258,7 +249,7 @@ TEST(PresetEquivalence, SystemMatchesHandDrivenLegacyController)
 
         // New API path.
         SimConfig preset = base;
-        applyDesign(preset, d);
+        DesignRegistry::instance().apply(d, preset);
         auto sys_traces = make_traces();
         System sys(preset, std::move(sys_traces));
         sys.run();
@@ -373,10 +364,10 @@ TEST(Registries, BuiltinsArePresent)
     for (const char *k : {"none", "simple", "rl"})
         EXPECT_NE(std::find(pred.begin(), pred.end(), k), pred.end());
 
-    for (SystemDesign d : kAllDesigns) {
-        EXPECT_TRUE(DesignRegistry::instance().contains(designKey(d)));
-        EXPECT_EQ(DesignRegistry::instance().displayName(designKey(d)),
-                  designName(d));
+    for (const DesignPreset &d : kPaperDesigns) {
+        EXPECT_TRUE(DesignRegistry::instance().contains(d.key));
+        EXPECT_EQ(DesignRegistry::instance().displayName(d.key),
+                  d.displayName);
     }
 }
 
@@ -453,7 +444,7 @@ registerOldestFirst()
             });
         DesignRegistry::instance().add(
             "test-oldest-baseline", "OldestFirst", [](SimConfig &cfg) {
-                applyDesign(cfg, SystemDesign::RngOblivious);
+                DesignRegistry::instance().apply("oblivious", cfg);
                 cfg.scheduler = "test-oldest-first";
             });
         return true;
@@ -522,7 +513,7 @@ TEST(ConfigText, SerializeParseRoundTripsDefaults)
 TEST(ConfigText, SerializeParseRoundTripsCustomConfig)
 {
     SimulationBuilder b;
-    b.design(SystemDesign::GreedyIdle)
+    b.design("greedy")
         .mechanism("quac")
         .fillMechanism(trng::TrngMechanism::withSystemThroughput(640.0, 4))
         .bufferEntries(32)
@@ -552,12 +543,13 @@ TEST(ConfigText, SerializeParseRoundTripsCustomConfig)
 
 TEST(ConfigText, EquivalentToBuilderPresets)
 {
-    for (SystemDesign d : kAllDesigns) {
-        SCOPED_TRACE(designName(d));
+    for (const DesignPreset &d : kPaperDesigns) {
+        SCOPED_TRACE(d.key);
         const SimConfig via_text =
-            parseConfig(std::string("design=") + designKey(d));
-        const SimConfig via_enum = designConfig(d);
-        EXPECT_EQ(serializeConfig(via_text), serializeConfig(via_enum));
+            parseConfig(std::string("design=") + d.key);
+        const SimConfig via_builder =
+            SimulationBuilder().design(d.displayName).config();
+        EXPECT_EQ(serializeConfig(via_text), serializeConfig(via_builder));
     }
 }
 
@@ -605,7 +597,7 @@ TEST(ConfigText, WhitespaceMechanismNameStaysParseable)
 TEST(ConfigText, BuilderFromTextMatchesFluentCalls)
 {
     const SimulationBuilder fluent =
-        SimulationBuilder().design(SystemDesign::DrStrangeRl).seed(7);
+        SimulationBuilder().design("drstrange-rl").seed(7);
     const SimulationBuilder parsed =
         SimulationBuilder::fromText("design=drstrange-rl seed=7");
     EXPECT_EQ(fluent.toText(), parsed.toText());
@@ -623,10 +615,10 @@ TEST(RunnerCache, RunWithExplicitConfigHonoursItsSeed)
     const auto spec = dualMix("soplex");
 
     SimConfig reseeded = base;
-    applyDesign(reseeded, SystemDesign::DrStrange);
+    DesignRegistry::instance().apply("drstrange", reseeded);
     reseeded.seed = 1234; // must reseed the generated traces too
     const auto a = runner.run(reseeded, spec);
-    const auto b = runner.run(SystemDesign::DrStrange, spec);
+    const auto b = runner.run("drstrange", spec);
     EXPECT_NE(a.busCycles, b.busCycles);
 }
 
@@ -650,10 +642,10 @@ TEST(RunnerCache, AloneRngRecomputedWhenBufferConfigChanges)
     Runner runner(base);
 
     const double with_buffer =
-        runner.aloneRng(5120.0, SystemDesign::DrStrange).execCpuCycles;
+        runner.aloneRng(5120.0, "drstrange").execCpuCycles;
     runner.base().bufferEntries = 1;
     const double tiny_buffer =
-        runner.aloneRng(5120.0, SystemDesign::DrStrange).execCpuCycles;
+        runner.aloneRng(5120.0, "drstrange").execCpuCycles;
     EXPECT_NE(with_buffer, tiny_buffer);
 }
 
@@ -664,9 +656,9 @@ TEST(RunnerCache, AloneRunRecomputedWhenFillMechanismChanges)
     Runner runner(base);
 
     const double drange =
-        runner.aloneRng(5120.0, SystemDesign::DrStrange).execCpuCycles;
+        runner.aloneRng(5120.0, "drstrange").execCpuCycles;
     runner.base().fillMechanism = trng::TrngMechanism::quacTrng();
     const double hybrid =
-        runner.aloneRng(5120.0, SystemDesign::DrStrange).execCpuCycles;
+        runner.aloneRng(5120.0, "drstrange").execCpuCycles;
     EXPECT_NE(drange, hybrid);
 }

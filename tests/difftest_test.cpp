@@ -91,8 +91,10 @@ drawScenario(std::uint64_t seed)
     // Design preset, then orthogonal-knob overrides on top of it — the
     // construction path composes knobs, so overridden presets are valid
     // configurations in their own right.
-    sim::applyDesign(cfg,
-                     sim::kAllDesigns[d.below(sim::kAllDesigns.size())]);
+    // Drawn by table index, so a DS_DIFFTEST_SEED always maps to the
+    // same preset as long as kPaperDesigns keeps its order.
+    sim::DesignRegistry::instance().apply(
+        sim::kPaperDesigns[d.below(sim::kPaperDesigns.size())].key, cfg);
     if (d.chance(1, 4))
         cfg.scheduler =
             d.pick<std::string>({"fr-fcfs", "fr-fcfs-cap", "bliss"});
@@ -325,7 +327,7 @@ expectThreeWayIdentical(const Scenario &s, const char *what)
 TEST(DiffTestEdge, BlissForcedChoiceUnderBlacklisting)
 {
     Scenario s;
-    sim::applyDesign(s.cfg, sim::SystemDesign::BlissBaseline);
+    sim::DesignRegistry::instance().apply("bliss", s.cfg);
     s.cfg.scheduler = "bliss";
     s.cfg.fault.models = "bitflip,weak-cell";
     s.cfg.fault.cellsPerChannel = 16;
@@ -357,7 +359,7 @@ TEST(DiffTestEdge, BlissForcedChoiceUnderBlacklisting)
 TEST(DiffTestEdge, BatchAbortAtTimingBoundaries)
 {
     Scenario s;
-    sim::applyDesign(s.cfg, sim::SystemDesign::DrStrange);
+    sim::DesignRegistry::instance().apply("drstrange", s.cfg);
     s.cfg.geometry.channels = 2;
     s.cfg.geometry.ranksPerChannel = 2;
     s.cfg.addressMapping = "row-bank-col-rank-ch";
@@ -386,7 +388,7 @@ TEST(DiffTestEdge, BatchAbortAtTimingBoundaries)
 TEST(DiffTestEdge, FaultPlaneUseCountParity)
 {
     Scenario s;
-    sim::applyDesign(s.cfg, sim::SystemDesign::DrStrange);
+    sim::DesignRegistry::instance().apply("drstrange", s.cfg);
     s.cfg.fault.models = "bitflip,weak-cell,stuck-row";
     s.cfg.fault.cellsPerChannel = 24;
     s.cfg.fault.weakCells = 8;
@@ -420,7 +422,7 @@ TEST(DiffTestEdge, FaultPlaneUseCountParity)
 TEST(DiffTestEdge, HorizonCacheAcrossOutageEdges)
 {
     Scenario s;
-    sim::applyDesign(s.cfg, sim::SystemDesign::DrStrange);
+    sim::DesignRegistry::instance().apply("drstrange", s.cfg);
     s.cfg.fault.models = "outage";
     s.cfg.fault.outagePeriod = 150;
     s.cfg.fault.outageDuration = 40;

@@ -13,6 +13,7 @@
 
 #include "common/json_writer.h"
 #include "dram/dram_channel.h"
+#include "sim/design_registry.h"
 #include "sim/runner.h"
 #include "strange/buffer_set.h"
 #include "trng/entropy_source.h"
@@ -251,7 +252,7 @@ TEST(HybridSystem, HybridConfigurationRunsEndToEnd)
     spec.name = "hybrid";
     spec.apps = {"ycsb2"};
     spec.rngThroughputMbps = 5120.0;
-    const auto res = runner.run(sim::SystemDesign::DrStrange, spec);
+    const auto res = runner.run("drstrange", spec);
     EXPECT_GT(res.bufferServeRate, 0.0);
     for (const auto &core : res.cores)
         EXPECT_LT(core.slowdown, 50.0);
@@ -296,14 +297,14 @@ TEST(PowerDown, ReducesEnergyForIdleWorkload)
     auto energy_with_pd = [](Cycle threshold) {
         sim::SimConfig cfg;
         cfg.instrBudget = 30000;
-        sim::applyDesign(cfg, sim::SystemDesign::RngOblivious);
+        sim::DesignRegistry::instance().apply("oblivious", cfg);
         cfg.powerDownThreshold = threshold;
         sim::Runner runner(cfg);
         workloads::WorkloadSpec spec;
         spec.name = "idle";
         spec.apps = {"povray"}; // very light
         spec.rngThroughputMbps = 0.0;
-        return runner.run(sim::SystemDesign::RngOblivious, spec).energyNj;
+        return runner.run("oblivious", spec).energyNj;
     };
     EXPECT_LT(energy_with_pd(50), energy_with_pd(0) * 0.9);
 }
@@ -318,7 +319,7 @@ TEST(PowerDown, SystemStillRunsCorrectlyWithPolicy)
     spec.name = "pd";
     spec.apps = {"gcc"};
     spec.rngThroughputMbps = 5120.0;
-    const auto res = runner.run(sim::SystemDesign::DrStrange, spec);
+    const auto res = runner.run("drstrange", spec);
     for (const auto &core : res.cores)
         EXPECT_LT(core.slowdown, 50.0);
 }
@@ -442,12 +443,12 @@ TEST(PartitionedBuffer, EndToEndCostIsBounded)
     sim::SimConfig shared_cfg;
     shared_cfg.instrBudget = 30000;
     sim::Runner shared(shared_cfg);
-    const auto s = shared.run(sim::SystemDesign::DrStrange, spec);
+    const auto s = shared.run("drstrange", spec);
 
     sim::SimConfig part_cfg = shared_cfg;
     part_cfg.bufferPartitions = 2;
     sim::Runner part(part_cfg);
-    const auto p = part.run(sim::SystemDesign::DrStrange, spec);
+    const auto p = part.run("drstrange", spec);
 
     // Partitioning halves the RNG app's private buffer; some slowdown
     // is expected but the system must stay functional and close.
@@ -467,7 +468,7 @@ serveRateWith(unsigned fill_channel_limit, bool parking, bool abort_in)
 {
     sim::SimConfig cfg;
     cfg.instrBudget = 30000;
-    sim::applyDesign(cfg, sim::SystemDesign::DrStrange);
+    sim::DesignRegistry::instance().apply("drstrange", cfg);
 
     mem::McConfig mc_cfg = sim::mcConfigFor(cfg);
     mc_cfg.fillChannelLimit = fill_channel_limit;

@@ -73,47 +73,45 @@ expectBitIdentical(const sim::SimConfig &cfg, const std::string &app,
 
 TEST(FastForwardLockstep, AllPresetsDualWorkload)
 {
-    for (sim::SystemDesign d : sim::kAllDesigns) {
-        sim::SimConfig cfg = sim::designConfig(d);
+    for (const sim::DesignPreset &d : sim::kPaperDesigns) {
+        sim::SimConfig cfg = sim::SimulationBuilder().design(d.key).config();
         cfg.instrBudget = 15000;
-        expectBitIdentical(cfg, "mcf", 5120.0, sim::designKey(d));
+        expectBitIdentical(cfg, "mcf", 5120.0, d.key);
     }
 }
 
 TEST(FastForwardLockstep, AllPresetsRngOnly)
 {
-    for (sim::SystemDesign d : sim::kAllDesigns) {
-        sim::SimConfig cfg = sim::designConfig(d);
+    for (const sim::DesignPreset &d : sim::kPaperDesigns) {
+        sim::SimConfig cfg = sim::SimulationBuilder().design(d.key).config();
         cfg.instrBudget = 15000;
-        expectBitIdentical(cfg, "", 640.0, sim::designKey(d));
+        expectBitIdentical(cfg, "", 640.0, d.key);
     }
 }
 
 TEST(FastForwardLockstep, AllPresetsNonRngOnly)
 {
-    for (sim::SystemDesign d : sim::kAllDesigns) {
-        sim::SimConfig cfg = sim::designConfig(d);
+    for (const sim::DesignPreset &d : sim::kPaperDesigns) {
+        sim::SimConfig cfg = sim::SimulationBuilder().design(d.key).config();
         cfg.instrBudget = 15000;
-        expectBitIdentical(cfg, "gcc", 0.0, sim::designKey(d));
+        expectBitIdentical(cfg, "gcc", 0.0, d.key);
     }
 }
 
 TEST(FastForwardLockstep, QuacMechanismAndPartitions)
 {
-    for (sim::SystemDesign d :
-         {sim::SystemDesign::RngOblivious, sim::SystemDesign::GreedyIdle,
-          sim::SystemDesign::DrStrange}) {
-        sim::SimConfig cfg = sim::designConfig(d);
+    for (const char *d : {"oblivious", "greedy", "drstrange"}) {
+        sim::SimConfig cfg = sim::SimulationBuilder().design(d).config();
         cfg.instrBudget = 15000;
         cfg.mechanism = trng::TrngMechanism::quacTrng();
         cfg.bufferPartitions = 2;
-        expectBitIdentical(cfg, "libq", 2560.0, sim::designKey(d));
+        expectBitIdentical(cfg, "libq", 2560.0, d);
     }
 }
 
 TEST(FastForwardLockstep, PrioritiesAndPowerDown)
 {
-    sim::SimConfig cfg = sim::designConfig(sim::SystemDesign::DrStrange);
+    sim::SimConfig cfg = sim::SimulationBuilder().design("drstrange").config();
     cfg.instrBudget = 15000;
     cfg.priorities = {5, 0};
     expectBitIdentical(cfg, "gcc", 1280.0, "non-RNG prioritized");
@@ -137,9 +135,11 @@ TEST(FastForwardLockstep, RandomizedConfigs)
     const double mbps_choices[] = {0.0, 320.0, 1280.0, 5120.0, 10240.0};
     const unsigned buffers[] = {1, 4, 16, 64};
     for (unsigned trial = 0; trial < 10; ++trial) {
-        const sim::SystemDesign d =
-            sim::kAllDesigns[gen.next() % sim::kAllDesigns.size()];
-        sim::SimConfig cfg = sim::designConfig(d);
+        // Drawn by table index: the sequence is reproducible as long as
+        // kPaperDesigns keeps its order.
+        const sim::DesignPreset &d =
+            sim::kPaperDesigns[gen.next() % sim::kPaperDesigns.size()];
+        sim::SimConfig cfg = sim::SimulationBuilder().design(d.key).config();
         cfg.instrBudget = 8000 + gen.next() % 8000;
         cfg.seed = 1 + gen.next() % 1000;
         cfg.bufferEntries =
@@ -153,7 +153,7 @@ TEST(FastForwardLockstep, RandomizedConfigs)
             mbps_choices[gen.next() % std::size(mbps_choices)];
         expectBitIdentical(
             cfg, app, mbps,
-            std::string(sim::designKey(d)) + "/" + app + "/trial" +
+            std::string(d.key) + "/" + app + "/trial" +
                 std::to_string(trial));
     }
 }
@@ -162,7 +162,7 @@ TEST(FastForwardLockstep, SteppedInFineIncrementsMatchesRun)
 {
     // step() with arbitrary increments (forcing span clamping at each
     // boundary) must land on the same state as run().
-    sim::SimConfig cfg = sim::designConfig(sim::SystemDesign::DrStrange);
+    sim::SimConfig cfg = sim::SimulationBuilder().design("drstrange").config();
     cfg.instrBudget = 5000;
 
     sim::System whole(cfg, makeTraces(cfg, "gcc", 640.0));
@@ -200,7 +200,7 @@ TEST(FastForwardLockstep, RunnerMetricsIdentical)
 #else
         setenv("DS_FAST_FORWARD", ff ? "1" : "0", 1);
 #endif
-        const auto res = runner.run(sim::SystemDesign::DrStrange, spec);
+        const auto res = runner.run("drstrange", spec);
 #ifndef _WIN32
         unsetenv("DS_FAST_FORWARD");
 #else
@@ -394,7 +394,7 @@ TEST(FastForwardHorizon, RngAwarePolicyPeekAndFastForward)
 
 TEST(FastForwardHorizon, SystemSkipsAndClampsToStep)
 {
-    sim::SimConfig cfg = sim::designConfig(sim::SystemDesign::DrStrange);
+    sim::SimConfig cfg = sim::SimulationBuilder().design("drstrange").config();
     cfg.instrBudget = 5000;
     sim::System sys(cfg, makeTraces(cfg, "", 320.0));
     ASSERT_TRUE(sys.fastForwardEnabled());
@@ -415,7 +415,7 @@ TEST(FastForwardHorizon, SystemSkipsAndClampsToStep)
 
 TEST(FastForwardHorizon, DisabledMatchesLegacyStepping)
 {
-    sim::SimConfig cfg = sim::designConfig(sim::SystemDesign::DrStrange);
+    sim::SimConfig cfg = sim::SimulationBuilder().design("drstrange").config();
     cfg.instrBudget = 4000;
     sim::System sys(cfg, makeTraces(cfg, "gcc", 640.0));
     sys.setFastForward(false);

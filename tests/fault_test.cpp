@@ -509,8 +509,8 @@ TEST(FaultLockstep, AllPresetsWithFaultsActive)
 #endif
     // verifyLockstep (driven by the Runner) throws on any fast-forward
     // divergence; faults make every audit failure a span-ending event.
-    for (sim::SystemDesign d : sim::kAllDesigns) {
-        sim::SimConfig cfg = sim::designConfig(d);
+    for (const sim::DesignPreset &d : sim::kPaperDesigns) {
+        sim::SimConfig cfg = sim::SimulationBuilder().design(d.key).config();
         cfg.service.enabled = true;
         cfg.service.offeredMbps = 1280.0;
         cfg.service.durationCycles = 6000;
@@ -519,7 +519,7 @@ TEST(FaultLockstep, AllPresetsWithFaultsActive)
         cfg.fault.cellsPerChannel = 16;
         sim::Runner runner(cfg);
         EXPECT_NO_THROW(runner.run(cfg, serviceSpec()))
-            << sim::designKey(d);
+            << d.key;
     }
 #ifdef _WIN32
     _putenv_s("DS_LOCKSTEP", "");

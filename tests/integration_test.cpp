@@ -56,7 +56,7 @@ class HeadlineClaims : public ::testing::Test
     };
 
     Averages
-    averagesFor(SystemDesign design)
+    averagesFor(const std::string &design)
     {
         std::vector<double> non_rng, rng, unfair, energy, cycles;
         for (const auto &app : kSampleApps) {
@@ -76,8 +76,8 @@ class HeadlineClaims : public ::testing::Test
 
 TEST_F(HeadlineClaims, DrStrangeImprovesAllHeadlineMetrics)
 {
-    const Averages base = averagesFor(SystemDesign::RngOblivious);
-    const Averages dr = averagesFor(SystemDesign::DrStrange);
+    const Averages base = averagesFor("oblivious");
+    const Averages dr = averagesFor("drstrange");
 
     // Paper Section 8: non-RNG -17.9%, RNG -25.1%, fairness +32.1%,
     // energy -21%, memory cycles -15.8% (shape, not absolute numbers).
@@ -90,9 +90,9 @@ TEST_F(HeadlineClaims, DrStrangeImprovesAllHeadlineMetrics)
 
 TEST_F(HeadlineClaims, GreedyIdleSitsBetweenBaselineAndDrStrange)
 {
-    const Averages base = averagesFor(SystemDesign::RngOblivious);
-    const Averages greedy = averagesFor(SystemDesign::GreedyIdle);
-    const Averages dr = averagesFor(SystemDesign::DrStrange);
+    const Averages base = averagesFor("oblivious");
+    const Averages greedy = averagesFor("greedy");
+    const Averages dr = averagesFor("drstrange");
 
     EXPECT_LT(greedy.nonRng, base.nonRng);
     EXPECT_LT(greedy.rng, base.rng);
@@ -105,11 +105,11 @@ TEST_F(HeadlineClaims, BufferSizeZeroDisablesBufferBenefits)
 {
     Runner r(smallConfig());
     r.base().bufferEntries = 0;
-    const auto no_buf = r.run(SystemDesign::DrStrange, mix("ycsb2"));
+    const auto no_buf = r.run("drstrange", mix("ycsb2"));
     EXPECT_DOUBLE_EQ(no_buf.bufferServeRate, 0.0);
 
     const auto with_buf =
-        runner.run(SystemDesign::DrStrange, mix("ycsb2"));
+        runner.run("drstrange", mix("ycsb2"));
     EXPECT_GT(with_buf.bufferServeRate, 0.3);
     EXPECT_LT(with_buf.rngSlowdown(), no_buf.rngSlowdown());
 }
@@ -118,9 +118,9 @@ TEST_F(HeadlineClaims, HigherRngIntensityHurtsBaselineMore)
 {
     Runner r(smallConfig());
     const auto low =
-        r.run(SystemDesign::RngOblivious, mix("soplex", 640.0));
+        r.run("oblivious", mix("soplex", 640.0));
     const auto high =
-        r.run(SystemDesign::RngOblivious, mix("soplex", 5120.0));
+        r.run("oblivious", mix("soplex", 5120.0));
     EXPECT_GT(high.avgNonRngSlowdown(), low.avgNonRngSlowdown());
     EXPECT_GE(high.unfairnessIndex, low.unfairnessIndex * 0.95);
 }
@@ -132,9 +132,9 @@ TEST(Integration, QuacMechanismAlsoBenefits)
     Runner runner(cfg);
     std::vector<double> base_sd, dr_sd;
     for (const auto &app : {"ycsb2", "cactus", "mcf"}) {
-        base_sd.push_back(runner.run(SystemDesign::RngOblivious, mix(app))
+        base_sd.push_back(runner.run("oblivious", mix(app))
                               .avgNonRngSlowdown());
-        dr_sd.push_back(runner.run(SystemDesign::DrStrange, mix(app))
+        dr_sd.push_back(runner.run("drstrange", mix(app))
                             .avgNonRngSlowdown());
     }
     EXPECT_LT(mean(dr_sd), mean(base_sd));
@@ -150,9 +150,9 @@ TEST(Integration, RngAwareSchedulerAloneHelpsRngAtBoundedCost)
     Runner runner(smallConfig());
     std::vector<double> base_unf, aware_unf, base_rng, aware_rng;
     for (const auto &app : kSampleApps) {
-        const auto base = runner.run(SystemDesign::RngOblivious, mix(app));
+        const auto base = runner.run("oblivious", mix(app));
         const auto aware =
-            runner.run(SystemDesign::RngAwareNoBuffer, mix(app));
+            runner.run("rng-aware", mix(app));
         base_unf.push_back(base.unfairnessIndex);
         aware_unf.push_back(aware.unfairnessIndex);
         base_rng.push_back(base.rngSlowdown());
@@ -166,20 +166,20 @@ TEST(Integration, PrioritizedApplicationGainsPerformance)
 {
     SimConfig cfg = smallConfig();
     Runner equal(cfg);
-    const auto base = equal.run(SystemDesign::DrStrange, mix("soplex"));
+    const auto base = equal.run("drstrange", mix("soplex"));
 
     SimConfig pr = cfg;
     pr.priorities = {5, 0}; // non-RNG app (core 0) prioritized
     Runner pri(pr);
     const auto non_rng_first =
-        pri.run(SystemDesign::DrStrange, mix("soplex"));
+        pri.run("drstrange", mix("soplex"));
     EXPECT_LE(non_rng_first.avgNonRngSlowdown(),
               base.avgNonRngSlowdown() * 1.02);
 
     SimConfig pr2 = cfg;
     pr2.priorities = {0, 5}; // RNG app (core 1) prioritized
     Runner pri2(pr2);
-    const auto rng_first = pri2.run(SystemDesign::DrStrange, mix("soplex"));
+    const auto rng_first = pri2.run("drstrange", mix("soplex"));
     EXPECT_LE(rng_first.rngSlowdown(), base.rngSlowdown() * 1.02);
 }
 
@@ -190,9 +190,7 @@ TEST(Integration, FourCoreWorkloadsRunAcrossDesigns)
     Runner runner(cfg);
     const auto groups = workloads::fourCoreGroups(3);
     const auto &spec = groups[15]; // one LLHS workload
-    for (SystemDesign d : {SystemDesign::RngOblivious,
-                           SystemDesign::GreedyIdle,
-                           SystemDesign::DrStrange}) {
+    for (const char *d : {"oblivious", "greedy", "drstrange"}) {
         const auto res = runner.run(d, spec);
         EXPECT_EQ(res.cores.size(), 4u);
         EXPECT_GE(res.unfairnessIndex, 1.0);
@@ -202,18 +200,18 @@ TEST(Integration, FourCoreWorkloadsRunAcrossDesigns)
 TEST(Integration, PredictorAccuracyIsReported)
 {
     Runner runner(smallConfig());
-    const auto res = runner.run(SystemDesign::DrStrange, mix("cactus"));
+    const auto res = runner.run("drstrange", mix("cactus"));
     EXPECT_GE(res.predictorAccuracy, 0.0);
     EXPECT_LE(res.predictorAccuracy, 1.0);
     const auto no_pred =
-        runner.run(SystemDesign::DrStrangeNoPred, mix("cactus"));
+        runner.run("drstrange-nopred", mix("cactus"));
     EXPECT_DOUBLE_EQ(no_pred.predictorAccuracy, -1.0);
 }
 
 TEST(Integration, RlPredictorDesignRunsAndFills)
 {
     Runner runner(smallConfig());
-    const auto res = runner.run(SystemDesign::DrStrangeRl, mix("ycsb2"));
+    const auto res = runner.run("drstrange-rl", mix("ycsb2"));
     EXPECT_GT(res.bufferServeRate, 0.1);
     EXPECT_GE(res.predictorAccuracy, 0.0);
 }
@@ -221,7 +219,7 @@ TEST(Integration, RlPredictorDesignRunsAndFills)
 TEST(Integration, RequestAccountingBalances)
 {
     Runner runner(smallConfig());
-    const auto res = runner.run(SystemDesign::DrStrange, mix("jp2d"));
+    const auto res = runner.run("drstrange", mix("jp2d"));
     const auto &s = res.mcStats;
     // Every RNG request is served by exactly one of the three paths;
     // only the handful in flight when the simulation stops may remain.

@@ -7,9 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
+#include <string_view>
 #include <tuple>
 
 #include "common/stats_util.h"
+#include "sim/design_registry.h"
 #include "sim/runner.h"
 
 using namespace dstrange;
@@ -35,10 +39,41 @@ mix(const std::string &app, double mbps = 5120.0)
     return spec;
 }
 
-std::string
-designLabel(SystemDesign d)
+/**
+ * Test parameter naming one kPaperDesigns row by its index. A one-byte
+ * index rather than the row itself, so the printed parameter that
+ * gtest embeds in each generated test name stays short and stable.
+ */
+struct PaperDesign
 {
-    std::string s = designName(d);
+    std::uint8_t index;
+
+    const DesignPreset &row() const { return kPaperDesigns[index]; }
+    const char *key() const { return row().key; }
+};
+
+PaperDesign
+paperDesign(std::string_view key)
+{
+    for (std::uint8_t i = 0; i < kPaperDesigns.size(); ++i)
+        if (key == kPaperDesigns[i].key)
+            return {i};
+    throw std::out_of_range("no paper design '" + std::string(key) + "'");
+}
+
+std::vector<PaperDesign>
+allPaperDesigns()
+{
+    std::vector<PaperDesign> all;
+    for (std::uint8_t i = 0; i < kPaperDesigns.size(); ++i)
+        all.push_back({i});
+    return all;
+}
+
+std::string
+designLabel(PaperDesign d)
+{
+    std::string s = d.row().displayName;
     for (char &c : s)
         if (!isalnum(static_cast<unsigned char>(c)))
             c = '_';
@@ -53,7 +88,7 @@ designLabel(SystemDesign d)
 // ---------------------------------------------------------------------
 
 class DesignProperty
-    : public ::testing::TestWithParam<std::tuple<SystemDesign, const char *>>
+    : public ::testing::TestWithParam<std::tuple<PaperDesign, const char *>>
 {
 };
 
@@ -62,8 +97,8 @@ TEST_P(DesignProperty, RunsCompleteDeterministicallyWithSaneMetrics)
     const auto [design, app] = GetParam();
     Runner r1(tinyConfig()), r2(tinyConfig());
 
-    const auto a = r1.run(design, mix(app));
-    const auto b = r2.run(design, mix(app));
+    const auto a = r1.run(design.key(), mix(app));
+    const auto b = r2.run(design.key(), mix(app));
 
     // Determinism.
     EXPECT_EQ(a.busCycles, b.busCycles);
@@ -85,15 +120,7 @@ TEST_P(DesignProperty, RunsCompleteDeterministicallyWithSaneMetrics)
 INSTANTIATE_TEST_SUITE_P(
     AllDesignsAndApps, DesignProperty,
     ::testing::Combine(
-        ::testing::Values(SystemDesign::RngOblivious,
-                          SystemDesign::GreedyIdle,
-                          SystemDesign::DrStrange,
-                          SystemDesign::DrStrangeNoPred,
-                          SystemDesign::DrStrangeRl,
-                          SystemDesign::DrStrangeNoLowUtil,
-                          SystemDesign::RngAwareNoBuffer,
-                          SystemDesign::FrFcfsBaseline,
-                          SystemDesign::BlissBaseline),
+        ::testing::ValuesIn(allPaperDesigns()),
         ::testing::Values("ycsb1", "soplex", "lbm", "gcc")),
     [](const auto &info) {
         return designLabel(std::get<0>(info.param)) + "_" +
@@ -117,7 +144,7 @@ TEST_P(BufferSizeProperty, ServeRateWeaklyIncreasesWithBufferSize)
         SimConfig cfg = tinyConfig();
         cfg.bufferEntries = entries;
         Runner runner(cfg);
-        const auto res = runner.run(SystemDesign::DrStrangeNoPred, mix(app));
+        const auto res = runner.run("drstrange-nopred", mix(app));
         EXPECT_GE(res.bufferServeRate, last_rate - 0.05)
             << app << " entries=" << entries;
         last_rate = res.bufferServeRate;
@@ -143,7 +170,7 @@ TEST_P(IntensityProperty, BaselineSlowdownGrowsWithRngThroughput)
     double last = 0.0;
     for (double mbps : {640.0, 1280.0, 2560.0, 5120.0}) {
         const auto res =
-            runner.run(SystemDesign::RngOblivious, mix(app, mbps));
+            runner.run("oblivious", mix(app, mbps));
         // Weakly monotone: interference saturates at high intensity,
         // so allow small regressions within noise.
         const double sd = res.avgNonRngSlowdown();
@@ -169,7 +196,7 @@ TEST(ThroughputSweepProperty, LowCapacityHurtsMost)
         cfg.mechanism = trng::TrngMechanism::withSystemThroughput(mbps, 4);
         Runner runner(cfg);
         const auto res =
-            runner.run(SystemDesign::RngOblivious, mix("soplex"));
+            runner.run("oblivious", mix("soplex"));
         slowdowns.push_back(res.avgNonRngSlowdown());
     }
     EXPECT_GT(slowdowns.front(), slowdowns.back());
@@ -191,7 +218,7 @@ TEST_P(PriorityProperty, AllCoresFinishUnderAnyPriorityAssignment)
     SimConfig cfg = tinyConfig();
     cfg.priorities = {p0, p1};
     Runner runner(cfg);
-    const auto res = runner.run(SystemDesign::DrStrange, mix("tpch2"));
+    const auto res = runner.run("drstrange", mix("tpch2"));
     // Both applications made it to their budget: nobody starved.
     for (const auto &core : res.cores)
         EXPECT_LT(core.slowdown, 50.0);
@@ -208,21 +235,21 @@ INSTANTIATE_TEST_SUITE_P(Assignments, PriorityProperty,
 // bits plus buffered/staged credit (no random numbers out of thin air).
 // ---------------------------------------------------------------------
 
-class ConservationProperty : public ::testing::TestWithParam<SystemDesign>
+class ConservationProperty : public ::testing::TestWithParam<PaperDesign>
 {
 };
 
 TEST_P(ConservationProperty, ServedBitsAreBackedByGeneratedBits)
 {
     Runner runner(tinyConfig());
-    const auto res = runner.run(GetParam(), mix("ycsb0"));
+    const auto res = runner.run(GetParam().key(), mix("ycsb0"));
     const auto &s = res.mcStats;
     const double served_bits =
         64.0 * (s.rngServedFromBuffer + s.rngServedFromStaging +
                 s.rngJobsCompleted);
     // Engine-produced bits + oracle deposits must cover all serves. The
     // greedy design's deposits are free, so only check non-greedy ones.
-    if (GetParam() != SystemDesign::GreedyIdle) {
+    if (std::string_view(GetParam().key()) != "greedy") {
         EXPECT_GT(served_bits, 0.0);
         EXPECT_GE(static_cast<double>(res.mcStats.rngRequests) * 64.0,
                   served_bits);
@@ -231,9 +258,9 @@ TEST_P(ConservationProperty, ServedBitsAreBackedByGeneratedBits)
 }
 
 INSTANTIATE_TEST_SUITE_P(Designs, ConservationProperty,
-                         ::testing::Values(SystemDesign::RngOblivious,
-                                           SystemDesign::DrStrange,
-                                           SystemDesign::DrStrangeRl),
+                         ::testing::Values(paperDesign("oblivious"),
+                                           paperDesign("drstrange"),
+                                           paperDesign("drstrange-rl")),
                          [](const auto &info) {
                              return designLabel(info.param);
                          });
@@ -254,7 +281,7 @@ TEST_P(ScalingProperty, MetricsWellFormedAtScale)
     cfg.instrBudget = 20000;
     Runner runner(cfg);
     const auto groups = workloads::multiCoreCategoryGroup(cores, 'M', 7);
-    const auto res = runner.run(SystemDesign::DrStrange, groups[0]);
+    const auto res = runner.run("drstrange", groups[0]);
     EXPECT_EQ(res.cores.size(), cores);
     EXPECT_GE(res.unfairnessIndex, 1.0);
     EXPECT_GT(res.weightedSpeedupNonRng, 0.0);
@@ -276,14 +303,14 @@ INSTANTIATE_TEST_SUITE_P(CoreCounts, ScalingProperty,
 #include "workloads/synthetic_trace.h"
 
 class TimingComplianceProperty
-    : public ::testing::TestWithParam<SystemDesign>
+    : public ::testing::TestWithParam<PaperDesign>
 {
 };
 
 TEST_P(TimingComplianceProperty, NoViolationsInEndToEndRun)
 {
     SimConfig cfg = tinyConfig();
-    applyDesign(cfg, GetParam());
+    DesignRegistry::instance().apply(GetParam().key(), cfg);
 
     std::vector<std::unique_ptr<dstrange::cpu::TraceSource>> traces;
     traces.push_back(std::make_unique<workloads::SyntheticTrace>(
@@ -312,11 +339,11 @@ TEST_P(TimingComplianceProperty, NoViolationsInEndToEndRun)
 }
 
 INSTANTIATE_TEST_SUITE_P(Designs, TimingComplianceProperty,
-                         ::testing::Values(SystemDesign::RngOblivious,
-                                           SystemDesign::GreedyIdle,
-                                           SystemDesign::DrStrange,
-                                           SystemDesign::BlissBaseline,
-                                           SystemDesign::FrFcfsBaseline),
+                         ::testing::Values(paperDesign("oblivious"),
+                                           paperDesign("greedy"),
+                                           paperDesign("drstrange"),
+                                           paperDesign("bliss"),
+                                           paperDesign("frfcfs")),
                          [](const auto &info) {
                              return designLabel(info.param);
                          });
@@ -329,7 +356,7 @@ INSTANTIATE_TEST_SUITE_P(Designs, TimingComplianceProperty,
 TEST(RefreshProperty, RefreshKeepsPaceUnderRngLoad)
 {
     SimConfig cfg = tinyConfig();
-    applyDesign(cfg, SystemDesign::RngOblivious);
+    DesignRegistry::instance().apply("oblivious", cfg);
     cfg.instrBudget = 100000;
 
     std::vector<std::unique_ptr<dstrange::cpu::TraceSource>> traces;
@@ -368,7 +395,7 @@ TEST(MultiRankTimingProperty, NoViolationsAcrossRanksAndMappings)
         for (const std::string &mapping :
              dstrange::dram::MappingRegistry::instance().keys()) {
             SimConfig cfg = tinyConfig();
-            applyDesign(cfg, SystemDesign::DrStrange);
+            DesignRegistry::instance().apply("drstrange", cfg);
             cfg.geometry.ranksPerChannel = ranks;
             cfg.addressMapping = mapping;
 
@@ -505,4 +532,83 @@ TEST(MappingProperty, RankInterleavedMappingSpreadsLinesAcrossRanks)
         dstrange::dram::MappingRegistry::kDefault, g);
     EXPECT_EQ(deflt->decode(0).rank, 0u);
     EXPECT_EQ(deflt->decode(stride).rank, 0u);
+}
+
+namespace {
+
+/**
+ * Frozen reference for the default "row-bank-col-ch" mapping: a
+ * straight-line Row:Rank:Bank:Column:Channel digit chain, written out
+ * by hand rather than through the generic InterleavedMapping loop.
+ */
+dstrange::dram::DramCoord
+referenceRowBankColChDecode(const dstrange::dram::DramGeometry &g,
+                            Addr addr)
+{
+    std::uint64_t line = addr / kLineBytes;
+    dstrange::dram::DramCoord coord;
+    coord.channel = static_cast<unsigned>(line % g.channels);
+    line /= g.channels;
+    coord.col = static_cast<unsigned>(line % g.colsPerRow());
+    line /= g.colsPerRow();
+    const unsigned bank_in_rank =
+        static_cast<unsigned>(line % g.banksPerRank);
+    line /= g.banksPerRank;
+    coord.rank = static_cast<unsigned>(line % g.ranksPerChannel);
+    line /= g.ranksPerChannel;
+    coord.bank = coord.rank * g.banksPerRank + bank_in_rank;
+    coord.row = static_cast<unsigned>(line % g.rowsPerBank);
+    return coord;
+}
+
+Addr
+referenceRowBankColChEncode(const dstrange::dram::DramGeometry &g,
+                            const dstrange::dram::DramCoord &coord)
+{
+    // A coord whose rank was left at 0 carries the rank in its flat
+    // bank slot.
+    const unsigned bank_in_rank = coord.bank % g.banksPerRank;
+    const unsigned rank =
+        coord.rank != 0 ? coord.rank : coord.bank / g.banksPerRank;
+    std::uint64_t line = coord.row;
+    line = line * g.ranksPerChannel + rank;
+    line = line * g.banksPerRank + bank_in_rank;
+    line = line * g.colsPerRow() + coord.col;
+    line = line * g.channels + coord.channel;
+    return line * kLineBytes;
+}
+
+} // namespace
+
+TEST(MappingProperty, DefaultMatchesFrozenStraightLineReference)
+{
+    std::mt19937_64 prng(0x5EEDu);
+    auto &registry = dstrange::dram::MappingRegistry::instance();
+    for (unsigned channels : {1u, 3u, 4u, 6u}) {
+        for (unsigned ranks : {1u, 2u, 4u}) {
+            dstrange::dram::DramGeometry g;
+            g.channels = channels;
+            g.ranksPerChannel = ranks;
+            const auto mapping = registry.make("row-bank-col-ch", g);
+            for (int i = 0; i < 3000; ++i) {
+                // Any byte address, not only line-aligned ones.
+                const Addr addr = prng() % g.capacityBytes();
+                const Addr line_addr = addr / kLineBytes * kLineBytes;
+                const dstrange::dram::DramCoord ref =
+                    referenceRowBankColChDecode(g, addr);
+                ASSERT_EQ(mapping->decode(addr), ref)
+                    << "channels=" << channels << " ranks=" << ranks
+                    << " addr=" << addr;
+                ASSERT_EQ(mapping->encode(ref),
+                          referenceRowBankColChEncode(g, ref));
+
+                // Rank-0 legacy coords: flat bank slot, rank unset.
+                dstrange::dram::DramCoord legacy = ref;
+                legacy.rank = 0;
+                ASSERT_EQ(mapping->encode(legacy),
+                          referenceRowBankColChEncode(g, legacy));
+                ASSERT_EQ(mapping->encode(legacy), line_addr);
+            }
+        }
+    }
 }

@@ -3,8 +3,9 @@
  * Regression locks for the calibrated reproduction: these tests pin the
  * headline behaviours (with generous tolerance bands) so future changes
  * to the substrate or policies cannot silently destroy the paper's
- * reproduced shapes. Bands are derived from the measured results in
- * EXPERIMENTS.md at the default seed.
+ * reproduced shapes. Bands are set around the results measured at the
+ * default seed, wide enough to absorb modelling changes that keep the
+ * paper's shapes.
  */
 
 #include <gtest/gtest.h>
@@ -49,7 +50,7 @@ struct Band
 };
 
 Band
-measure(Runner &runner, SystemDesign design)
+measure(Runner &runner, const std::string &design)
 {
     std::vector<double> non_rng, rng, unf, serve;
     for (const auto &app : kApps) {
@@ -75,7 +76,7 @@ TEST_F(ReproductionBands, BaselineInterferenceBand)
 {
     // The RNG-oblivious baseline at 5 Gb/s must interfere substantially
     // (paper Fig. 1/6 band) but not catastrophically.
-    const Band base = measure(runner, SystemDesign::RngOblivious);
+    const Band base = measure(runner, "oblivious");
     EXPECT_GT(base.nonRng, 1.3);
     EXPECT_LT(base.nonRng, 3.5);
     EXPECT_GT(base.unfair, 1.5);
@@ -85,8 +86,8 @@ TEST_F(ReproductionBands, BaselineInterferenceBand)
 
 TEST_F(ReproductionBands, DrStrangeHeadlineImprovements)
 {
-    const Band base = measure(runner, SystemDesign::RngOblivious);
-    const Band dr = measure(runner, SystemDesign::DrStrange);
+    const Band base = measure(runner, "oblivious");
+    const Band dr = measure(runner, "drstrange");
 
     // Paper: -17.9% non-RNG, -25.1% RNG, -32.1% unfairness. Lock a
     // >=10% improvement on each, and sane upper bounds.
@@ -101,9 +102,9 @@ TEST_F(ReproductionBands, DrStrangeHeadlineImprovements)
 
 TEST_F(ReproductionBands, GreedySitsBetweenBaselineAndDrStrangeOnRng)
 {
-    const Band base = measure(runner, SystemDesign::RngOblivious);
-    const Band greedy = measure(runner, SystemDesign::GreedyIdle);
-    const Band dr = measure(runner, SystemDesign::DrStrange);
+    const Band base = measure(runner, "oblivious");
+    const Band greedy = measure(runner, "greedy");
+    const Band dr = measure(runner, "drstrange");
     EXPECT_LT(greedy.rng, base.rng);
     EXPECT_LE(dr.rng, greedy.rng * 1.05);
 }
@@ -113,8 +114,8 @@ TEST_F(ReproductionBands, QuacAlsoImprovesEndToEnd)
     SimConfig cfg = regressionConfig();
     cfg.mechanism = trng::TrngMechanism::quacTrng();
     Runner quac_runner(cfg);
-    const Band base = measure(quac_runner, SystemDesign::RngOblivious);
-    const Band dr = measure(quac_runner, SystemDesign::DrStrange);
+    const Band base = measure(quac_runner, "oblivious");
+    const Band dr = measure(quac_runner, "drstrange");
     EXPECT_LT(dr.nonRng, base.nonRng * 0.90);
     EXPECT_LT(dr.rng, base.rng * 0.95);
 }
@@ -123,7 +124,7 @@ TEST_F(ReproductionBands, RngAppAchievesSubUnitySlowdownOnLightMixes)
 {
     // The paper's Fig. 6 bottom: buffered serves make the RNG app run
     // faster than its alone-run on light co-runners.
-    const auto res = runner.run(SystemDesign::DrStrange, mix("ycsb2"));
+    const auto res = runner.run("drstrange", mix("ycsb2"));
     EXPECT_LT(res.rngSlowdown(), 1.0);
 }
 
@@ -131,7 +132,7 @@ TEST_F(ReproductionBands, PredictorAccuracyBand)
 {
     std::vector<double> acc;
     for (const auto &app : kApps) {
-        acc.push_back(runner.run(SystemDesign::DrStrange, mix(app))
+        acc.push_back(runner.run("drstrange", mix(app))
                           .predictorAccuracy);
     }
     // Fig. 14 band at our scale: well above chance, below perfection.
@@ -144,9 +145,9 @@ TEST_F(ReproductionBands, EnergyReductionBand)
     std::vector<double> base_e, dr_e;
     for (const auto &app : kApps) {
         base_e.push_back(
-            runner.run(SystemDesign::RngOblivious, mix(app)).energyNj);
+            runner.run("oblivious", mix(app)).energyNj);
         dr_e.push_back(
-            runner.run(SystemDesign::DrStrange, mix(app)).energyNj);
+            runner.run("drstrange", mix(app)).energyNj);
     }
     // Paper: -21%. Lock 10%..50%.
     const double reduction = 1.0 - mean(dr_e) / mean(base_e);
@@ -158,9 +159,9 @@ TEST_F(ReproductionBands, IntensitySweepEndpoints)
 {
     // Fig. 1 endpoints: 640 Mb/s must be mild, 5120 Mb/s substantial.
     const auto low =
-        runner.run(SystemDesign::RngOblivious, mix("soplex", 640.0));
+        runner.run("oblivious", mix("soplex", 640.0));
     const auto high =
-        runner.run(SystemDesign::RngOblivious, mix("soplex", 5120.0));
+        runner.run("oblivious", mix("soplex", 5120.0));
     EXPECT_LT(low.avgNonRngSlowdown(), 1.35);
     EXPECT_GT(high.avgNonRngSlowdown(), low.avgNonRngSlowdown() * 1.15);
 }

@@ -7,7 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+#include <string_view>
+
 #include "sim/area_model.h"
+#include "sim/design_registry.h"
 #include "sim/energy_model.h"
 #include "sim/metrics.h"
 #include "sim/runner.h"
@@ -22,13 +27,13 @@ TEST(SimConfigPresets, DesignsMapToExpectedMcConfigs)
 {
     SimConfig cfg;
 
-    applyDesign(cfg, SystemDesign::RngOblivious);
+    DesignRegistry::instance().apply("oblivious", cfg);
     auto mc = mcConfigFor(cfg);
     EXPECT_FALSE(mc.rngAwareQueueing);
     EXPECT_EQ(mc.bufferEntries, 0u);
     EXPECT_EQ(mc.scheduler, "fr-fcfs-cap");
 
-    applyDesign(cfg, SystemDesign::DrStrange);
+    DesignRegistry::instance().apply("drstrange", cfg);
     mc = mcConfigFor(cfg);
     EXPECT_TRUE(mc.rngAwareQueueing);
     EXPECT_EQ(mc.bufferEntries, 16u);
@@ -36,49 +41,80 @@ TEST(SimConfigPresets, DesignsMapToExpectedMcConfigs)
     EXPECT_EQ(mc.predictor, "simple");
     EXPECT_EQ(mc.lowUtilThreshold, 4u);
 
-    applyDesign(cfg, SystemDesign::DrStrangeNoLowUtil);
+    DesignRegistry::instance().apply("drstrange-nolowutil", cfg);
     EXPECT_EQ(mcConfigFor(cfg).lowUtilThreshold, 0u);
 
-    applyDesign(cfg, SystemDesign::DrStrangeNoPred);
+    DesignRegistry::instance().apply("drstrange-nopred", cfg);
     EXPECT_EQ(mcConfigFor(cfg).predictor, "none");
 
-    applyDesign(cfg, SystemDesign::DrStrangeRl);
+    DesignRegistry::instance().apply("drstrange-rl", cfg);
     EXPECT_EQ(mcConfigFor(cfg).predictor, "rl");
 
-    applyDesign(cfg, SystemDesign::GreedyIdle);
+    DesignRegistry::instance().apply("greedy", cfg);
     EXPECT_EQ(mcConfigFor(cfg).fill, mem::FillMode::GreedyOracle);
 
-    applyDesign(cfg, SystemDesign::RngAwareNoBuffer);
+    DesignRegistry::instance().apply("rng-aware", cfg);
     mc = mcConfigFor(cfg);
     EXPECT_TRUE(mc.rngAwareQueueing);
     EXPECT_EQ(mc.bufferEntries, 0u);
 
-    applyDesign(cfg, SystemDesign::BlissBaseline);
+    DesignRegistry::instance().apply("bliss", cfg);
     EXPECT_EQ(mcConfigFor(cfg).scheduler, "bliss");
 
-    applyDesign(cfg, SystemDesign::FrFcfsBaseline);
+    DesignRegistry::instance().apply("frfcfs", cfg);
     EXPECT_EQ(mcConfigFor(cfg).scheduler, "fr-fcfs");
+}
+
+namespace {
+
+void
+expectKnobsOf(const SimConfig &cfg, const DesignPreset &row)
+{
+    EXPECT_EQ(cfg.scheduler, row.scheduler);
+    EXPECT_EQ(cfg.rngAwareQueueing, row.rngAwareQueueing);
+    EXPECT_EQ(cfg.buffering, row.buffering);
+    EXPECT_EQ(cfg.fillPolicy, row.fillPolicy);
+    EXPECT_EQ(cfg.predictor, row.predictor);
+    EXPECT_EQ(cfg.lowUtilFill, row.lowUtilFill);
+}
+
+} // namespace
+
+TEST(SimConfigPresets, DesignNameKeyRoundTrip)
+{
+    const DesignRegistry &registry = DesignRegistry::instance();
+    for (const DesignPreset &row : kPaperDesigns) {
+        for (const std::string name : {row.key, row.displayName}) {
+            SCOPED_TRACE(name);
+            EXPECT_TRUE(registry.contains(name));
+            EXPECT_EQ(registry.displayName(name), row.displayName);
+            SimConfig cfg;
+            registry.apply(name, cfg);
+            expectKnobsOf(cfg, row);
+        }
+    }
+
+    SimConfig cfg;
+    try {
+        registry.apply("no-such-design", cfg);
+        FAIL() << "expected std::out_of_range";
+    } catch (const std::out_of_range &e) {
+        for (const DesignPreset &row : kPaperDesigns)
+            EXPECT_NE(std::string(e.what()).find(row.key),
+                      std::string::npos)
+                << row.key;
+    }
 }
 
 TEST(SimConfigPresets, DefaultConfigIsTheDrStrangeDesign)
 {
-    const SimConfig def;
-    const SimConfig dr = designConfig(SystemDesign::DrStrange);
-    EXPECT_EQ(def.scheduler, dr.scheduler);
-    EXPECT_EQ(def.rngAwareQueueing, dr.rngAwareQueueing);
-    EXPECT_EQ(def.buffering, dr.buffering);
-    EXPECT_EQ(def.fillPolicy, dr.fillPolicy);
-    EXPECT_EQ(def.predictor, dr.predictor);
-    EXPECT_EQ(def.lowUtilFill, dr.lowUtilFill);
-}
-
-TEST(SimConfigPresets, DesignNameKeyRoundTrip)
-{
-    for (SystemDesign d : kAllDesigns) {
-        EXPECT_EQ(designFromString(designKey(d)), d);
-        EXPECT_EQ(designFromString(designName(d)), d);
-    }
-    EXPECT_FALSE(designFromString("no-such-design").has_value());
+    const auto dr = std::find_if(
+        kPaperDesigns.begin(), kPaperDesigns.end(),
+        [](const DesignPreset &row) {
+            return std::string_view(row.key) == "drstrange";
+        });
+    ASSERT_NE(dr, kPaperDesigns.end());
+    expectKnobsOf(SimConfig{}, *dr);
 }
 
 TEST(Metrics, SlowdownAndMemSlowdown)
@@ -170,13 +206,13 @@ TEST(EnergyModel, IdleSystemBurnsOnlyBackground)
 TEST(AreaModel, MatchesPaperCalibrationPoints)
 {
     SimConfig cfg;
-    applyDesign(cfg, SystemDesign::DrStrange);
+    DesignRegistry::instance().apply("drstrange", cfg);
     const AreaEstimate base = drStrangeArea(mcConfigFor(cfg), 4);
     // Paper: 0.0022 mm^2 at 22 nm for the base configuration.
     EXPECT_NEAR(base.mm2, 0.0022, 0.0022 * 0.25);
     EXPECT_NEAR(base.fractionOfCascadeLakeCore(), 0.0000048, 2e-6);
 
-    applyDesign(cfg, SystemDesign::DrStrangeRl);
+    DesignRegistry::instance().apply("drstrange-rl", cfg);
     const AreaEstimate rl = drStrangeArea(mcConfigFor(cfg), 4);
     // Paper: 0.012 mm^2 with the 8 KB Q-table.
     EXPECT_NEAR(rl.mm2, 0.012, 0.012 * 0.25);
@@ -186,7 +222,7 @@ TEST(AreaModel, MatchesPaperCalibrationPoints)
 TEST(AreaModel, AreaGrowsWithBufferSize)
 {
     SimConfig cfg;
-    applyDesign(cfg, SystemDesign::DrStrange);
+    DesignRegistry::instance().apply("drstrange", cfg);
     cfg.bufferEntries = 16;
     const double small = drStrangeArea(mcConfigFor(cfg), 4).mm2;
     cfg.bufferEntries = 64;
@@ -210,7 +246,7 @@ singleAppTraces(const SimConfig &cfg, const std::string &app)
 TEST(System, SingleCoreRunCompletes)
 {
     SimConfig cfg;
-    applyDesign(cfg, SystemDesign::RngOblivious);
+    DesignRegistry::instance().apply("oblivious", cfg);
     cfg.instrBudget = 20000;
     System sys(cfg, singleAppTraces(cfg, "gcc"));
     sys.run();
@@ -222,7 +258,7 @@ TEST(System, SingleCoreRunCompletes)
 TEST(System, RunsAreDeterministic)
 {
     SimConfig cfg;
-    applyDesign(cfg, SystemDesign::DrStrange);
+    DesignRegistry::instance().apply("drstrange", cfg);
     cfg.instrBudget = 20000;
     cfg.seed = 17;
 
@@ -237,7 +273,7 @@ TEST(System, RunsAreDeterministic)
 TEST(System, MaxBusCyclesBoundsRuntime)
 {
     SimConfig cfg;
-    applyDesign(cfg, SystemDesign::RngOblivious);
+    DesignRegistry::instance().apply("oblivious", cfg);
     cfg.instrBudget = 1u << 30; // unreachable
     cfg.maxBusCycles = 5000;
     System sys(cfg, singleAppTraces(cfg, "mcf"));
@@ -267,7 +303,7 @@ TEST(Runner, WorkloadResultHasPerCoreEntries)
     spec.name = "t";
     spec.apps = {"gcc", "milc"};
     spec.rngThroughputMbps = 5120.0;
-    const auto res = runner.run(SystemDesign::DrStrange, spec);
+    const auto res = runner.run("drstrange", spec);
     ASSERT_EQ(res.cores.size(), 3u);
     EXPECT_FALSE(res.cores[0].isRng);
     EXPECT_FALSE(res.cores[1].isRng);
@@ -287,7 +323,7 @@ TEST(Runner, NoRngWorkloadRunsCleanly)
     spec.name = "pair";
     spec.apps = {"gcc", "bzip2"};
     spec.rngThroughputMbps = 0.0;
-    const auto res = runner.run(SystemDesign::RngOblivious, spec);
+    const auto res = runner.run("oblivious", spec);
     EXPECT_EQ(res.cores.size(), 2u);
     EXPECT_EQ(res.mcStats.rngRequests, 0u);
     EXPECT_DOUBLE_EQ(res.rngSlowdown(), 1.0);

@@ -21,6 +21,8 @@
 #include <unistd.h>
 #endif
 
+#include "api/simulation_builder.h"
+#include "sim/design_registry.h"
 #include "sim/lockstep.h"
 #include "sim/runner.h"
 #include "sim/system.h"
@@ -352,13 +354,11 @@ mcFingerprint(const sim::System &sys)
 TEST(TraceReplay, ReplayIsBitIdenticalAcrossPresets)
 {
     TempDir dir;
-    for (const sim::SystemDesign design :
-         {sim::SystemDesign::RngOblivious, sim::SystemDesign::DrStrange}) {
-        sim::SimConfig cfg;
-        sim::applyDesign(cfg, design);
+    for (const std::string design : {"oblivious", "drstrange"}) {
+        sim::SimConfig cfg = sim::SimulationBuilder().design(design).config();
         cfg.instrBudget = 5000;
         const std::string path =
-            dir.file(std::string(sim::designKey(design)) + ".bin");
+            dir.file(design + ".bin");
 
         cfg.traceRecord = path;
         sim::System live(cfg, dualCoreTraces(cfg));
@@ -371,9 +371,9 @@ TEST(TraceReplay, ReplayIsBitIdenticalAcrossPresets)
         replay.run();
 
         EXPECT_EQ(replay.busCycles(), live.busCycles())
-            << sim::designKey(design);
+            << design;
         EXPECT_EQ(mcFingerprint(replay), mcFingerprint(live))
-            << sim::designKey(design);
+            << design;
         ASSERT_NE(replay.replaySource(), nullptr);
         EXPECT_TRUE(replay.replaySource()->finished());
     }
@@ -383,7 +383,7 @@ TEST(TraceReplay, ServicePortRecordsReplayBitIdentically)
 {
     TempDir dir;
     sim::SimConfig cfg;
-    sim::applyDesign(cfg, sim::SystemDesign::DrStrange);
+    sim::DesignRegistry::instance().apply("drstrange", cfg);
     cfg.instrBudget = 5000;
     cfg.service.enabled = true;
     cfg.service.offeredMbps = 1280.0;
@@ -410,7 +410,7 @@ TEST(TraceReplay, ReplayPreservesRecordedPriorities)
 {
     TempDir dir;
     sim::SimConfig cfg;
-    sim::applyDesign(cfg, sim::SystemDesign::DrStrange);
+    sim::DesignRegistry::instance().apply("drstrange", cfg);
     cfg.instrBudget = 5000;
     cfg.priorities = {4, 1};
     const std::string path = dir.file("prio.bin");
@@ -437,7 +437,7 @@ TEST(TraceReplay, RerecordingAReplayReproducesTheTapeByteForByte)
 {
     TempDir dir;
     sim::SimConfig cfg;
-    sim::applyDesign(cfg, sim::SystemDesign::DrStrange);
+    sim::DesignRegistry::instance().apply("drstrange", cfg);
     cfg.instrBudget = 5000;
     const std::string first = dir.file("first.bin");
     const std::string second = dir.file("second.bin");
@@ -457,7 +457,7 @@ TEST(TraceReplay, RunnerReplayPathSkipsBaselines)
 {
     TempDir dir;
     sim::SimConfig cfg;
-    sim::applyDesign(cfg, sim::SystemDesign::DrStrange);
+    sim::DesignRegistry::instance().apply("drstrange", cfg);
     cfg.instrBudget = 5000;
     const std::string path = dir.file("runner.bin");
 

@@ -1,9 +1,16 @@
 #!/usr/bin/env python3
-"""Markdown link checker for README.md and docs/.
+"""Markdown link checker for README.md and docs/, plus a check that
+source comments only cite markdown files that exist.
 
 Fails (exit 1) on any intra-repo markdown link whose target file does
 not exist, or whose `#anchor` does not match a heading in the target
 document. External links (http/https/mailto) are not fetched.
+
+It also fails when a comment in a source file under src/, bench/,
+tests/, examples/ or tools/ names a `*.md` file that is not in the
+repository. A name resolves against the repository root, against the
+commenting file's directory, or, when it has no directory part, against
+any markdown file of that name in the tree.
 
 Usage: python3 tools/docs_lint.py [repo-root]
 """
@@ -15,6 +22,19 @@ import sys
 LINK_RE = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)\)")
 HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
 CODE_FENCE_RE = re.compile(r"```.*?```", re.DOTALL)
+
+SOURCE_DIRS = ("src", "bench", "tests", "examples", "tools")
+SKIP_DIRS = {".git", "__pycache__", "out"}
+MD_NAME_RE = re.compile(r"[\w./-]*\w\.md\b")
+# Comment syntax per source kind: C-family line and block comments;
+# hash comments and docstrings for Python, CMake and shell.
+C_COMMENT_RE = re.compile(r"//[^\n]*|/\*.*?\*/", re.DOTALL)
+HASH_COMMENT_RE = re.compile(r"#[^\n]*|\"\"\".*?\"\"\"", re.DOTALL)
+COMMENT_RE_BY_EXT = {
+    ".h": C_COMMENT_RE, ".hpp": C_COMMENT_RE, ".cpp": C_COMMENT_RE,
+    ".cc": C_COMMENT_RE, ".py": HASH_COMMENT_RE, ".cmake": HASH_COMMENT_RE,
+    ".txt": HASH_COMMENT_RE, ".sh": HASH_COMMENT_RE,
+}
 
 
 def github_slug(heading: str) -> str:
@@ -56,6 +76,42 @@ def check_file(path: str, root: str) -> list:
     return errors
 
 
+def walk_files(top: str):
+    for dirpath, dirnames, filenames in os.walk(top):
+        dirnames[:] = sorted(d for d in dirnames
+                             if d not in SKIP_DIRS and
+                             not d.startswith("build"))
+        for name in sorted(filenames):
+            yield os.path.join(dirpath, name)
+
+
+def check_comment_refs(root: str) -> list:
+    """Comments in source files that name a missing markdown file."""
+    md_names = {os.path.basename(p) for p in walk_files(root)
+                if p.endswith(".md")}
+    errors = []
+    for top in SOURCE_DIRS:
+        for path in walk_files(os.path.join(root, top)):
+            comment_re = COMMENT_RE_BY_EXT.get(os.path.splitext(path)[1])
+            if comment_re is None:
+                continue
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+            for comment in comment_re.finditer(text):
+                for match in MD_NAME_RE.finditer(comment.group(0)):
+                    ref = match.group(0)
+                    if (os.path.exists(os.path.join(root, ref)) or
+                            os.path.exists(os.path.join(
+                                os.path.dirname(path), ref)) or
+                            ("/" not in ref and ref in md_names)):
+                        continue
+                    offset = comment.start() + match.start()
+                    line = text.count("\n", 0, offset) + 1
+                    errors.append(f"{os.path.relpath(path, root)}:{line}: "
+                                  f"comment names missing file '{ref}'")
+    return errors
+
+
 def main() -> int:
     root = os.path.abspath(sys.argv[1] if len(sys.argv) > 1 else ".")
     files = [os.path.join(root, "README.md")]
@@ -67,11 +123,13 @@ def main() -> int:
     for path in files:
         if os.path.exists(path):
             errors += check_file(path, root)
-    for err in errors:
+    comment_errors = check_comment_refs(root)
+    for err in errors + comment_errors:
         print(err, file=sys.stderr)
     print(f"docs-lint: {len(files)} file(s), {len(errors)} broken "
-          f"link(s)")
-    return 1 if errors else 0
+          f"link(s), {len(comment_errors)} comment(s) naming a missing "
+          f"markdown file")
+    return 1 if errors or comment_errors else 0
 
 
 if __name__ == "__main__":
