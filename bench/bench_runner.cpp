@@ -193,17 +193,6 @@ setFastForwardEnv(const char *value)
 #endif
 }
 
-/** Same for DS_BATCH (batched command retirement). */
-void
-setBatchEnv(const char *value)
-{
-#ifdef _WIN32
-    _putenv_s("DS_BATCH", value);
-#else
-    setenv("DS_BATCH", value, /*overwrite=*/1);
-#endif
-}
-
 /**
  * The sweep grid, stratified into workload tiers mirroring the bench
  * suite: the Figure-6 heavy dual-core mixes at 5 Gb/s, the Section-8.8
@@ -372,13 +361,13 @@ addCacheStats(dstrange::sim::SweepRunner &runner,
  * In-process sweep through sim::SweepRunner, timing every cell. The
  * parallel run (with per-cell stderr progress) measures throughput; a
  * serial reference run (fresh SweepRunner, fresh alone-run cache)
- * measures the true serial-vs-parallel speedup; a second serial run
- * with DS_FAST_FORWARD=0 measures the cycle-skipping engine's
- * wall-clock win, overall and per tier. All three runs' metric values
- * must be bit-identical. Returns the number of failures (failed cells,
+ * measures the true serial-vs-parallel speedup; a step-1 serial run
+ * (DS_FAST_FORWARD=0) measures the cycle-skipping engine's wall-clock
+ * win, overall and per tier. All three runs' metric values must be
+ * bit-identical. Returns the number of failures (failed cells,
  * each recorded with its error, plus a bit-identity mismatch).
  *
- * With a non-trivial @p shard, all three runs cover only the cells the
+ * With a non-trivial @p shard, every run covers only the cells the
  * shard owns; the rest are recorded as skipped, so N such processes
  * with distinct indices produce fragments --merge-shards can join into
  * the full grid. When DS_CACHE_DIR is set, only the measured parallel
@@ -396,21 +385,17 @@ runSweep(unsigned jobs, unsigned n_mixes,
     sweep.shardIndex = shard.index;
     sweep.shardCount = shard.count;
 
-    // The comparison phases control DS_FAST_FORWARD/DS_BATCH
-    // themselves; remember any inherited overrides and restore them
-    // afterwards.
+    // The comparison phases control DS_FAST_FORWARD themselves;
+    // remember any inherited override and restore it afterwards.
     const char *ff_env = std::getenv("DS_FAST_FORWARD");
     const std::string ff_orig = ff_env ? ff_env : "";
-    const char *batch_env = std::getenv("DS_BATCH");
-    const std::string batch_orig = batch_env ? batch_env : "";
     setFastForwardEnv("1");
-    setBatchEnv("1");
 
     dstrange::sim::SweepRunner runner =
         bench::baseBuilder().buildSweepRunner(jobs);
     runner.setShard(shard);
     sweep.jobs = runner.jobs();
-    // One owner assignment for all three phases. Computed here, with
+    // One owner assignment for every phase. Computed here, with
     // the persistent store attached, so a balanced spec resolves
     // against the cost records exactly once; the reference runs below
     // (which bypass the cache) are pinned to the same assignment.
@@ -463,60 +448,49 @@ runSweep(unsigned jobs, unsigned n_mixes,
         sweep.cells.push_back(std::move(rec));
     }
 
-    // Serial reference (fast-forward on): the parallel-speedup
-    // denominator and the fast-forward-speedup numerator's partner.
-    // With one worker the run above already is that reference. The
-    // reference runs deliberately bypass the persistent cache
-    // (cacheDir("")): loading the measured run's baselines would both
-    // skew their wall-clock and let the step-1 phase skip the very
-    // step-1 baseline computations the bit-identity check exists to
-    // compare.
-    std::vector<dstrange::sim::SweepRunner::CellResult> serial_owned;
-    if (sweep.jobs > 1) {
+    // Serial reference runs, one per row: serial fast-forward (the
+    // parallel-speedup denominator and the fast-forward-speedup
+    // numerator's partner) and step-1 (every bus cycle ticked). Every
+    // reference must reproduce the measured run's metrics bit-for-bit.
+    // They deliberately bypass the persistent cache (cacheDir("")):
+    // loading the measured run's baselines would both skew their
+    // wall-clock and let the step-1 phase skip the very step-1
+    // baseline computations the bit-identity check exists to compare.
+    struct Reference
+    {
+        const char *label;
+        bool fastForward;
+        double bench::SweepRecord::*wallMs; ///< Where its wall lands.
+    };
+    static constexpr Reference kReferences[] = {
+        {"serial", true, &bench::SweepRecord::serialWallMs},
+        {"step-1", false, &bench::SweepRecord::step1WallMs},
+    };
+    std::vector<std::vector<dstrange::sim::SweepRunner::CellResult>>
+        ref_results;
+    for (const Reference &ref : kReferences) {
+        // With one worker the measured run already is the serial
+        // fast-forward reference.
+        if (sweep.jobs == 1 && ref.fastForward) {
+            sweep.*ref.wallMs = sweep.wallMs;
+            ref_results.push_back(results);
+            continue;
+        }
+        setFastForwardEnv(ref.fastForward ? "1" : "0");
         dstrange::sim::SweepRunner serial =
             bench::baseBuilder().cacheDir("").buildSweepRunner(1);
         serial.setShard(shard);
         serial.setShardOwners(owners);
         timer.reset();
-        serial_owned = serial.run(cells);
-        sweep.serialWallMs = timer.elapsedMs();
-    } else {
-        sweep.serialWallMs = sweep.wallMs;
+        ref_results.push_back(serial.run(cells));
+        sweep.*ref.wallMs = timer.elapsedMs();
     }
-    const auto &serial_results = sweep.jobs > 1 ? serial_owned : results;
+    setFastForwardEnv(ff_env ? ff_orig.c_str() : "1");
+    const auto &serial_results = ref_results[0];
+    const auto &step1_results = ref_results[1];
 
-    // Step-1 reference: the same serial sweep ticking every bus cycle.
-    setFastForwardEnv("0");
-    dstrange::sim::SweepRunner step1 =
-        bench::baseBuilder().cacheDir("").buildSweepRunner(1);
-    step1.setShard(shard);
-    step1.setShardOwners(owners);
-    timer.reset();
-    const auto step1_results = step1.run(cells);
-    sweep.step1WallMs = timer.elapsedMs();
-
-    // Batch-off reference: fast-forward on, batched command retirement
-    // off — isolates what batching itself buys on top of span skipping.
-    setFastForwardEnv("1");
-    setBatchEnv("0");
-    dstrange::sim::SweepRunner batchoff =
-        bench::baseBuilder().cacheDir("").buildSweepRunner(1);
-    batchoff.setShard(shard);
-    batchoff.setShardOwners(owners);
-    timer.reset();
-    const auto batchoff_results = batchoff.run(cells);
-    sweep.batchOffWallMs = timer.elapsedMs();
-    if (ff_env)
-        setFastForwardEnv(ff_orig.c_str());
-    else
-        setFastForwardEnv("1");
-    if (batch_env)
-        setBatchEnv(batch_orig.c_str());
-    else
-        setBatchEnv("1");
-
-    // Per-tier fast-forward and batch accounting from the serial runs
-    // (owned cells only; a merge re-sums tiers across shards).
+    // Per-tier fast-forward accounting from the serial runs (owned
+    // cells only; a merge re-sums tiers across shards).
     for (std::size_t i = 0; i < cells.size(); ++i) {
         if (results[i].skipped)
             continue;
@@ -530,32 +504,23 @@ runSweep(unsigned jobs, unsigned n_mixes,
         }
         tier->step1Ms += step1_results[i].wallMs;
         tier->ffMs += serial_results[i].wallMs;
-        bench::BatchTierRecord *btier = nullptr;
-        for (auto &t : sweep.batchTiers)
-            if (t.name == grid.tiers[i])
-                btier = &t;
-        if (!btier) {
-            sweep.batchTiers.push_back({grid.tiers[i], 0.0, 0.0});
-            btier = &sweep.batchTiers.back();
-        }
-        btier->offMs += batchoff_results[i].wallMs;
-        btier->onMs += serial_results[i].wallMs;
     }
 
-    // Bit-identity across the (up to) three runs.
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const auto check = [&](const auto &other) {
+    // Bit-identity of every reference against the measured run.
+    for (std::size_t r = 0; r < ref_results.size(); ++r) {
+        const auto &other = ref_results[r];
+        for (std::size_t i = 0; i < results.size(); ++i) {
             if (results[i].ok != other[i].ok ||
                 results[i].skipped != other[i].skipped ||
-                (results[i].ok &&
-                 cellMetrics(results[i].result) !=
-                     cellMetrics(other[i].result)))
+                (results[i].ok && cellMetrics(results[i].result) !=
+                                      cellMetrics(other[i].result))) {
+                std::cerr << "[run_all] sweep: the " << kReferences[r].label
+                          << " reference differs in cell '"
+                          << sweep.cells[i].name
+                          << "' — determinism bug\n";
                 sweep.bitIdentical = false;
-        };
-        if (sweep.jobs > 1)
-            check(serial_results);
-        check(step1_results);
-        check(batchoff_results);
+            }
+        }
     }
     if (!sweep.bitIdentical)
         ++failures;
@@ -579,19 +544,10 @@ runSweep(unsigned jobs, unsigned n_mixes,
                   << bench::num(t.ffMs, 1) << " ms ff ("
                   << bench::num(t.speedup(), 2) << "x)\n";
     }
-    for (const bench::BatchTierRecord &t : sweep.batchTiers) {
-        std::cout << "[run_all]   tier " << t.name << " batch: "
-                  << bench::num(t.offMs, 1) << " ms off -> "
-                  << bench::num(t.onMs, 1) << " ms on ("
-                  << bench::num(t.speedup(), 2) << "x)\n";
-    }
     for (std::size_t i = 0; i < results.size(); ++i)
         if (!results[i].ok && !results[i].skipped)
             std::cerr << "[run_all] sweep cell '" << sweep.cells[i].name
                       << "' failed: " << results[i].error << "\n";
-    if (!sweep.bitIdentical)
-        std::cerr << "[run_all] sweep: serial/parallel/step-1 metric "
-                     "values differ — determinism bug\n";
     return failures;
 }
 
@@ -728,18 +684,6 @@ parseFragment(const std::string &path)
         tier.ffMs = tv.at("ff_wall_ms").asDouble();
         sweep.ffTiers.push_back(std::move(tier));
     }
-    // Fragments written before the batch record existed merge with
-    // zeroed batch wall-clocks rather than failing.
-    if (const dstrange::JsonValue *batch = sv.find("batch")) {
-        sweep.batchOffWallMs = batch->at("off_wall_ms").asDouble();
-        for (const auto &tv : batch->at("tiers").array()) {
-            bench::BatchTierRecord tier;
-            tier.name = tv.at("name").asString();
-            tier.offMs = tv.at("off_wall_ms").asDouble();
-            tier.onMs = tv.at("on_wall_ms").asDouble();
-            sweep.batchTiers.push_back(std::move(tier));
-        }
-    }
     if (const dstrange::JsonValue *cache = sv.find("cache")) {
         sweep.cacheEnabled = true;
         sweep.cacheDir = cache->at("dir").asString();
@@ -775,7 +719,7 @@ parseFragment(const std::string &path)
  * cells are a disjoint exact cover of the grid, so the merged cell
  * metrics are bit-identical to what one unsharded process would have
  * recorded. The merged record carries per-shard wall-clock and cache
- * summaries, and extends the per-shard 3-way bit-identity verdict:
+ * summaries, and extends the per-shard bit-identity verdict:
  * merged bit_identical = every fragment's verdict AND the cover check.
  * Returns the process exit code.
  */
@@ -943,19 +887,6 @@ mergeShards(const std::string &dir, const std::string &out_dir)
             }
             dst->step1Ms += tier.step1Ms;
             dst->ffMs += tier.ffMs;
-        }
-        merged.batchOffWallMs += s.batchOffWallMs;
-        for (const bench::BatchTierRecord &tier : s.batchTiers) {
-            bench::BatchTierRecord *dst = nullptr;
-            for (auto &t : merged.batchTiers)
-                if (t.name == tier.name)
-                    dst = &t;
-            if (!dst) {
-                merged.batchTiers.push_back({tier.name, 0.0, 0.0});
-                dst = &merged.batchTiers.back();
-            }
-            dst->offMs += tier.offMs;
-            dst->onMs += tier.onMs;
         }
         bench::ShardSummaryRecord summary;
         summary.index = f.index;

@@ -216,16 +216,6 @@ struct FfTierRecord {
     double speedup() const { return ffMs > 0.0 ? step1Ms / ffMs : 0.0; }
 };
 
-/** Batched-command-retirement speedup of one workload tier: the same
- *  serial fast-forward sweep with DS_BATCH off vs on. */
-struct BatchTierRecord {
-    std::string name;    ///< Tier label (e.g. "dual-5gbps").
-    double offMs = 0.0;  ///< Serial ff wall-clock, DS_BATCH=0.
-    double onMs = 0.0;   ///< Serial ff wall-clock, DS_BATCH=1.
-
-    double speedup() const { return onMs > 0.0 ? offMs / onMs : 0.0; }
-};
-
 /** One shard's contribution inside a merged sweep record. */
 struct ShardSummaryRecord {
     unsigned index = 0;
@@ -277,10 +267,6 @@ struct SweepRecord {
     std::uint64_t cacheStores = 0; ///< Baselines written to disk.
     std::vector<ShardSummaryRecord> shards; ///< Merged records only.
     std::vector<FfTierRecord> ffTiers; ///< Per-tier ff speedups.
-    /** Serial ff wall-clock with batched command retirement disabled
-     *  (DS_BATCH=0); serialWallMs is the batch-on partner. */
-    double batchOffWallMs = 0.0;
-    std::vector<BatchTierRecord> batchTiers; ///< Per-tier batch speedups.
     bool hasTrace = false;      ///< Trace tier ran (unsharded only).
     TraceTierRecord trace;      ///< Record→replay comparison tier.
     std::vector<SweepCellRecord> cells;
@@ -294,12 +280,6 @@ struct SweepRecord {
     double ffSpeedup() const
     {
         return serialWallMs > 0.0 ? step1WallMs / serialWallMs : 0.0;
-    }
-
-    /** Batch-mode wall-clock speedup on the (serial) sweep phase. */
-    double batchSpeedup() const
-    {
-        return serialWallMs > 0.0 ? batchOffWallMs / serialWallMs : 0.0;
     }
 };
 
@@ -494,21 +474,6 @@ writeBenchJson(const std::string &harness,
             w.key("name").value(tier.name);
             w.key("step1_wall_ms").value(tier.step1Ms);
             w.key("ff_wall_ms").value(tier.ffMs);
-            w.key("speedup").value(tier.speedup());
-            w.endObject();
-        }
-        w.endArray();
-        w.endObject();
-        w.key("batch").beginObject();
-        w.key("off_wall_ms").value(sweep->batchOffWallMs);
-        w.key("on_wall_ms").value(sweep->serialWallMs);
-        w.key("speedup").value(sweep->batchSpeedup());
-        w.key("tiers").beginArray();
-        for (const BatchTierRecord &tier : sweep->batchTiers) {
-            w.beginObject();
-            w.key("name").value(tier.name);
-            w.key("off_wall_ms").value(tier.offMs);
-            w.key("on_wall_ms").value(tier.onMs);
             w.key("speedup").value(tier.speedup());
             w.endObject();
         }

@@ -198,8 +198,6 @@ MemoryController::enqueueAccept(Request &req, Cycle now)
         stagingBits = 0.0;
         rngJobs.push_back(job);
         ++productionV; // New front job possible; membership changed.
-        if (rngPolicy)
-            rngPolicy->noteJobsChanged();
         return true;
     }
 
@@ -267,8 +265,6 @@ MemoryController::routeBits(double bits, Cycle now)
             // The completed job *was* the predicted production event;
             // the next front job starts a new stream to model.
             ++productionV;
-            if (rngPolicy)
-                rngPolicy->noteJobsChanged();
         }
     }
     if (bits > 0.0 && buf)
@@ -486,7 +482,7 @@ MemoryController::serveChannel(unsigned ch, Cycle now)
 
     const SchedContext ctx{*queue, chan, ch, now};
     int pick = kUnknownPick;
-    if (batchMode) {
+    if (fastPath) {
         // Cached horizon first: when no queued command's timing fence
         // has passed, every canIssue() is false and the full pick()
         // scan must return kNoPick — skip it. (Refresh/RNG/power-down
@@ -708,7 +704,7 @@ MemoryController::nextIssueCycle(const RequestQueue &queue, unsigned ch,
     // next command is legal; with nothing issuable before that, queue
     // and bank state are static and pick() stays kNoPick.
     const MemoryBackend &chan = *chans[ch];
-    if (!batchMode) {
+    if (!fastPath) {
         Cycle earliest = kNoEvent;
         for (const Request &req : queue.all()) {
             const dram::DramCmd cmd = nextCommandFor(req, chan);
@@ -720,7 +716,7 @@ MemoryController::nextIssueCycle(const RequestQueue &queue, unsigned ch,
         return earliest;
     }
 
-    // Batch mode memoizes the *full* queue minimum, keyed on the
+    // The fast path memoizes the *full* queue minimum, keyed on the
     // backend's fence version and the queue's membership version. Only
     // completed scans are cached: when some entry's fence has already
     // passed the scan early-exits with `now` uncached (a partial prefix

@@ -302,15 +302,14 @@ class MemoryController
     const RngAwarePolicy *policy() const { return rngPolicy.get(); }
 
     /**
-     * Enable/disable batch mode (DS_BATCH): memoized per-queue issue
-     * horizons plus the scheduler forcedPick() fast path. Pure
+     * Enable/disable the fast-path shortcuts: memoized per-queue issue
+     * horizons plus the scheduler forcedPick() pre-check. Pure
      * shortcuts — behaviour must stay bit-identical either way, which
      * DS_LOCKSTEP and the difftest harness verify. Off by default so a
-     * bare controller behaves exactly as before; sim::System turns it
-     * on alongside fast-forward.
+     * bare controller runs the unshortcut reference code;
+     * sim::System::setFastForward() turns them on with fast-forward.
      */
-    void setBatchMode(bool on) { batchMode = on; }
-    bool batchModeEnabled() const { return batchMode; }
+    void setFastPath(bool on) { fastPath = on; }
 
     /**
      * true while any queued, in-flight, or RNG work belongs to a core
@@ -393,8 +392,8 @@ class MemoryController
     /**
      * Memoized full-queue issue horizon, valid while neither the
      * backend's timing fences nor the queue's membership have changed.
-     * Two slots per channel: [0] readQ, [1] writeQ. Only consulted in
-     * batch mode; the sentinel versions make the first probe a miss.
+     * Two slots per channel: [0] readQ, [1] writeQ. Only consulted on
+     * the fast path; the sentinel versions make the first probe a miss.
      */
     struct IssueHorizon
     {
@@ -525,7 +524,7 @@ class MemoryController
     };
     mutable ProductionCache prodCache;
 
-    bool batchMode = false; ///< See setBatchMode().
+    bool fastPath = false; ///< See setFastPath().
     /** Per-channel {readQ, writeQ} horizon memos (see IssueHorizon). */
     mutable std::vector<std::array<IssueHorizon, 2>> horizonCache;
 

@@ -8,7 +8,7 @@ namespace dstrange::mem {
 RngAwarePolicy::RngAwarePolicy(unsigned channels, unsigned cores,
                                const Config &config)
     : cfg(config), priorities(cores, 0), rngApp(cores, false),
-      stalls(channels), pcache(channels)
+      stalls(channels)
 {
 }
 
@@ -17,31 +17,10 @@ RngAwarePolicy::setPriority(CoreId core, int priority)
 {
     if (priorities[core] != priority) {
         priorities[core] = priority;
-        ++stateV;
         // Priority changes reset the anti-starvation state (Section 5.2).
         for (auto &s : stalls)
             s = StallCounters{};
     }
-}
-
-RngAwarePolicy::Pressure
-RngAwarePolicy::pressureCached(unsigned channel,
-                               const RequestQueue &read_queue,
-                               const std::deque<RngJob> &rng_jobs) const
-{
-    PressureCache &pc = pcache[channel];
-    if (pc.queue == &read_queue && pc.queueV == read_queue.version() &&
-        pc.stateV == stateV) {
-        assert(pc.p == pressure(read_queue, rng_jobs) &&
-               "stale pressure memo: a membership change was not "
-               "reported via noteJobsChanged()");
-        return pc.p;
-    }
-    pc.p = pressure(read_queue, rng_jobs);
-    pc.queue = &read_queue;
-    pc.queueV = read_queue.version();
-    pc.stateV = stateV;
-    return pc.p;
 }
 
 RngAwarePolicy::Pressure
@@ -96,7 +75,7 @@ QueueChoice
 RngAwarePolicy::choose(unsigned channel, const RequestQueue &read_queue,
                        const std::deque<RngJob> &rng_jobs)
 {
-    const Pressure p = pressureCached(channel, read_queue, rng_jobs);
+    const Pressure p = pressure(read_queue, rng_jobs);
     if (p == Pressure::None)
         return pureChoice(read_queue, rng_jobs);
 
@@ -121,7 +100,7 @@ RngAwarePolicy::arbitration(unsigned channel,
                             Cycle now) const
 {
     Arbitration arb;
-    const Pressure p = pressureCached(channel, read_queue, rng_jobs);
+    const Pressure p = pressure(read_queue, rng_jobs);
     if (p == Pressure::None) {
         arb.choice = pureChoice(read_queue, rng_jobs);
         return arb;
@@ -164,7 +143,7 @@ RngAwarePolicy::fastForward(unsigned channel,
                             const std::deque<RngJob> &rng_jobs,
                             Cycle span)
 {
-    const Pressure p = pressureCached(channel, read_queue, rng_jobs);
+    const Pressure p = pressure(read_queue, rng_jobs);
     if (p == Pressure::None)
         return;
     StallCounters &s = stalls[channel];

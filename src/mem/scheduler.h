@@ -45,12 +45,12 @@ class Scheduler
     virtual int pick(const SchedContext &ctx) = 0;
 
     /**
-     * O(1) fast path for batch mode: when the policy can prove its
-     * choice without scanning the queue, return the index pick() would
-     * return (or kNoPick); otherwise return kUnknownPick and the caller
-     * falls back to the full pick() scan. Must NEVER disagree with
-     * pick() — batch mode is bit-identity-checked against the stepped
-     * run.
+     * O(1) pre-check on the fast-forward path: when the policy can
+     * prove its choice without scanning the queue, return the index
+     * pick() would return (or kNoPick); otherwise return kUnknownPick
+     * and the caller falls back to the full pick() scan. Must NEVER
+     * disagree with pick() — the fast-forward path is bit-identity-
+     * checked against the step-1 run.
      */
     virtual int
     forcedPick(const SchedContext &ctx) const

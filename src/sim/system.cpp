@@ -12,9 +12,7 @@ namespace dstrange::sim {
 System::System(const SimConfig &config,
                std::vector<std::unique_ptr<cpu::TraceSource>> traces)
     : cfg(config), traceOwners(std::move(traces)),
-      entropySource(mix64(config.seed) ^ 0xdead),
-      ffEnabled(envFlag("DS_FAST_FORWARD", true)),
-      batchEnabled(envFlag("DS_BATCH", true))
+      entropySource(mix64(config.seed) ^ 0xdead)
 {
     // A system needs at least one request source: a traced core, the
     // open-loop service port, or a replay tape standing in for both.
@@ -37,7 +35,7 @@ System::System(const SimConfig &config,
     controller = std::make_unique<mem::MemoryController>(
         mcConfigFor(cfg), cfg.timings, cfg.geometry, cfg.mechanism,
         n_ports);
-    applyBatchMode();
+    setFastForward(envFlag("DS_FAST_FORWARD", true));
 
     if (!replay) {
         cpu::Core::Config core_cfg;
@@ -121,14 +119,6 @@ System::System(const SimConfig &config,
     }
 }
 
-void
-System::applyBatchMode()
-{
-    // Batch mode is an acceleration of the fast-forward path; the
-    // step-1 lockstep reference must run the historical code exactly.
-    controller->setBatchMode(ffEnabled && batchEnabled);
-}
-
 bool
 System::allFinished() const
 {
@@ -165,103 +155,21 @@ System::nextEventCycle() const
     return horizon <= now ? now : horizon;
 }
 
-void
-System::advanceUntil(Cycle end, bool stop_when_finished)
+Cycle
+System::drainBound(Cycle end) const
 {
-    // Adaptive horizon backoff: during dense event phases the horizon
-    // computation itself is the overhead, so after consecutive blocked
-    // probes the loop ticks a few cycles without probing. This only
-    // delays the start of the next skip by at most the backoff (the
-    // step path is always correct) and keeps event-dense workloads
-    // from paying the probe on every cycle.
-    Cycle probe_at = 0;
-    unsigned backoff = 0;
-    while (now < end) {
-        if (stop_when_finished && allFinished() &&
-            (!svc || svc->drained()))
-            return;
-        if (ffEnabled && now >= probe_at) {
-            const Cycle horizon = nextEventCycle();
-            const Cycle to = std::min(horizon, end);
-            if (to <= now + 1) {
-                // Only back off inside genuinely dense phases: isolated
-                // event ticks between skips keep probing every cycle.
-                ++backoff;
-                if (backoff > 4)
-                    probe_at = now + 1 + std::min(backoff - 4, 8u);
-            } else {
-                backoff = 0;
-            }
-            if (to > now + 1) {
-                // Every component is quiescent through [now, to):
-                // batch-apply the span's bookkeeping and jump.
-                controller->fastForward(now, to);
-                for (auto &core : cores)
-                    core->fastForward(now, to);
-                if (svc)
-                    svc->fastForward(now, to);
-                ffCounters.skips++;
-                ffCounters.skippedCycles += to - now;
-                now = to;
-                continue;
-            }
-            // No system-wide span to skip: the controller is dense. If
-            // it is the *only* dense component, drain it alone — the
-            // command-bound phases of heavy workloads spend most of
-            // their cycles here.
-            if (batchEnabled && tryDrainController(end)) {
-                backoff = 0;
-                probe_at = now;
-                continue;
-            }
-        }
-        // The service port issues before the controller tick, so an
-        // arrival at cycle t can be buffer-served with its completion
-        // scheduled from t — one fixed order keeps runs bit-identical.
-        // Replay preserves both enqueue phases: recorded service-port
-        // requests land pre-tick, recorded core requests post-tick.
-        if (svc)
-            svc->tick(now);
-        if (replay)
-            replay->tickService(now, *controller);
-        controller->tick(now);
-        if (ffEnabled && batchEnabled) {
-            // A core reporting kNoEvent *after* the controller tick (so
-            // same-cycle completions are visible) only does stall
-            // bookkeeping this cycle; the one-cycle fastForward applies
-            // it bit-identically without the five per-CPU-cycle ticks.
-            for (auto &core : cores) {
-                if (core->nextEventCycle(now) == kNoEvent)
-                    core->fastForward(now, now + 1);
-                else
-                    core->tickBusCycle(now);
-            }
-        } else {
-            for (auto &core : cores)
-                core->tickBusCycle(now);
-        }
-        if (replay)
-            replay->tickCores(now, *controller);
-        ffCounters.steppedCycles++;
-        ++now;
-    }
-}
-
-bool
-System::tryDrainController(Cycle end)
-{
-    // Entry: every core must be quiescent past the current cycle. A
-    // core's horizon is the first cycle its tick does anything beyond
-    // the bookkeeping fastForward() batches — in particular it cannot
-    // issue a request before then — so until the earliest core horizon
-    // the controller is the only component doing per-cycle work.
-    // kNoEvent cores wake only through a completion (watched via the
-    // completion flag below); future-event cores bound the drain.
-    Cycle core_ev = kNoEvent;
+    // Every core must be quiescent past the current cycle. A core's
+    // horizon is the first cycle its tick does anything beyond the
+    // bookkeeping fastForward() batches — in particular it cannot issue
+    // a request before then — so until the earliest core horizon the
+    // controller is the only component doing per-cycle work. kNoEvent
+    // cores wake only through a completion (watched via
+    // coreCompletionPending); future-event cores bound the drain.
+    Cycle bound = end;
     for (const auto &core : cores) {
-        core_ev = std::min(core_ev, core->nextEventCycle(now));
-        if (core_ev <= now)
-            return false;
+        bound = std::min(bound, core->nextEventCycle(now));
+        if (bound <= now)
+            return now;
     }
 
     // The service and replay layers do not tick inside the drain; bound
@@ -269,13 +177,12 @@ System::tryDrainController(Cycle end)
     // exact. Neither can have an event appear earlier mid-drain: their
     // state only changes through their own ticks and (for the service)
     // completions, which the in-flight check below excludes.
-    Cycle bound = std::min(end, core_ev);
     if (svc)
         bound = std::min(bound, svc->nextEventCycle(now));
     if (replay)
         bound = std::min(bound, replay->nextEventCycle());
     if (bound <= now)
-        return false;
+        return now;
 
     // RNG completions are delivered from *inside* the controller tick
     // (routeBits), not through a queue front the bound could cover; a
@@ -285,79 +192,160 @@ System::tryDrainController(Cycle end)
     // own tick and the cores are blocked.
     if (svc &&
         controller->hasWorkForPort(static_cast<CoreId>(cores.size())))
-        return false;
+        return now;
+    return bound;
+}
 
-    const Cycle svcFrom = now;
-    Cycle coreFrom = now;
-    // The caller only drains after a failed skip probe, so the current
-    // cycle is known dense — start probing at the next one.
-    Cycle probe_at = now + 1;
+void
+System::tickCores()
+{
+    if (!ffEnabled) {
+        for (auto &core : cores)
+            core->tickBusCycle(now);
+        return;
+    }
+    // A core reporting kNoEvent *after* the controller tick (so
+    // same-cycle completions are visible) only does stall bookkeeping
+    // this cycle; the one-cycle fastForward applies it bit-identically
+    // without the five per-CPU-cycle ticks.
+    for (auto &core : cores) {
+        if (core->nextEventCycle(now) == kNoEvent)
+            core->fastForward(now, now + 1);
+        else
+            core->tickBusCycle(now);
+    }
+}
+
+void
+System::advanceUntil(Cycle end, bool stop_when_finished)
+{
+    // Each iteration takes one of three actions: a span skip, a
+    // controller-only tick (while draining), or a full tick.
+    //
+    // Adaptive horizon backoff: during dense event phases the horizon
+    // computation itself is the overhead, so after consecutive blocked
+    // probes the loop ticks a few cycles without probing. This only
+    // delays the start of the next skip by at most the backoff (the
+    // step path is always correct) and keeps event-dense workloads
+    // from paying the probe on every cycle.
+    Cycle probe_at = 0;
     unsigned backoff = 0;
-    coreCompletionPending = false;
-    while (now < bound) {
-        if (now >= probe_at) {
-            // Controller-only horizon: much cheaper than the full probe
-            // and still able to skip intra-burst timing gaps.
-            const Cycle to = std::min(controller->nextEventCycle(now),
-                                      bound);
+
+    // Controller-only drain: when a probe finds no system-wide span but
+    // the controller is the only dense component — the command-bound
+    // phases of heavy workloads spend most of their cycles here — it
+    // ticks alone through [now, drain_end). Meanwhile the cores' state
+    // lags at core_from and the service's at drain_from; both catch up
+    // analytically when the drain ends.
+    bool draining = false;
+    Cycle drain_end = 0;
+    Cycle drain_from = 0;
+    Cycle core_from = 0;
+    for (;;) {
+        if (draining && now >= drain_end) {
+            for (auto &core : cores)
+                if (now > core_from)
+                    core->fastForward(core_from, now);
+            if (svc && now > drain_from)
+                svc->fastForward(drain_from, now);
+            draining = false;
+            backoff = 0;
+            probe_at = now;
+        }
+        if (now >= end)
+            return;
+        if (!draining && stop_when_finished && allFinished() &&
+            (!svc || svc->drained()))
+            return;
+        if (ffEnabled && now >= probe_at) {
+            // While draining, the cores and the service are quiescent
+            // through drain_end, so the controller's (much cheaper)
+            // horizon alone bounds a skip — enough to jump intra-burst
+            // timing gaps.
+            const Cycle to =
+                draining
+                    ? std::min(controller->nextEventCycle(now), drain_end)
+                    : std::min(nextEventCycle(), end);
             if (to > now + 1) {
+                // Every ticking component is quiescent through
+                // [now, to): batch-apply the span's bookkeeping and jump.
                 controller->fastForward(now, to);
+                if (!draining) {
+                    for (auto &core : cores)
+                        core->fastForward(now, to);
+                    if (svc)
+                        svc->fastForward(now, to);
+                }
                 ffCounters.skips++;
                 ffCounters.skippedCycles += to - now;
                 now = to;
                 backoff = 0;
                 continue;
             }
+            // Only back off inside genuinely dense phases: isolated
+            // event ticks between skips keep probing every cycle.
             ++backoff;
             if (backoff > 4)
                 probe_at = now + 1 + std::min(backoff - 4, 8u);
-        }
-
-        // Bring the blocked cores' bookkeeping up to `now` before the
-        // tick: a completion this cycle may wake one, and its wake tick
-        // below must start from consistent state.
-        if (now > coreFrom) {
-            for (auto &core : cores)
-                core->fastForward(coreFrom, now);
-            coreFrom = now;
-        }
-
-        controller->tick(now);
-        ffCounters.drainTicks++;
-
-        if (coreCompletionPending) {
-            coreCompletionPending = false;
-            // A completion only moves a core's horizon earlier; the
-            // drain continues under the tightened bound unless a core
-            // became runnable this very cycle.
-            Cycle ev = kNoEvent;
-            for (const auto &core : cores)
-                ev = std::min(ev, core->nextEventCycle(now));
-            if (ev <= now) {
-                // Finish the cycle exactly as the step path would: the
-                // service/replay ticks it skipped are no-ops below the
-                // bound, the controller already ticked, the cores tick
-                // now (their bookkeeping was flushed to `now` above).
-                for (auto &core : cores)
-                    core->tickBusCycle(now);
-                ffCounters.steppedCycles++;
-                ffCounters.drainTicks--; // Counted as a full step.
-                ++now;
-                coreFrom = now;
-                break;
+            if (!draining) {
+                drain_end = drainBound(end);
+                if (drain_end > now) {
+                    draining = true;
+                    drain_from = core_from = now;
+                    coreCompletionPending = false;
+                    // This cycle is known dense: probe from the next.
+                    backoff = 0;
+                    probe_at = now + 1;
+                }
             }
-            bound = std::min(bound, ev);
         }
+
+        if (draining) {
+            // Bring the lagging cores' bookkeeping up to `now` before the
+            // tick: a completion this cycle may wake one, and its wake
+            // tick must start from consistent state.
+            for (auto &core : cores)
+                if (now > core_from)
+                    core->fastForward(core_from, now);
+            core_from = now;
+            controller->tick(now);
+            if (coreCompletionPending) {
+                coreCompletionPending = false;
+                // A completion only moves a core's horizon earlier; the
+                // drain continues under the tightened bound unless a
+                // core became runnable this very cycle.
+                for (const auto &core : cores)
+                    drain_end =
+                        std::min(drain_end, core->nextEventCycle(now));
+            }
+            if (now < drain_end) {
+                ffCounters.drainTicks++;
+                ++now;
+                continue;
+            }
+            // A core woke: finish the cycle as a full tick would. The
+            // service/replay ticks it skips are no-ops below the bound
+            // (and replay runs without cores, so it never wakes one).
+            drain_end = core_from = now + 1;
+        } else {
+            // The service port issues before the controller tick, so an
+            // arrival at cycle t can be buffer-served with its
+            // completion scheduled from t — one fixed order keeps runs
+            // bit-identical. Replay preserves both enqueue phases:
+            // recorded service-port requests land pre-tick, recorded
+            // core requests post-tick.
+            if (svc)
+                svc->tick(now);
+            if (replay)
+                replay->tickService(now, *controller);
+            controller->tick(now);
+        }
+        tickCores();
+        if (replay)
+            replay->tickCores(now, *controller);
+        ffCounters.steppedCycles++;
         ++now;
     }
-
-    // Batch the remaining blocked span for the cores and the service.
-    if (now > coreFrom)
-        for (auto &core : cores)
-            core->fastForward(coreFrom, now);
-    if (svc && now > svcFrom)
-        svc->fastForward(svcFrom, now);
-    return true;
 }
 
 void

@@ -51,34 +51,21 @@ class System
     /**
      * Enable/disable event-driven cycle skipping (default: the
      * DS_FAST_FORWARD environment flag, which defaults to on). With it
-     * disabled every bus cycle is ticked individually; results are
-     * bit-identical either way.
+     * on, quiescent spans are jumped over, the controller is ticked
+     * alone while every core is blocked (the controller-only drain),
+     * and the controller's shortcuts (memoized issue horizons, the
+     * scheduler forcedPick() pre-check) are enabled. With it off every
+     * bus cycle is ticked individually by the unshortcut code — the
+     * reference that DS_LOCKSTEP and the difftest harness compare the
+     * fast path against. Results are bit-identical either way.
      */
     void
     setFastForward(bool enabled)
     {
         ffEnabled = enabled;
-        applyBatchMode();
+        controller->setFastPath(enabled);
     }
     bool fastForwardEnabled() const { return ffEnabled; }
-
-    /**
-     * Enable/disable batched command retirement (default: the DS_BATCH
-     * environment flag, which defaults to on). Batch mode rides the
-     * fast-forward path: when every core is head-blocked and the
-     * service/replay layers are quiescent, the controller is ticked
-     * alone — cores advance analytically to each read delivery — and
-     * the controller's memoized issue horizons and scheduler forced
-     * picks cut the per-tick arbitration cost. Results are bit-identical
-     * either way; DS_LOCKSTEP and the difftest harness verify it.
-     */
-    void
-    setBatchMode(bool enabled)
-    {
-        batchEnabled = enabled;
-        applyBatchMode();
-    }
-    bool batchModeEnabled() const { return batchEnabled; }
 
     /**
      * The earliest cycle >= busCycles() at which any component does
@@ -93,7 +80,7 @@ class System
         std::uint64_t steppedCycles = 0; ///< Bus cycles ticked normally.
         std::uint64_t skips = 0;         ///< Fast-forward jumps taken.
         std::uint64_t skippedCycles = 0; ///< Bus cycles jumped over.
-        /** Bus cycles where only the controller ticked (batch drain);
+        /** Bus cycles where only the controller ticked (the drain);
          *  the cores/service advanced analytically over them. */
         std::uint64_t drainTicks = 0;
     };
@@ -130,18 +117,15 @@ class System
     void advanceUntil(Cycle end, bool stop_when_finished);
 
     /**
-     * Batch drain: while every core reports kNoEvent (only a completion
-     * can wake it) and the service/replay layers have no event before
-     * the bound, tick the controller alone cycle by cycle (with
-     * controller-only span skips in between), watching for a completion
-     * that wakes a core. Returns true when at least one cycle advanced;
-     * false when the entry conditions fail (some component is active at
-     * @p now, or service work is in flight).
+     * The controller-only drain bound at the current cycle: the earliest
+     * of @p end, the cores' horizons and the service/replay horizons, or
+     * `now` when the drain cannot start (some core is active now, or
+     * service work is in flight).
      */
-    bool tryDrainController(Cycle end);
+    Cycle drainBound(Cycle end) const;
 
-    /** Forward the effective batch flag to the controller. */
-    void applyBatchMode();
+    /** Tick every core for bus cycle `now` (after the controller). */
+    void tickCores();
 
     SimConfig cfg;
     std::vector<std::unique_ptr<cpu::TraceSource>> traceOwners;
@@ -155,10 +139,9 @@ class System
     std::unique_ptr<trace::TraceWriter> recorder;
     trng::EntropySource entropySource;
     Cycle now = 0;
-    bool ffEnabled;
-    bool batchEnabled;
+    bool ffEnabled = false;
     /** Set by the completion callback whenever a core receives a
-     *  completion; the batch drain polls and clears it instead of
+     *  completion; the drain polls and clears it instead of
      *  re-deriving every core's horizon after every controller tick. */
     bool coreCompletionPending = false;
     FfStats ffCounters;

@@ -1,12 +1,12 @@
 /**
  * @file
- * Randomized differential-testing harness for the three time-advance
- * strategies: step-1 (every bus cycle ticked), fast-forward (event
- * horizons + span skips), and batch mode (fast-forward + batched
- * command retirement / controller-only drains). For every randomly
- * drawn configuration and workload the three runs must produce
+ * Randomized differential-testing harness for the two time-advance
+ * strategies: step-1 (every bus cycle ticked by the unshortcut code)
+ * and fast-forward (event horizons + span skips, controller-only
+ * drains, and the controller's memoized shortcuts). For every randomly
+ * drawn configuration and workload the two runs must produce
  * bit-identical full-statistics fingerprints (the DS_LOCKSTEP
- * invariant, extended to the batch path).
+ * invariant).
  *
  * The draw space covers the full policy cross product the simulator
  * exposes: the nine design presets x scheduler / predictor overrides x
@@ -194,30 +194,11 @@ makeTraces(const Scenario &s)
     return traces;
 }
 
-enum class Mode
-{
-    Step1, ///< Every bus cycle ticked.
-    Ff,    ///< Fast-forward on, batch mode off.
-    Batch, ///< Fast-forward + batched command retirement.
-};
-
-const char *
-modeName(Mode m)
-{
-    switch (m) {
-      case Mode::Step1: return "step-1";
-      case Mode::Ff:    return "fast-forward";
-      case Mode::Batch: return "batch";
-    }
-    return "?";
-}
-
 std::string
-runFingerprint(const Scenario &s, Mode mode)
+runFingerprint(const Scenario &s, bool fast_forward)
 {
     sim::System sys(s.cfg, makeTraces(s));
-    sys.setFastForward(mode != Mode::Step1);
-    sys.setBatchMode(mode == Mode::Batch);
+    sys.setFastForward(fast_forward);
     sys.run();
     return sim::systemFingerprint(sys);
 }
@@ -267,7 +248,7 @@ reproText(const Scenario &s, std::uint64_t master_seed,
     return os.str();
 }
 
-TEST(DiffTest, RandomizedThreeWayLockstep)
+TEST(DiffTest, RandomizedTwoWayLockstep)
 {
     const std::uint64_t master_seed = envU64("DS_DIFFTEST_SEED", 2022);
     const std::uint64_t n_configs = envU64("DS_DIFFTEST_CONFIGS", 120);
@@ -290,37 +271,31 @@ TEST(DiffTest, RandomizedThreeWayLockstep)
         }
 
         const Scenario s = drawScenario(mix64(master_seed + i));
-        const std::string ref = runFingerprint(s, Mode::Step1);
-        for (const Mode mode : {Mode::Ff, Mode::Batch}) {
-            const std::string got = runFingerprint(s, mode);
-            ASSERT_EQ(got, ref)
-                << "mode " << modeName(mode)
-                << " diverges from step-1\nfirst diff: "
-                << firstDiff(got, ref) << '\n'
-                << reproText(s, master_seed, i);
-        }
+        const std::string ref = runFingerprint(s, false);
+        const std::string got = runFingerprint(s, true);
+        ASSERT_EQ(got, ref)
+            << "fast-forward diverges from step-1\nfirst diff: "
+            << firstDiff(got, ref) << '\n'
+            << reproText(s, master_seed, i);
         ++ran;
     }
-    std::printf("[difftest] %llu configs, 3 runs each, bit-identical\n",
+    std::printf("[difftest] %llu configs, 2 runs each, bit-identical\n",
                 (unsigned long long)ran);
 }
 
-/** Three-way fingerprint identity for one fixed scenario. */
+/** Step-1 vs fast-forward fingerprint identity for one scenario. */
 void
-expectThreeWayIdentical(const Scenario &s, const char *what)
+expectIdentical(const Scenario &s, const char *what)
 {
-    const std::string ref = runFingerprint(s, Mode::Step1);
-    for (const Mode mode : {Mode::Ff, Mode::Batch}) {
-        const std::string got = runFingerprint(s, mode);
-        ASSERT_EQ(got, ref) << what << ": mode " << modeName(mode)
-                            << " diverges\nfirst diff: "
-                            << firstDiff(got, ref);
-    }
+    const std::string ref = runFingerprint(s, false);
+    const std::string got = runFingerprint(s, true);
+    ASSERT_EQ(got, ref) << what << ": fast-forward diverges\nfirst diff: "
+                        << firstDiff(got, ref);
 }
 
 /**
- * BLISS forced-choice under blacklisting: batch mode memoizes the
- * scheduler's forced picks, and BLISS reorders around blacklisted
+ * BLISS forced-choice under blacklisting: the fast-forward path takes
+ * the scheduler's forced picks, and BLISS reorders around blacklisted
  * requestors — the combination must still match the step-1 command
  * stream while the fault monitor is simultaneously retiring cells.
  */
@@ -337,24 +312,23 @@ TEST(DiffTestEdge, BlissForcedChoiceUnderBlacklisting)
     s.cfg.instrBudget = 6000;
     s.apps = {"mcf", "lbm"};
     s.rngMbps = 5120.0;
-    expectThreeWayIdentical(s, "bliss+blacklist");
+    expectIdentical(s, "bliss+blacklist");
 
     sim::System sys(s.cfg, makeTraces(s));
     sys.setFastForward(true);
-    sys.setBatchMode(true);
     sys.run();
     EXPECT_GT(sys.ffStats().drainTicks, 0u)
-        << "scenario never entered the batch drain";
+        << "scenario never entered the controller-only drain";
     ASSERT_NE(sys.mc().faultInjection(), nullptr);
     EXPECT_GT(sys.mc().faultInjection()->stats().blacklisted, 0u)
         << "monitor never blacklisted a cell; forced-choice path unhit";
 }
 
 /**
- * Batch aborts at timing fences: a two-rank DDR4 system under a
+ * Drain aborts at timing fences: a two-rank DDR4 system under a
  * DR-STRaNGe design crosses refresh, tFAW, and rank-to-rank (tRTRS)
  * boundaries as well as RNG-priority fences. Every such boundary must
- * end a batched span at exactly the cycle step-1 would have stalled.
+ * end a drained span at exactly the cycle step-1 would have stalled.
  */
 TEST(DiffTestEdge, BatchAbortAtTimingBoundaries)
 {
@@ -366,11 +340,10 @@ TEST(DiffTestEdge, BatchAbortAtTimingBoundaries)
     s.cfg.instrBudget = 8000;
     s.apps = {"ycsb0", "lbm"};
     s.rngMbps = 5120.0;
-    expectThreeWayIdentical(s, "timing-fences");
+    expectIdentical(s, "timing-fences");
 
     sim::System sys(s.cfg, makeTraces(s));
     sys.setFastForward(true);
-    sys.setBatchMode(true);
     sys.run();
     // Refresh/tFAW/tRTRS stalls force the drain to re-tick: both
     // drained and normally-stepped cycles must appear.
@@ -383,7 +356,7 @@ TEST(DiffTestEdge, BatchAbortAtTimingBoundaries)
  * counts, pool pointer, spares) feeds future audit outcomes, so a
  * single use-count divergence between replayed and ticked rounds would
  * silently corrupt every later draw. Compare the plane fingerprint —
- * not just top-level stats — across all three modes.
+ * not just top-level stats — across both advance strategies.
  */
 TEST(DiffTestEdge, FaultPlaneUseCountParity)
 {
@@ -397,20 +370,16 @@ TEST(DiffTestEdge, FaultPlaneUseCountParity)
     s.cfg.instrBudget = 5000;
     s.rngMbps = 5120.0;
 
-    std::string ref;
-    for (const Mode mode : {Mode::Step1, Mode::Ff, Mode::Batch}) {
+    std::string fp[2];
+    for (const bool ff : {false, true}) {
         sim::System sys(s.cfg, makeTraces(s));
-        sys.setFastForward(mode != Mode::Step1);
-        sys.setBatchMode(mode == Mode::Batch);
+        sys.setFastForward(ff);
         sys.run();
         ASSERT_NE(sys.mc().faultInjection(), nullptr);
-        const std::string fp = sys.mc().faultInjection()->fingerprint();
-        if (mode == Mode::Step1)
-            ref = fp;
-        else
-            EXPECT_EQ(fp, ref) << "fault-plane state diverged in "
-                               << modeName(mode) << " mode";
+        fp[ff] = sys.mc().faultInjection()->fingerprint();
     }
+    EXPECT_EQ(fp[1], fp[0]) << "fault-plane state diverged under "
+                               "fast-forward";
 }
 
 /**
@@ -430,11 +399,10 @@ TEST(DiffTestEdge, HorizonCacheAcrossOutageEdges)
     s.cfg.instrBudget = 6000;
     s.apps = {"ycsb3"};
     s.rngMbps = 1280.0;
-    expectThreeWayIdentical(s, "outage-edges");
+    expectIdentical(s, "outage-edges");
 
     sim::System sys(s.cfg, makeTraces(s));
     sys.setFastForward(true);
-    sys.setBatchMode(true);
     sys.run();
     // The run must be long enough to cross several outage edges and the
     // fast path must still find skippable spans between them.
@@ -444,9 +412,10 @@ TEST(DiffTestEdge, HorizonCacheAcrossOutageEdges)
 
 /**
  * A fixed spot-check that the scenario generator actually exercises
- * the batch drain: across the first configs at the default seed, batch
- * mode must take controller-only drain ticks somewhere (otherwise the
- * harness compares three identical step paths and proves nothing).
+ * the drain: across the first configs at the default seed, fast-forward
+ * must take controller-only drain ticks and span skips somewhere
+ * (otherwise the harness compares two identical step paths and proves
+ * nothing).
  */
 TEST(DiffTest, GeneratorExercisesBatchDrain)
 {
@@ -456,7 +425,6 @@ TEST(DiffTest, GeneratorExercisesBatchDrain)
         const Scenario s = drawScenario(mix64(2022 + i));
         sim::System sys(s.cfg, makeTraces(s));
         sys.setFastForward(true);
-        sys.setBatchMode(true);
         sys.run();
         drain_ticks += sys.ffStats().drainTicks;
         skipped += sys.ffStats().skippedCycles;

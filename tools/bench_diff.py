@@ -23,10 +23,11 @@ def load_sweep(path):
         return json.load(f)["sweep"]
 
 
-def tier_map(sweep, section="fastforward"):
+def tier_map(sweep):
     if sweep is None:
         return {}
-    return {t["name"]: t for t in sweep.get(section, {}).get("tiers", [])}
+    tiers = sweep.get("fastforward", {}).get("tiers", [])
+    return {t["name"]: t for t in tiers}
 
 
 def fmt_delta(cur, prev):
@@ -102,31 +103,6 @@ def main(argv):
             )
         )
     print()
-
-    # Batched command retirement: same table over sweep.batch. Older
-    # artifacts (schemas before the batch record) simply skip it.
-    cur_batch = tier_map(cur, "batch")
-    if cur_batch:
-        prev_batch = tier_map(prev, "batch")
-        print("### Batch mode (DS_BATCH off vs on, fast-forward on)")
-        print()
-        print("| tier | batch speedup | previous | delta |")
-        print("|------|---------------|----------|-------|")
-        for t in cur_batch.values():
-            p = prev_batch.get(t["name"])
-            prev_speedup = p.get("speedup") if p else None
-            cur_speedup = t.get("speedup")
-            print(
-                "| {name} | {speedup} | {prev} | {delta} |".format(
-                    name=t["name"],
-                    speedup=fmt_speedup(cur_speedup),
-                    prev=fmt_speedup(prev_speedup)
-                    if prev_speedup is not None
-                    else "—",
-                    delta=fmt_delta(cur_speedup, prev_speedup),
-                )
-            )
-        print()
 
     prev_wall = prev.get("wall_ms") if prev else None
     print(

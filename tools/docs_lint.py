@@ -12,6 +12,12 @@ repository. A name resolves against the repository root, against the
 commenting file's directory, or, when it has no directory part, against
 any markdown file of that name in the tree.
 
+Finally it checks the DS_* environment variables both ways. A source
+file under those directories reads a variable by its quoted name
+("DS_JOBS"); every such name must appear in docs/configuration.md, and
+every DS_* name that README.md or docs/ mentions must be read by some
+source file, so a retired knob cannot linger in the docs.
+
 Usage: python3 tools/docs_lint.py [repo-root]
 """
 
@@ -26,6 +32,8 @@ CODE_FENCE_RE = re.compile(r"```.*?```", re.DOTALL)
 SOURCE_DIRS = ("src", "bench", "tests", "examples", "tools")
 SKIP_DIRS = {".git", "__pycache__", "out"}
 MD_NAME_RE = re.compile(r"[\w./-]*\w\.md\b")
+ENV_READ_RE = re.compile(r'"(DS_[A-Z][A-Z0-9_]*)"')
+ENV_NAME_RE = re.compile(r"\bDS_[A-Z][A-Z0-9_]*")
 # Comment syntax per source kind: C-family line and block comments;
 # hash comments and docstrings for Python, CMake and shell.
 C_COMMENT_RE = re.compile(r"//[^\n]*|/\*.*?\*/", re.DOTALL)
@@ -112,6 +120,35 @@ def check_comment_refs(root: str) -> list:
     return errors
 
 
+def check_env_vars(root: str, doc_files: list) -> list:
+    """DS_* variables read by the sources vs. named in the docs."""
+    read = set()
+    for top in SOURCE_DIRS:
+        for path in walk_files(os.path.join(root, top)):
+            if os.path.splitext(path)[1] not in COMMENT_RE_BY_EXT:
+                continue
+            with open(path, encoding="utf-8") as fh:
+                read |= set(ENV_READ_RE.findall(fh.read()))
+    errors = []
+    config_doc = os.path.join(root, "docs", "configuration.md")
+    documented = set()
+    if os.path.exists(config_doc):
+        with open(config_doc, encoding="utf-8") as fh:
+            documented = set(ENV_NAME_RE.findall(fh.read()))
+    for name in sorted(read - documented):
+        errors.append(f"{name} is read by the sources but not documented "
+                      f"in docs/configuration.md")
+    for path in doc_files:
+        if not os.path.exists(path):
+            continue
+        with open(path, encoding="utf-8") as fh:
+            mentioned = set(ENV_NAME_RE.findall(fh.read()))
+        for name in sorted(mentioned - read):
+            errors.append(f"{os.path.relpath(path, root)}: {name} is not "
+                          f"read by any source file")
+    return errors
+
+
 def main() -> int:
     root = os.path.abspath(sys.argv[1] if len(sys.argv) > 1 else ".")
     files = [os.path.join(root, "README.md")]
@@ -124,12 +161,13 @@ def main() -> int:
         if os.path.exists(path):
             errors += check_file(path, root)
     comment_errors = check_comment_refs(root)
-    for err in errors + comment_errors:
+    env_errors = check_env_vars(root, files)
+    for err in errors + comment_errors + env_errors:
         print(err, file=sys.stderr)
     print(f"docs-lint: {len(files)} file(s), {len(errors)} broken "
           f"link(s), {len(comment_errors)} comment(s) naming a missing "
-          f"markdown file")
-    return 1 if errors or comment_errors else 0
+          f"markdown file, {len(env_errors)} DS_* variable mismatch(es)")
+    return 1 if errors or comment_errors or env_errors else 0
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import bench_diff  # noqa: E402
 
 
-def make_doc(tiers, batch_tiers=None, wall_ms=100.0):
+def make_doc(tiers, wall_ms=100.0):
     """A minimal BENCH_run_all.json document for the differ."""
     sweep = {
         "wall_ms": wall_ms,
@@ -34,13 +34,6 @@ def make_doc(tiers, batch_tiers=None, wall_ms=100.0):
             "tiers": tiers,
         },
     }
-    if batch_tiers is not None:
-        sweep["batch"] = {
-            "off_wall_ms": 150.0,
-            "on_wall_ms": 100.0,
-            "speedup": 1.5,
-            "tiers": batch_tiers,
-        }
     return {"sweep": sweep}
 
 
@@ -125,23 +118,19 @@ class ReportTests(unittest.TestCase):
         row = next(l for l in out.splitlines() if "dual-5gbps" in l)
         self.assertIn("n/a", row)
 
-    def test_batch_section_present_when_recorded(self):
-        cur = make_doc(
-            [tier("dual-5gbps", 2.5)],
-            batch_tiers=[
-                {"name": "dual-5gbps", "off_ms": 20.0, "on_ms": 10.0,
-                 "speedup": 2.0}
-            ],
-        )
-        rc, out = run_diff(cur)
+    def test_retired_batch_block_is_ignored(self):
+        # Artifacts written while run_all still had a batch-off reference
+        # phase carry a sweep.batch block; it must diff without error.
+        cur = make_doc([tier("dual-5gbps", 2.5)])
+        prev = make_doc([tier("dual-5gbps", 2.0)])
+        for doc in (cur, prev):
+            doc["sweep"]["batch"] = {
+                "off_wall_ms": 150.0, "on_wall_ms": 100.0, "speedup": 1.5,
+                "tiers": [{"name": "dual-5gbps", "speedup": 2.0}]}
+        rc, out = run_diff(cur, prev)
         self.assertEqual(rc, 0)
-        self.assertIn("Batch mode", out)
-        self.assertIn("| dual-5gbps | 2.00x | — | n/a |", out)
-
-    def test_batch_section_skipped_for_old_schema(self):
-        rc, out = run_diff(make_doc([tier("dual-5gbps", 2.5)]))
-        self.assertEqual(rc, 0)
-        self.assertNotIn("Batch mode", out)
+        self.assertIn("| dual-5gbps | 2.50x | 2.00x | +25.0% |", out)
+        self.assertNotIn("batch", out.lower())
 
     def test_unreadable_previous_is_annotated(self):
         with tempfile.TemporaryDirectory() as d:
