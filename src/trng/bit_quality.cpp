@@ -1,45 +1,69 @@
 #include "trng/bit_quality.h"
 
 #include <array>
-#include <cmath>
-
-#if defined(__has_include)
-#if __has_include(<bit>)
 #include <bit>
-#endif
-#endif
+#include <cmath>
 
 namespace dstrange::trng {
 
 namespace {
 
-int
-popcount8(std::uint8_t b)
+/** Little-endian load of 8 bytes: bit j of the word is bit j % 8 of
+ *  byte j / 8, the order in which the tests walk the stream. */
+std::uint64_t
+loadWord(const std::uint8_t *p)
 {
-#if defined(__cpp_lib_bitops) && __cpp_lib_bitops >= 201907L
-    return std::popcount(b);
-#else
-    // Pre-C++20 toolchains lack std::popcount: SWAR count on one byte.
-    unsigned v = b;
-    v = v - ((v >> 1) & 0x55u);
-    v = (v & 0x33u) + ((v >> 2) & 0x33u);
-    return static_cast<int>((v + (v >> 4)) & 0x0Fu);
-#endif
+    std::uint64_t v = 0;
+    for (unsigned b = 0; b < 8; ++b)
+        v |= static_cast<std::uint64_t>(p[b]) << (8 * b);
+    return v;
 }
 
 std::uint64_t
-countOnes(const std::vector<std::uint8_t> &bytes)
+countOnes(std::span<const std::uint8_t> bytes)
 {
     std::uint64_t ones = 0;
-    for (std::uint8_t b : bytes)
-        ones += static_cast<std::uint64_t>(popcount8(b));
+    std::size_t i = 0;
+    for (; i + 8 <= bytes.size(); i += 8)
+        ones += static_cast<std::uint64_t>(
+            std::popcount(loadWord(&bytes[i])));
+    for (; i < bytes.size(); ++i)
+        ones += static_cast<std::uint64_t>(std::popcount(bytes[i]));
     return ones;
+}
+
+/** Adjacent bit pairs that differ; the stream's run count is one more.
+ *  Within a chunk of w bits that is the popcount of x ^ (x >> 1) over
+ *  its low w - 1 bits; across chunks, one compare of the boundary bits.
+ *  @p bytes must not be empty. */
+std::uint64_t
+countTransitions(std::span<const std::uint8_t> bytes)
+{
+    constexpr std::uint64_t kLow63 = 0x7fff'ffff'ffff'ffffULL;
+    std::uint64_t transitions = 0;
+    std::uint64_t prev = bytes[0] & 1u; // last bit of the previous chunk
+    std::size_t i = 0;
+    for (; i + 8 <= bytes.size(); i += 8) {
+        const std::uint64_t x = loadWord(&bytes[i]);
+        transitions += static_cast<std::uint64_t>(
+                           std::popcount((x ^ (x >> 1)) & kLow63)) +
+                       ((x ^ prev) & 1u);
+        prev = x >> 63;
+    }
+    for (; i < bytes.size(); ++i) {
+        const unsigned x = bytes[i];
+        transitions += static_cast<std::uint64_t>(
+                           std::popcount((x ^ (x >> 1)) & 0x7fu)) +
+                       ((x ^ prev) & 1u);
+        prev = x >> 7;
+    }
+    return transitions;
 }
 
 } // namespace
 
 TestResult
-monobitTest(const std::vector<std::uint8_t> &bytes)
+monobitTest(std::span<const std::uint8_t> bytes)
 {
     TestResult res;
     const double n = static_cast<double>(bytes.size()) * 8.0;
@@ -52,22 +76,14 @@ monobitTest(const std::vector<std::uint8_t> &bytes)
 }
 
 TestResult
-runsTest(const std::vector<std::uint8_t> &bytes)
+runsTest(std::span<const std::uint8_t> bytes)
 {
     TestResult res;
     const std::size_t n_bits = bytes.size() * 8;
     if (n_bits < 2)
         return res;
 
-    auto bit_at = [&](std::size_t i) {
-        return (bytes[i / 8] >> (i % 8)) & 1;
-    };
-
-    std::uint64_t runs = 1;
-    for (std::size_t i = 1; i < n_bits; ++i)
-        if (bit_at(i) != bit_at(i - 1))
-            ++runs;
-
+    const std::uint64_t runs = 1 + countTransitions(bytes);
     const double n = static_cast<double>(n_bits);
     const double pi =
         static_cast<double>(countOnes(bytes)) / n; // fraction of ones

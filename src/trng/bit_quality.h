@@ -1,15 +1,18 @@
 /**
  * @file
  * NIST-SP800-22-style statistical quality checks for random bitstreams.
- * Used in tests and examples to validate the simulated entropy source the
- * same way the paper's TRNG mechanisms validate their post-processed
- * output.
+ * Tests and examples use them to validate the simulated entropy source
+ * the same way the paper's TRNG mechanisms validate their post-processed
+ * output. The monobit and runs tests are also the fault plane's health
+ * audit: they run once per audited TRNG round on the simulator's hot
+ * path, so they take a span, count 64 bits at a time and never allocate.
  */
 
 #ifndef DSTRANGE_TRNG_BIT_QUALITY_H
 #define DSTRANGE_TRNG_BIT_QUALITY_H
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace dstrange::trng {
@@ -25,13 +28,13 @@ struct TestResult
  * Frequency (monobit) test: the fraction of ones should be ~0.5.
  * Passes when |z| < 3.29 (alpha ~ 0.001).
  */
-TestResult monobitTest(const std::vector<std::uint8_t> &bytes);
+TestResult monobitTest(std::span<const std::uint8_t> bytes);
 
 /**
  * Runs test: the number of maximal same-bit runs should match the
  * expectation for an unbiased source. Passes when |z| < 3.29.
  */
-TestResult runsTest(const std::vector<std::uint8_t> &bytes);
+TestResult runsTest(std::span<const std::uint8_t> bytes);
 
 /**
  * Byte-level chi-square uniformity test over 256 bins. Passes when the

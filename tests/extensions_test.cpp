@@ -10,6 +10,13 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
+
+#ifdef _WIN32
+#include <process.h>
+#else
+#include <unistd.h>
+#endif
 
 #include "common/json_writer.h"
 #include "dram/dram_channel.h"
@@ -331,10 +338,21 @@ TEST(PowerDown, SystemStillRunsCorrectlyWithPolicy)
 class TraceFileTest : public ::testing::Test
 {
   protected:
+    /** Unique per test and per process: ctest -j runs each case as its
+     *  own process, and every TearDown removes its own file. */
     std::string
     tempPath() const
     {
-        return ::testing::TempDir() + "dstrange_trace_test.txt";
+#ifdef _WIN32
+        const int pid = _getpid();
+#else
+        const int pid = ::getpid();
+#endif
+        std::string path = ::testing::TempDir();
+        path += "dstrange_trace_test-";
+        path += ::testing::UnitTest::GetInstance()->current_test_info()->name();
+        path += "-" + std::to_string(pid) + ".txt";
+        return path;
     }
 
     void TearDown() override { std::remove(tempPath().c_str()); }

@@ -3,7 +3,8 @@
  * Tests for the deterministic fault-injection subsystem: golden seeded
  * fault streams per FaultRegistry key (pure-function corruption of the
  * synthetic audit blocks), FaultPlane determinism and its side-effect
- * free peek protocol, health-monitor blacklist convergence onto spares,
+ * free peek protocol, a cross-commit golden of every FaultReport
+ * counter, health-monitor blacklist convergence onto spares,
  * fault.* / service.shed config-text and builder wiring with eager
  * registry validation, shed-policy admission behaviour, DS_LOCKSTEP
  * bit-identity across all nine design presets with faults active, and
@@ -292,6 +293,53 @@ TEST(FaultPlane, RetryLimitForcesBlacklistUnderDemand)
         plane.onRound(0, true); // demand waiting arms the escalation
     EXPECT_EQ(plane.stats().forcedBlacklists, fc.stuckRows);
     EXPECT_EQ(plane.faultyActive(0), 0u);
+}
+
+/** Cross-commit golden: one fixed plane driven through both the tick
+ *  path and the peek/commit protocol, every counter pinned exactly. */
+TEST(FaultPlane, GoldenCountersAcrossTickAndPeekPaths)
+{
+    fault::FaultConfig fc = faultedConfig("bitflip,weak-cell,stuck-row");
+    fc.driftInterval = 256; // weak cells degrade toward always-failing
+    fc.retryLimit = 2;      // exercise the forced-blacklist escalation
+    fault::FaultPlane plane(fc, 2);
+    constexpr std::uint64_t kRounds = 20000;
+    constexpr int kPeekRun = 8;
+    std::uint64_t rounds = 0;
+    for (unsigned i = 0; rounds < kRounds; ++i) {
+        const unsigned ch = i % 2;
+        if (i % 4 != 3) {
+            plane.onRound(ch, i % 3 == 0);
+            ++rounds;
+            continue;
+        }
+        // A fast-forward span: peek ahead, commit the passing prefix,
+        // and tick the first failing round as the span-ending event.
+        plane.beginPeek();
+        int passing = 0;
+        while (passing < kPeekRun && plane.peekRound(ch))
+            ++passing;
+        for (int k = 0; k < passing; ++k)
+            plane.commitRound(ch);
+        rounds += static_cast<std::uint64_t>(passing);
+        if (passing < kPeekRun) {
+            EXPECT_FALSE(plane.onRound(ch, true));
+            ++rounds;
+        }
+    }
+    // Values captured on the commit before the word-parallel audit.
+    const fault::FaultReport &r = plane.stats();
+    EXPECT_EQ(r.roundsAudited, 19937u);
+    EXPECT_EQ(r.roundsDiscarded, 69u);
+    EXPECT_EQ(r.discardsStuck, 12u);
+    EXPECT_EQ(r.discardsWeak, 24u);
+    EXPECT_EQ(r.discardsOther, 33u);
+    EXPECT_EQ(r.corruptedBits, 100416u);
+    EXPECT_EQ(r.blacklisted, 15u);
+    EXPECT_EQ(r.remapped, 14u);
+    EXPECT_EQ(r.forcedBlacklists, 1u);
+    EXPECT_EQ(r.blacklistExhausted, 1u);
+    EXPECT_EQ(fnv1a64(plane.fingerprint()), 0x59686c5514133497ull);
 }
 
 // ---------------------------------------------------------------------

@@ -8,8 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <span>
+#include <vector>
 
+#include "common/rng.h"
 #include "dram/dram_channel.h"
+#include "fault/fault_registry.h"
 #include "trng/bit_quality.h"
 #include "trng/entropy_source.h"
 #include "trng/rng_engine.h"
@@ -126,6 +131,105 @@ TEST_F(BitQualityTest, SequentialBytesFailSerialCorrelation)
     for (std::size_t i = 0; i < ramp.size(); ++i)
         ramp[i] = static_cast<std::uint8_t>(i);
     EXPECT_FALSE(serialCorrelationTest(ramp).pass);
+}
+
+namespace {
+
+int
+bitAt(std::span<const std::uint8_t> bytes, std::size_t i)
+{
+    return (bytes[i / 8] >> (i % 8)) & 1;
+}
+
+/** Bit-by-bit reference monobit: the definition the word-parallel
+ *  library version must reproduce exactly. */
+TestResult
+referenceMonobit(std::span<const std::uint8_t> bytes)
+{
+    TestResult res;
+    const std::size_t n_bits = bytes.size() * 8;
+    if (n_bits == 0)
+        return res;
+    std::uint64_t ones = 0;
+    for (std::size_t i = 0; i < n_bits; ++i)
+        ones += static_cast<std::uint64_t>(bitAt(bytes, i));
+    const double n = static_cast<double>(n_bits);
+    res.statistic =
+        std::abs(2.0 * static_cast<double>(ones) - n) / std::sqrt(n);
+    res.pass = res.statistic < 3.29;
+    return res;
+}
+
+/** Bit-by-bit reference runs test (Wald-Wolfowitz). */
+TestResult
+referenceRuns(std::span<const std::uint8_t> bytes)
+{
+    TestResult res;
+    const std::size_t n_bits = bytes.size() * 8;
+    if (n_bits < 2)
+        return res;
+    std::uint64_t ones = 0;
+    std::uint64_t runs = 1;
+    for (std::size_t i = 0; i < n_bits; ++i) {
+        ones += static_cast<std::uint64_t>(bitAt(bytes, i));
+        if (i > 0 && bitAt(bytes, i) != bitAt(bytes, i - 1))
+            ++runs;
+    }
+    const double n = static_cast<double>(n_bits);
+    const double pi = static_cast<double>(ones) / n;
+    const double expected = 2.0 * n * pi * (1.0 - pi) + 1.0;
+    const double variance =
+        2.0 * n * pi * (1.0 - pi) * (2.0 * pi * (1.0 - pi));
+    if (variance <= 0.0)
+        return res;
+    res.statistic =
+        std::abs(static_cast<double>(runs) - expected) / std::sqrt(variance);
+    res.pass = res.statistic < 3.29;
+    return res;
+}
+
+/** Library and reference agree bit for bit on @p bytes. */
+void
+expectMatchesReference(std::span<const std::uint8_t> bytes)
+{
+    const TestResult mono = monobitTest(bytes);
+    const TestResult mono_ref = referenceMonobit(bytes);
+    EXPECT_EQ(mono.statistic, mono_ref.statistic) << bytes.size() << " B";
+    EXPECT_EQ(mono.pass, mono_ref.pass) << bytes.size() << " B";
+    const TestResult runs = runsTest(bytes);
+    const TestResult runs_ref = referenceRuns(bytes);
+    EXPECT_EQ(runs.statistic, runs_ref.statistic) << bytes.size() << " B";
+    EXPECT_EQ(runs.pass, runs_ref.pass) << bytes.size() << " B";
+}
+
+} // namespace
+
+TEST_F(BitQualityTest, WordParallelMatchesBitwiseOnRandomLengths)
+{
+    // Every length through 67 bytes: empty, a single byte, and every
+    // tail that is not a whole 64-bit word.
+    for (std::size_t len = 0; len <= 67; ++len)
+        for (std::uint64_t seed = 1; seed <= 8; ++seed)
+            expectMatchesReference(randomBytes(len, seed * 1000 + len));
+}
+
+TEST_F(BitQualityTest, WordParallelMatchesBitwiseOnConstantPatterns)
+{
+    for (const std::uint8_t fill : {0x00, 0xff, 0x55, 0xaa})
+        for (std::size_t len = 0; len <= 67; ++len)
+            expectMatchesReference(std::vector<std::uint8_t>(len, fill));
+}
+
+TEST_F(BitQualityTest, WordParallelMatchesBitwiseOnAuditBlocks)
+{
+    for (std::uint64_t i = 0; i < 1000; ++i) {
+        fault::RoundContext ctx;
+        ctx.seed = mix64(i);
+        ctx.channel = static_cast<unsigned>(i % 4);
+        ctx.cell = static_cast<std::uint32_t>(i % 64);
+        ctx.use = i / 64;
+        expectMatchesReference(fault::healthyBlock(ctx));
+    }
 }
 
 class RngEngineTest : public ::testing::Test
