@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <stdexcept>
 
 #include "dram/mapping_registry.h"
@@ -167,7 +168,6 @@ MemoryController::enqueueAccept(Request &req, Cycle now)
             rngPolicy->markRngApp(req.core);
         if (buf && buf->canServe64(req.core)) {
             buf->serve64(req.core);
-            ++productionV; // Buffer level dropped.
             statistics.rngRequests++;
             statistics.rngServedFromBuffer++;
             statistics.sumRngLatency += cfg.bufferServeLatency;
@@ -197,7 +197,6 @@ MemoryController::enqueueAccept(Request &req, Cycle now)
         job.bitsCollected = stagingBits;
         stagingBits = 0.0;
         rngJobs.push_back(job);
-        ++productionV; // New front job possible; membership changed.
         return true;
     }
 
@@ -262,9 +261,6 @@ MemoryController::routeBits(double bits, Cycle now)
             if (onComplete)
                 onComplete(job.core, job.token, ReqType::Rng, job.path);
             rngJobs.pop_front();
-            // The completed job *was* the predicted production event;
-            // the next front job starts a new stream to model.
-            ++productionV;
         }
     }
     if (bits > 0.0 && buf)
@@ -567,10 +563,6 @@ MemoryController::tick(Cycle now)
                 routeBits(bits, now);
                 if (rngPolicy)
                     rngPolicy->noteServed(ch, QueueChoice::Rng);
-            } else {
-                // Discarded round: no bits routed, but the audit
-                // rotation (and possibly the blacklist) advanced.
-                ++productionV;
             }
         }
     }
@@ -596,10 +588,8 @@ MemoryController::tick(Cycle now)
                     (cs.greedyIdleCredit - cfg.periodThreshold) %
                             fillMech.roundLatency ==
                         0 &&
-                    !buf->full()) {
+                    !buf->full())
                     buf->deposit(fillMech.bitsPerRound);
-                    ++productionV; // Buffer level rose.
-                }
             }
             // Other idle channels keep their accrued credit paused.
         }
@@ -819,10 +809,30 @@ MemoryController::greedyNextEventCycle(Cycle now) const
     return ev;
 }
 
-void
-MemoryController::collectProducers(Cycle now) const
+namespace {
+
+/** Index of the earliest producer whose next round lands before
+ *  @p limit (ties go to the lower channel, the tick order), or
+ *  producers.size() when none does. */
+std::size_t
+earliestBefore(std::span<const MemoryController::Producer> producers,
+               Cycle limit)
 {
-    (void)now;
+    std::size_t best = producers.size();
+    for (std::size_t i = 0; i < producers.size(); ++i) {
+        if (producers[i].next < limit &&
+            (best == producers.size() ||
+             producers[i].next < producers[best].next))
+            best = i;
+    }
+    return best;
+}
+
+} // namespace
+
+void
+MemoryController::collectProducers() const
+{
     producerScratch.clear();
     for (unsigned ch = 0; ch < chans.size(); ++ch) {
         const trng::RngEngine &eng = *engines[ch];
@@ -849,111 +859,96 @@ MemoryController::collectProducers(Cycle now) const
 }
 
 Cycle
-MemoryController::productionEventCycle(Cycle now, Cycle bound) const
+MemoryController::thresholdCycle(std::span<const Producer> producers,
+                                 double need, Cycle bound)
 {
-    (void)now;
+    const double target = need - 1e-9 * 64.0;
+    const auto delivered = [&](Cycle t) {
+        double sum = 0.0;
+        for (const Producer &p : producers) {
+            if (t < p.next)
+                continue;
+            const Cycle rounds = p.oneShot ? 1 : (t - p.next) / p.period + 1;
+            sum += p.bits * static_cast<double>(rounds);
+        }
+        return sum;
+    };
+
+    // Search [first completion, hi): hi is one past the tick where a
+    // periodic producer alone reaches the target, its ceil(target /
+    // bits) + 1-th round (exact in a double below 2^53).
+    Cycle lo = kNoEvent;
+    Cycle cap = kNoEvent;
+    for (const Producer &p : producers) {
+        lo = std::min(lo, p.next);
+        if (p.oneShot || p.bits <= 0.0)
+            continue;
+        const double rounds = std::max(0.0, std::ceil(target / p.bits));
+        const double end = static_cast<double>(p.next) +
+                           rounds * static_cast<double>(p.period);
+        if (end < 0x1p53)
+            cap = std::min(cap, static_cast<Cycle>(end) + 1);
+    }
+    const Cycle hi = std::min(bound, cap);
+    if (lo >= hi || delivered(hi - 1) < target)
+        return kNoEvent;
+    Cycle first = hi - 1; // Invariant: delivered(first) >= target.
+    while (lo < first) {
+        const Cycle mid = lo + (first - lo) / 2;
+        if (delivered(mid) >= target)
+            first = mid;
+        else
+            lo = mid + 1;
+    }
+    return first;
+}
+
+Cycle
+MemoryController::productionEventCycle(Cycle bound) const
+{
     if (producerScratch.empty())
         return kNoEvent;
 
-    // Memo hit: no unmodeled mutation happened (productionV), the
-    // event has not fired yet, and every producer is the cached one
-    // advanced an integral number of rounds along the modeled stream.
-    // Rounds completing inside the span — whether replayed by
-    // fastForward() or ticked normally — are exactly the rounds the
-    // walk peeked, and routeBits() replicates the walk's arithmetic
-    // bit for bit, so the predicted event survives them.
-    const auto cacheValid = [&]() -> bool {
-        if (prodCache.v != productionV + 1)
-            return false;
-        if (prodCache.event != kNoEvent && prodCache.event <= now)
-            return false; // Fired (e.g. a buffer-full checkpoint).
-        if (prodCache.producers.size() != producerScratch.size())
-            return false;
-        for (std::size_t i = 0; i < producerScratch.size(); ++i) {
-            const Producer &c = prodCache.producers[i];
-            const Producer &p = producerScratch[i];
-            if (p.ch != c.ch || p.period != c.period ||
-                p.bits != c.bits || p.oneShot != c.oneShot)
-                return false;
-            if (p.next == c.next)
-                continue;
-            // A one-shot (stopping) producer's single round either has
-            // not fired (next unchanged) or ended the producer (size
-            // mismatch above); any other drift is a restarted session.
-            if (p.oneShot || p.next < c.next ||
-                (p.next - c.next) % p.period != 0)
-                return false;
-        }
-        return true;
-    };
-    if (cacheValid())
-        return prodCache.event < bound ? prodCache.event : kNoEvent;
-    // The walk below advances producerScratch in place; snapshot first.
-    prodCache.producers = producerScratch;
-    prodCache.v = productionV + 1;
-
-    const Cycle event = [&]() -> Cycle {
-        const bool jobs = !rngJobs.empty();
-        // Front-job fill level, replicating routeBits's arithmetic.
-        double collected = jobs ? rngJobs.front().bitsCollected : 0.0;
-        // Without jobs, round bits deposit into the buffer; the deposit
-        // that fills it flips fill_capable and is therefore an event.
-        // The spare tracking here subtracts whole rounds (the buffer's
-        // own partition arithmetic may differ in the last ulps), so
-        // trigger one round early and let normal ticks handle the exact
-        // crossing.
-        double spare = 0.0;
-        if (!jobs) {
-            // Without a fault plane, bufferless production is pure
-            // (staging absorbs everything); with one, rounds must still
-            // be walked so a failing audit ends the span.
-            if (!buf && !faultPlane)
-                return kNoEvent;
-            if (buf)
-                spare = buf->capacityBits() - buf->levelBits();
-        }
-
-        if (faultPlane)
-            faultPlane->beginPeek();
-        for (unsigned step = 0; step < kMaxProductionSteps; ++step) {
-            std::size_t best = producerScratch.size();
-            for (std::size_t i = 0; i < producerScratch.size(); ++i) {
-                if (best == producerScratch.size() ||
-                    producerScratch[i].next < producerScratch[best].next)
-                    best = i;
-            }
-            Producer &p = producerScratch[best];
-            if (p.next == kNoEvent)
-                return kNoEvent; // Every one-shot producer consumed.
-            // A round whose audit fails delivers nothing and mutates
-            // the health monitor — always a span-ending event. Peeked-
-            // and-passed rounds are exactly what fastForward() later
-            // commits.
-            if (faultPlane && !faultPlane->peekRound(p.ch))
-                return p.next;
-            if (jobs) {
-                const double need = 64.0 - collected;
-                const double take = std::min(need, p.bits);
-                if (collected + take >= 64.0)
-                    return p.next; // The front job completes here.
-                collected += take;
-            } else if (buf) {
-                if (2.0 * p.bits >= spare)
-                    return p.next; // At/one round before buffer-full.
-                spare -= p.bits;
-            }
-            p.next = p.oneShot ? kNoEvent : p.next + p.period;
-        }
-        // Too many rounds to prove quiescence further: checkpoint here
-        // and re-derive (the skip up to this point is already large).
-        Cycle checkpoint = kNoEvent;
+    // Bits are taken by the front job first, then by the buffer.
+    Cycle event = kNoEvent;
+    if (!rngJobs.empty()) {
+        event = thresholdCycle(producerScratch,
+                               64.0 - rngJobs.front().bitsCollected, bound);
+    } else if (buf) {
+        // The deposit that fills the buffer flips fill_capable and is
+        // therefore an event. The buffer's own partition arithmetic may
+        // differ from whole-round sums in the last ulps, so trigger one
+        // round early and let normal ticks handle the exact crossing.
+        double max_bits = 0.0;
         for (const Producer &p : producerScratch)
-            checkpoint = std::min(checkpoint, p.next);
-        return checkpoint;
-    }();
+            max_bits = std::max(max_bits, p.bits);
+        event = thresholdCycle(
+            producerScratch,
+            buf->capacityBits() - buf->levelBits() - max_bits, bound);
+    }
+    if (!faultPlane)
+        return event;
 
-    prodCache.event = event;
-    return event < bound ? event : kNoEvent;
+    // A round whose audit fails delivers nothing and mutates the
+    // health monitor — always a span-ending event. Peek the rounds
+    // before the threshold event in tick order; the peeked-and-passed
+    // rounds are exactly what fastForward() later commits.
+    const Cycle limit = std::min(event, bound);
+    if (limit == kNoEvent) {
+        // Nothing else ends the span: stop at the first round rather
+        // than peek an unbounded stream.
+        return producerScratch[earliestBefore(producerScratch, kNoEvent)]
+            .next;
+    }
+    faultPlane->beginPeek();
+    for (std::size_t i; (i = earliestBefore(producerScratch, limit)) <
+                        producerScratch.size();) {
+        Producer &p = producerScratch[i];
+        if (!faultPlane->peekRound(p.ch))
+            return p.next;
+        p.next = p.oneShot ? kNoEvent : p.next + p.period;
+    }
+    return event;
 }
 
 Cycle
@@ -1016,7 +1011,7 @@ MemoryController::nextEventCycle(Cycle now) const
     }
 
     if (producing) {
-        collectProducers(now);
+        collectProducers();
         if (regular_prio) {
             // Every round completion resets the RNG stall counter;
             // while regular traffic is prioritized that counter is
@@ -1024,7 +1019,7 @@ MemoryController::nextEventCycle(Cycle now) const
             for (const Producer &p : producerScratch)
                 ev = std::min(ev, p.next);
         }
-        ev = std::min(ev, productionEventCycle(now, ev));
+        ev = std::min(ev, productionEventCycle(ev));
         if (ev <= now)
             return now;
     }
@@ -1055,7 +1050,7 @@ MemoryController::fastForward(Cycle from, Cycle to)
     // each completed round's bits through the normal path. The horizon
     // guarantees none of these completes the front job or fills the
     // buffer.
-    collectProducers(from);
+    collectProducers();
     if (!producerScratch.empty()) {
         // Switching-in engines also complete their (bit-less) switch
         // phase inside the span; start their stream at that transition.
@@ -1063,17 +1058,10 @@ MemoryController::fastForward(Cycle from, Cycle to)
             if (engines[p.ch]->switchingIn())
                 p.next = engines[p.ch]->phaseEndCycle() - 1;
         }
-        for (;;) {
-            std::size_t best = producerScratch.size();
-            for (std::size_t i = 0; i < producerScratch.size(); ++i) {
-                if (producerScratch[i].next < to &&
-                    (best == producerScratch.size() ||
-                     producerScratch[i].next < producerScratch[best].next))
-                    best = i;
-            }
-            if (best == producerScratch.size())
-                break;
-            Producer &p = producerScratch[best];
+        for (std::size_t i;
+             (i = earliestBefore(producerScratch, to)) <
+             producerScratch.size();) {
+            Producer &p = producerScratch[i];
             trng::RngEngine &eng = *engines[p.ch];
             const bool round_end = eng.inRound();
             if (p.oneShot)

@@ -18,6 +18,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -328,6 +329,34 @@ class MemoryController
         return faultPlane.get();
     }
 
+    /**
+     * One steadily-generating engine's round-completion stream: a
+     * stable (wind-free, management-quiescent) engine in Round or
+     * SwitchingIn produces bitsPerRound every roundLatency cycles, the
+     * first batch landing on the tick at `next`.
+     */
+    struct Producer
+    {
+        Cycle next = 0;   ///< Tick cycle of the next round completion.
+        Cycle period = 0; ///< Round latency.
+        double bits = 0.0;
+        unsigned ch = 0;
+        /** Stopping engine: exactly one more round completes, then the
+         *  switch-out (whose end bounds the span) begins. */
+        bool oneShot = false;
+    };
+
+    /**
+     * The production horizon in closed form: the first round-completion
+     * tick t < @p bound at which delivered(t) — Σ bits × rounds of
+     * @p producers completed by t, a one-shot counting at most one —
+     * reaches @p need (else kNoEvent). Binary search: O(P log span). A
+     * slack far below one bit lets summing in another order than
+     * routeBits() only make the event earlier; integer bits are exact.
+     */
+    static Cycle thresholdCycle(std::span<const Producer> producers,
+                                double need, Cycle bound);
+
   private:
     struct ChannelState
     {
@@ -405,38 +434,17 @@ class MemoryController
      *  @p now when credit bookkeeping mutates state this cycle. */
     Cycle greedyNextEventCycle(Cycle now) const;
 
+    /** Collect the stable producers into producerScratch, in channel
+     *  order (the tick order among rounds landing on one cycle). */
+    void collectProducers() const;
     /**
-     * One steadily-generating engine's round-completion stream: a
-     * stable (wind-free, management-quiescent) engine in Round or
-     * SwitchingIn produces bitsPerRound every roundLatency cycles, the
-     * first batch landing on the tick at `next`.
+     * First production tick below @p bound whose round completion has
+     * a non-batchable effect: finishing the front RNG job, the deposit
+     * one round before the buffer fills, or (with a fault plane) a
+     * round whose audit fails. kNoEvent when no such tick exists below
+     * @p bound (earlier completions only accumulate).
      */
-    struct Producer
-    {
-        Cycle next = 0;   ///< Tick cycle of the next round completion.
-        Cycle period = 0; ///< Round latency.
-        double bits = 0.0;
-        unsigned ch = 0;
-        /** Stopping engine: exactly one more round completes, then the
-         *  switch-out (whose end bounds the span) begins. */
-        bool oneShot = false;
-
-        bool operator==(const Producer &) const = default;
-    };
-    /** Collect the stable producers into producerScratch (time/ch
-     *  keyed exactly like the per-cycle tick order). */
-    void collectProducers(Cycle now) const;
-    /**
-     * First production tick in [now, bound) whose round completion has
-     * a non-batchable effect: finishing the front RNG job, or the
-     * deposit that makes the buffer full. kNoEvent when no such tick
-     * exists below @p bound (earlier completions only accumulate).
-     */
-    Cycle productionEventCycle(Cycle now, Cycle bound) const;
-
-    /** Iteration bound for production-stream simulation; reaching it
-     *  yields a conservative checkpoint event instead. */
-    static constexpr unsigned kMaxProductionSteps = 512;
+    Cycle productionEventCycle(Cycle bound) const;
 
     /** true when some channel is running a buffer-fill session. Fill
      *  uses one selected channel at a time (Section 5.1.1: "selects a
@@ -497,32 +505,6 @@ class MemoryController
 
     /** Scratch for collectProducers (avoids per-horizon allocation). */
     mutable std::vector<Producer> producerScratch;
-
-    /**
-     * Version of the production-relevant state the producer walk reads
-     * *besides* the producer snapshot itself: RNG-job membership and
-     * front-job fill level, buffer level, and fault-plane audit state.
-     * Bumped at every mutation of those (routeBits, RNG enqueue paths,
-     * direct buffer deposits/serves, discarded fault rounds).
-     */
-    std::uint64_t productionV = 0;
-    /**
-     * Memo of productionEventCycle()'s bound-independent walk result.
-     * The walk never reads its bound except to clamp — the candidate
-     * round cycles it considers are non-decreasing, so the bounded
-     * result equals the unbounded event iff that event lies below the
-     * bound. Engine phases are captured by comparing the producer
-     * snapshot; everything else bumps productionV. Horizon probes
-     * between round completions then reuse the cached event instead of
-     * re-simulating the production stream.
-     */
-    struct ProductionCache
-    {
-        std::uint64_t v = 0; ///< productionV + 1 at fill (0 = empty).
-        std::vector<Producer> producers; ///< Snapshot at fill time.
-        Cycle event = kNoEvent; ///< Unbounded walk result.
-    };
-    mutable ProductionCache prodCache;
 
     bool fastPath = false; ///< See setFastPath().
     /** Per-channel {readQ, writeQ} horizon memos (see IssueHorizon). */

@@ -16,16 +16,15 @@
 
 namespace dstrange::sim {
 
-namespace {
-
-/** Shortest round-trippable decimal form of a double. */
 std::string
-fmt(double v)
+formatDouble(double v)
 {
     char buf[32];
     const auto res = std::to_chars(buf, buf + sizeof(buf), v);
     return std::string(buf, res.ptr);
 }
+
+namespace {
 
 std::uint64_t
 parseU64(const std::string &value)
@@ -91,7 +90,7 @@ serializeMechanism(std::ostringstream &out, const std::string &key,
         if (std::isspace(static_cast<unsigned char>(c)))
             c = '-';
     out << ' ' << key << ".name=" << name;
-    out << ' ' << key << ".bits=" << fmt(m.bitsPerRound);
+    out << ' ' << key << ".bits=" << formatDouble(m.bitsPerRound);
     out << ' ' << key << ".round=" << m.roundLatency;
     out << ' ' << key << ".in=" << m.switchInLatency;
     out << ' ' << key << ".out=" << m.switchOutLatency;
@@ -476,8 +475,9 @@ serializeConfig(const SimConfig &cfg)
             o << (i ? "," : "") << cfg.priorities[i];
     }
     const dram::DramTimings &t = cfg.timings;
-    o << " timings.tck=" << fmt(t.tCKns) << " timings.trcd=" << t.tRCD
-      << " timings.tcl=" << t.tCL << " timings.tcwl=" << t.tCWL
+    o << " timings.tck=" << formatDouble(t.tCKns)
+      << " timings.trcd=" << t.tRCD << " timings.tcl=" << t.tCL
+      << " timings.tcwl=" << t.tCWL
       << " timings.trp=" << t.tRP << " timings.tras=" << t.tRAS
       << " timings.trc=" << t.tRC << " timings.tbl=" << t.tBL
       << " timings.tccd=" << t.tCCD << " timings.trtp=" << t.tRTP
@@ -494,9 +494,9 @@ serializeConfig(const SimConfig &cfg)
     const service::ServiceConfig &sv = cfg.service;
     o << " service.enabled=" << (sv.enabled ? 1 : 0)
       << " service.arrival=" << sv.arrival
-      << " service.offered-mbps=" << fmt(sv.offeredMbps)
+      << " service.offered-mbps=" << formatDouble(sv.offeredMbps)
       << " service.clients=" << sv.clients
-      << " service.burst=" << fmt(sv.burstFactor)
+      << " service.burst=" << formatDouble(sv.burstFactor)
       << " service.period=" << sv.periodCycles
       << " service.slo=" << sv.sloTargetCycles
       << " service.duration=" << sv.durationCycles
@@ -505,7 +505,7 @@ serializeConfig(const SimConfig &cfg)
     const fault::FaultConfig &fl = cfg.fault;
     o << " fault.models=" << (fl.models.empty() ? "-" : fl.models)
       << " fault.seed=" << fl.seed
-      << " fault.bitflip-rate=" << fmt(fl.bitflipRate)
+      << " fault.bitflip-rate=" << formatDouble(fl.bitflipRate)
       << " fault.cells=" << fl.cellsPerChannel
       << " fault.weak-cells=" << fl.weakCells
       << " fault.weak-severity=" << fl.weakSeverity

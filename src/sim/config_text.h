@@ -47,6 +47,10 @@ std::string serializeConfig(const SimConfig &cfg);
  */
 void applyConfigText(SimConfig &cfg, const std::string &text);
 
+/** Shortest round-trippable decimal form of @p v (std::to_chars), as
+ *  serializeConfig() writes every floating-point knob. */
+std::string formatDouble(double v);
+
 /** Parse a full configuration from text over default-constructed
  *  SimConfig (i.e. over the DR-STRaNGe preset). */
 SimConfig parseConfig(const std::string &text);

@@ -104,20 +104,10 @@ runSystem(const SimConfig &cfg,
     return sys;
 }
 
-} // namespace
-
+/** The alone baseline a finished single-core run yields. */
 AloneResult
-Runner::runAlone(
-    const std::function<std::unique_ptr<cpu::TraceSource>()> &make_trace,
-    const SimConfig &cfg) const
+aloneResultOf(const System &sys)
 {
-    const auto sys_ptr = runSystem(cfg, [&] {
-        std::vector<std::unique_ptr<cpu::TraceSource>> traces;
-        traces.push_back(make_trace());
-        return traces;
-    });
-    const System &sys = *sys_ptr;
-
     const cpu::CoreStats &s = sys.coreStats(0);
     AloneResult res;
     res.execCpuCycles = static_cast<double>(s.finishCycle);
@@ -126,8 +116,23 @@ Runner::runAlone(
     return res;
 }
 
+} // namespace
+
+AloneResult
+Runner::runAlone(
+    const std::function<std::unique_ptr<cpu::TraceSource>()> &make_trace,
+    const SimConfig &cfg)
+{
+    ++aloneRuns;
+    return aloneResultOf(*runSystem(cfg, [&] {
+        std::vector<std::unique_ptr<cpu::TraceSource>> traces;
+        traces.push_back(make_trace());
+        return traces;
+    }));
+}
+
 const AloneResult &
-Runner::cachedAlone(const std::string &key,
+Runner::cachedAlone(const std::string &key, const System *self,
                     const std::function<AloneResult()> &compute)
 {
     AloneShard &shard =
@@ -154,7 +159,7 @@ Runner::cachedAlone(const std::string &key,
                 return;
             }
         }
-        entry->result = compute();
+        entry->result = self ? aloneResultOf(*self) : compute();
         if (persistent)
             persistent->storeAlone(key, entry->result);
     });
@@ -162,12 +167,12 @@ Runner::cachedAlone(const std::string &key,
 }
 
 const AloneResult &
-Runner::aloneApp(const std::string &app_name,
-                 const SimConfig &alone_cfg)
+Runner::aloneApp(const std::string &app_name, const SimConfig &alone_cfg,
+                 const System *self)
 {
     const std::string key =
         "app|" + app_name + "|" + serializeConfig(alone_cfg);
-    return cachedAlone(key, [&] {
+    return cachedAlone(key, self, [&] {
         return runAlone(
             [&] { return makeAppTrace(app_name, 0, alone_cfg); },
             alone_cfg);
@@ -175,11 +180,13 @@ Runner::aloneApp(const std::string &app_name,
 }
 
 const AloneResult &
-Runner::aloneRngImpl(double mbps, const SimConfig &alone_cfg)
+Runner::aloneRngImpl(double mbps, const SimConfig &alone_cfg,
+                     const System *self)
 {
-    const std::string key = "rng|" + std::to_string(mbps) + "|" +
+    // Shortest round-trip rate: no two rates share a baseline.
+    const std::string key = "rng|" + formatDouble(mbps) + "|" +
                             serializeConfig(alone_cfg);
-    return cachedAlone(key, [&] {
+    return cachedAlone(key, self, [&] {
         return runAlone([&] { return makeRngTrace(mbps, 0, alone_cfg); },
                         alone_cfg);
     });
@@ -292,8 +299,14 @@ Runner::run(const SimConfig &cfg, const workloads::WorkloadSpec &spec)
 
     // Both execution-time slowdown and the MCPI-based memory slowdown
     // are normalized to the RNG-oblivious single-core baseline alone
-    // run (Section 7), derived from this run's own configuration.
+    // run (Section 7), derived from this run's own configuration. A
+    // single-core run under that very configuration (e.g. an oblivious
+    // RNG-alone cell) already is that alone run.
     const SimConfig alone_cfg = aloneConfig(cfg);
+    const System *self =
+        n_cores == 1 && serializeConfig(cfg) == serializeConfig(alone_cfg)
+            ? &sys
+            : nullptr;
 
     std::vector<double> mem_slowdowns;
     std::vector<double> ipc_shared, ipc_alone;
@@ -301,8 +314,8 @@ Runner::run(const SimConfig &cfg, const workloads::WorkloadSpec &spec)
         const bool is_rng = has_rng && i == n_cores - 1;
         const cpu::CoreStats &s = sys.coreStats(i);
         const AloneResult &al =
-            is_rng ? aloneRngImpl(spec.rngThroughputMbps, alone_cfg)
-                   : aloneApp(spec.apps[i], alone_cfg);
+            is_rng ? aloneRngImpl(spec.rngThroughputMbps, alone_cfg, self)
+                   : aloneApp(spec.apps[i], alone_cfg, self);
         CoreResult cr;
         cr.app = sys.traceName(i);
         cr.isRng = is_rng;

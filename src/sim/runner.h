@@ -10,6 +10,7 @@
 #define DSTRANGE_SIM_RUNNER_H
 
 #include <array>
+#include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
@@ -161,6 +162,10 @@ class Runner
         return persistent;
     }
 
+    /** Alone simulations this Runner ran; cache hits and single-core
+     *  runs serving as their own baseline (see run()) do not count. */
+    std::uint64_t aloneSimulations() const { return aloneRuns.load(); }
+
   private:
     std::unique_ptr<cpu::TraceSource>
     makeAppTrace(const std::string &name, CoreId core,
@@ -172,11 +177,16 @@ class Runner
     static SimConfig aloneConfig(const SimConfig &from,
                                  const std::string &design = "oblivious");
     const AloneResult &aloneApp(const std::string &app_name,
-                                const SimConfig &alone_cfg);
+                                const SimConfig &alone_cfg,
+                                const System *self = nullptr);
     const AloneResult &aloneRngImpl(double mbps,
-                                    const SimConfig &alone_cfg);
+                                    const SimConfig &alone_cfg,
+                                    const System *self = nullptr);
+    /** @p self, when given, is a finished single-core run under the
+     *  keyed alone config itself: a miss takes its result instead of
+     *  calling @p compute to simulate the same run again. */
     const AloneResult &
-    cachedAlone(const std::string &key,
+    cachedAlone(const std::string &key, const System *self,
                 const std::function<AloneResult()> &compute);
     /**
      * Run one trace alone. @p make_trace is invoked once normally and
@@ -186,11 +196,12 @@ class Runner
     AloneResult
     runAlone(const std::function<std::unique_ptr<cpu::TraceSource>()>
                  &make_trace,
-             const SimConfig &cfg) const;
+             const SimConfig &cfg);
 
     SimConfig baseCfg;
     bool collectIdlePeriods = false;
     std::shared_ptr<ResultStore> persistent; ///< Optional disk cache.
+    std::atomic<std::uint64_t> aloneRuns{0}; ///< See aloneSimulations().
 
     /**
      * Alone-run baselines keyed on the trace identity plus the *full*

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
@@ -423,6 +425,173 @@ TEST(FastForwardHorizon, DisabledMatchesLegacyStepping)
     EXPECT_EQ(sys.ffStats().skips, 0u);
     EXPECT_EQ(sys.ffStats().skippedCycles, 0u);
     EXPECT_EQ(sys.ffStats().steppedCycles, sys.busCycles());
+}
+
+// ---------------------------------------------------------------------
+// Closed-form production horizon vs. the round-by-round walk it
+// replaced.
+// ---------------------------------------------------------------------
+
+using Producer = mem::MemoryController::Producer;
+
+/**
+ * The production walk the closed form replaced (minus its step cap):
+ * rounds in tick order; with a job, the round that brings its
+ * @p start bits to 64; without, the round at or one round before the
+ * buffer's @p start spare bits run out.
+ */
+Cycle
+walkThreshold(std::vector<Producer> ps, bool job, double start,
+              Cycle bound)
+{
+    double collected = start; // Job case: bits the front job holds.
+    double spare = start;     // Buffer case: free buffer bits.
+    for (;;) {
+        std::size_t best = 0;
+        for (std::size_t i = 1; i < ps.size(); ++i)
+            if (ps[i].next < ps[best].next)
+                best = i;
+        Producer &p = ps[best];
+        if (p.next == kNoEvent)
+            return kNoEvent;
+        if (job) {
+            const double take = std::min(64.0 - collected, p.bits);
+            if (collected + take >= 64.0)
+                return p.next < bound ? p.next : kNoEvent;
+            collected += take;
+        } else {
+            if (2.0 * p.bits >= spare)
+                return p.next < bound ? p.next : kNoEvent;
+            spare -= p.bits;
+        }
+        p.next = p.oneShot ? kNoEvent : p.next + p.period;
+    }
+}
+
+TEST(FastForwardHorizon, ClosedFormThresholdMatchesWalk)
+{
+    Xoshiro256ss gen(0xc105edf0);
+    const double int_bits[] = {1.0, 8.0, 16.0, 512.0};
+    const double frac_bits[] = {0.3, 1.5, 7.25, 12.1};
+    unsigned exact = 0;
+    for (unsigned trial = 0; trial < 20000; ++trial) {
+        const bool job = gen.next() % 2;
+        const bool fractional = gen.next() % 4 == 0;
+        const bool uniform = gen.next() % 2;
+        const double *bits = fractional ? frac_bits : int_bits;
+        const double shared_bits = bits[gen.next() % 4];
+        std::vector<Producer> ps(1 + gen.next() % 8);
+        for (unsigned ch = 0; ch < ps.size(); ++ch) {
+            Producer &p = ps[ch];
+            p.ch = ch;
+            p.period = 1 + gen.next() % 200;
+            p.next = 1000 + gen.next() % 400;
+            p.bits = uniform ? shared_bits : bits[gen.next() % 4];
+            p.oneShot = gen.next() % 4 == 0;
+        }
+        double max_bits = 0.0;
+        for (const Producer &p : ps)
+            max_bits = std::max(max_bits, p.bits);
+
+        double start = 0.0;
+        if (job) {
+            start = static_cast<double>(gen.next() % 64);
+            if (fractional)
+                start += gen.nextDouble();
+        } else {
+            // Spare bits of a 1-64 entry buffer at a random level.
+            const double capacity = 64.0 * (1 + gen.next() % 64);
+            start = capacity * gen.nextDouble();
+            if (!fractional)
+                start = std::floor(start);
+        }
+        const double need = job ? 64.0 - start : start - max_bits;
+        const Cycle bound =
+            gen.next() % 3 == 0 ? kNoEvent : 1000 + gen.next() % 6000;
+
+        const Cycle walk = walkThreshold(ps, job, start, bound);
+        const Cycle closed =
+            mem::MemoryController::thresholdCycle(ps, need, bound);
+        const std::string label = "trial " + std::to_string(trial);
+        if (!fractional && (job || uniform)) {
+            EXPECT_EQ(closed, walk) << label;
+            ++exact;
+        } else {
+            EXPECT_LE(closed, walk) << label;
+        }
+    }
+    // Most trials demand exact agreement.
+    EXPECT_GT(exact, 10000u);
+}
+
+// ---------------------------------------------------------------------
+// Horizon golden: the exact advance-strategy counters and the end
+// state of a small fixed grid. A horizon that moves changes the
+// counters even when the fingerprint (which every strategy must
+// reproduce) stays put.
+// ---------------------------------------------------------------------
+
+struct HorizonGolden
+{
+    const char *name;
+    std::string text; ///< Config text over SimConfig{}.
+    std::string app;  ///< "" = no application core.
+    double mbps;      ///< 0 = no RNG core.
+    std::uint64_t stepped, skips, skipped, drain, fingerprint;
+};
+
+TEST(FastForwardGolden, HorizonCountersAndFingerprints)
+{
+    const workloads::WorkloadSpec mix =
+        workloads::dualCorePlottedMixes(5120.0).front();
+    ASSERT_EQ(mix.apps.size(), 1u);
+    const std::string dual = " budget=3000000 seed=1";
+    const std::string alone = " budget=10000000 seed=1";
+    const std::string svc =
+        "design=drstrange service.enabled=1 service.offered-mbps=10240 "
+        "service.duration=400000 service.slo=500 "
+        "fault.models=bitflip,weak-cell,stuck-row fault.monitor=1 "
+        "fault.seed=1 seed=1";
+    // Captured before the closed-form horizon replaced the memoized
+    // production walk. drange/drstrange pins the walk with its memo
+    // bypassed: the memo served stale events there (skipped 624624,
+    // drain 61317); the fingerprint is the same either way.
+    const std::vector<HorizonGolden> grid = {
+        {"mix/oblivious", "design=oblivious" + dual, mix.apps[0],
+         mix.rngThroughputMbps, 61918, 45879, 394357, 61232,
+         0xc7a48b5d1dfc668cull},
+        {"mix/drstrange", "design=drstrange" + dual, mix.apps[0],
+         mix.rngThroughputMbps, 88137, 27935, 186974, 44100,
+         0xa5a9686f15c3b6f5ull},
+        {"drange/oblivious", "design=oblivious mechanism=drange" + alone,
+         "", 2560.0, 105404, 103789, 993468, 92903,
+         0xf52eafc70d0bbcecull},
+        {"drange/drstrange", "design=drstrange mechanism=drange" + alone,
+         "", 2560.0, 167660, 52092, 624626, 61315,
+         0x406453b9e04638a5ull},
+        {"quac/oblivious", "design=oblivious mechanism=quac" + alone, "",
+         2560.0, 159232, 48855, 1025977, 40903,
+         0x3d84a058bfdebd6eull},
+        {"quac/drstrange", "design=drstrange mechanism=quac" + alone, "",
+         2560.0, 167804, 49661, 699999, 47746,
+         0x36ee3eb7451af2e0ull},
+        {"service/faulty", svc, "", 0.0, 804906, 89, 535, 1,
+         0x76600ca1f23120d8ull},
+    };
+    for (const HorizonGolden &g : grid) {
+        const sim::SimConfig cfg =
+            sim::SimulationBuilder().applyText(g.text).config();
+        sim::System sys(cfg, makeTraces(cfg, g.app, g.mbps));
+        sys.setFastForward(true);
+        sys.run();
+        const sim::System::FfStats &ff = sys.ffStats();
+        EXPECT_EQ(ff.steppedCycles, g.stepped) << g.name;
+        EXPECT_EQ(ff.skips, g.skips) << g.name;
+        EXPECT_EQ(ff.skippedCycles, g.skipped) << g.name;
+        EXPECT_EQ(ff.drainTicks, g.drain) << g.name;
+        EXPECT_EQ(fnv1a64(sim::systemFingerprint(sys)), g.fingerprint)
+            << g.name;
+    }
 }
 
 } // namespace

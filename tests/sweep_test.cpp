@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the parallel sweep engine: the thread-safe alone-run cache
- * (concurrent same-key and distinct-key access), SweepRunner's
+ * (concurrent same-key and distinct-key access, single-core runs that
+ * serve as their own baseline, exact rate keys), SweepRunner's
  * deterministic grid ordering and error capture, serial-vs-parallel
  * bit-identity of every metric, DS_JOBS handling, and the builder's
  * buildSweepCell() convenience. Runs under the ASan/UBSan CI job like
@@ -10,9 +11,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <string>
 #include <thread>
 #include <vector>
+
+#ifdef _WIN32
+#include <process.h>
+#else
+#include <unistd.h>
+#endif
 
 #include "drstrange.h"
 
@@ -27,6 +36,16 @@ tinyConfig()
     sim::SimConfig cfg;
     cfg.instrBudget = 3000;
     return cfg;
+}
+
+/** The RNG benchmark alone on one core. */
+workloads::WorkloadSpec
+rngSpec(double mbps)
+{
+    workloads::WorkloadSpec spec;
+    spec.name = "rng";
+    spec.rngThroughputMbps = mbps;
+    return spec;
 }
 
 workloads::WorkloadSpec
@@ -118,6 +137,81 @@ TEST(AloneCache, ConcurrentDistinctKeys)
               serial.aloneRng(5120.0).execCpuCycles);
     EXPECT_EQ(rng_parallel[1].execCpuCycles,
               serial.aloneRng(10240.0).execCpuCycles);
+}
+
+TEST(AloneCache, SingleCoreObliviousCellIsItsOwnBaseline)
+{
+    // No persistent store: every baseline is either simulated (and
+    // counted) or taken from the cell itself.
+    sim::Runner runner(tinyConfig(), nullptr);
+    const auto oblivious = runner.run("oblivious", rngSpec(2560.0));
+    EXPECT_EQ(runner.aloneSimulations(), 0u);
+    EXPECT_EQ(oblivious.rngSlowdown(), 1.0);
+    // The drstrange twin normalizes to the same oblivious baseline.
+    const auto drstrange = runner.run("drstrange", rngSpec(2560.0));
+    EXPECT_EQ(runner.aloneSimulations(), 0u);
+
+    // Bit-identical to the results over a separately simulated
+    // baseline.
+    sim::Runner warm(tinyConfig(), nullptr);
+    warm.aloneRng(2560.0);
+    EXPECT_EQ(warm.aloneSimulations(), 1u);
+    EXPECT_EQ(metricTuple(warm.run("oblivious", rngSpec(2560.0))),
+              metricTuple(oblivious));
+    EXPECT_EQ(metricTuple(warm.run("drstrange", rngSpec(2560.0))),
+              metricTuple(drstrange));
+    EXPECT_EQ(warm.aloneSimulations(), 1u);
+
+    // Likewise an application alone on one core.
+    workloads::WorkloadSpec app;
+    app.name = "gcc";
+    app.apps = {"gcc"};
+    app.rngThroughputMbps = 0.0;
+    EXPECT_EQ(runner.run("oblivious", app).avgNonRngSlowdown(), 1.0);
+    EXPECT_EQ(runner.aloneSimulations(), 0u);
+}
+
+TEST(AloneCache, OtherCellsRunTheirOwnBaseline)
+{
+    {
+        // Recording cells differ from their alone config (alone runs
+        // never record).
+        sim::Runner runner(tinyConfig(), nullptr);
+        sim::SimConfig cfg = runner.base();
+        sim::DesignRegistry::instance().apply("oblivious", cfg);
+#ifdef _WIN32
+        const int pid = _getpid();
+#else
+        const int pid = ::getpid();
+#endif
+        cfg.traceRecord = ::testing::TempDir() + "dstrange_alone_reuse-" +
+                          std::to_string(pid) + ".trc";
+        runner.run(cfg, rngSpec(2560.0));
+        std::remove(cfg.traceRecord.c_str());
+        EXPECT_EQ(runner.aloneSimulations(), 1u);
+    }
+    {
+        sim::Runner runner(tinyConfig(), nullptr);
+        runner.run("oblivious", dualSpec("gcc"));
+        EXPECT_EQ(runner.aloneSimulations(), 2u); // gcc and the RNG.
+    }
+    {
+        sim::Runner runner(tinyConfig(), nullptr);
+        runner.run("drstrange", rngSpec(2560.0));
+        EXPECT_EQ(runner.aloneSimulations(), 1u);
+    }
+}
+
+TEST(AloneCache, RngRatesDifferingBelowAMicroMbpsGetDistinctBaselines)
+{
+    // Six fixed decimals would print both rates as "2560.000000".
+    sim::Runner runner(tinyConfig(), nullptr);
+    const sim::AloneResult &a = runner.aloneRng(2560.0);
+    const sim::AloneResult &b = runner.aloneRng(2560.0 + 1e-7);
+    EXPECT_NE(&a, &b);
+    EXPECT_EQ(runner.aloneSimulations(), 2u);
+    EXPECT_EQ(&runner.aloneRng(2560.0 + 1e-7), &b);
+    EXPECT_EQ(runner.aloneSimulations(), 2u);
 }
 
 TEST(SweepRunner, GridIsSpecMajorInDeterministicOrder)
