@@ -1,12 +1,10 @@
 /**
  * @file
  * Minimal JSON parser, the read-side counterpart of JsonWriter. Parses
- * the documents this repo itself writes (BENCH_*.json perf records,
- * persistent alone-run cache files) into an immutable value tree.
+ * the documents this repo itself writes (persistent alone-run cache
+ * files, serialized workload results) into an immutable value tree.
  * Object members preserve insertion order, so a document round-tripped
- * through JsonWriter compares field-for-field in the original order —
- * the property run_all's shard merge relies on when it diffs per-cell
- * metric lists.
+ * through JsonWriter compares field-for-field in the original order.
  */
 
 #ifndef DSTRANGE_COMMON_JSON_READER_H

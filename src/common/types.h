@@ -46,8 +46,8 @@ inline constexpr unsigned kLineBytes = 64;
 /**
  * 64-bit FNV-1a hash. Unlike std::hash, the result is pinned by the
  * algorithm itself — identical on every platform, process, and library
- * build — so it is safe to use for cross-process agreements (sweep
- * shard ownership, persistent cache file names).
+ * build — so it is safe to use for cross-process agreements
+ * (persistent cache file names, trace-tape checksums).
  */
 inline constexpr std::uint64_t
 fnv1a64(std::string_view data)

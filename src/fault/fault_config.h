@@ -3,8 +3,8 @@
  * Configuration of the deterministic fault-injection layer. Kept free
  * of heavy includes so sim/sim_config.h and mem/memory_controller.h can
  * embed it; all fields travel through the canonical config text as
- * `fault.*` keys, so faulty cells are cacheable and shardable like any
- * other sweep cell.
+ * `fault.*` keys, so faulty cells are cacheable like any other sweep
+ * cell.
  */
 
 #ifndef DSTRANGE_FAULT_FAULT_CONFIG_H

@@ -3,7 +3,7 @@
  * Configuration of the open-loop RNG-as-a-service layer. Kept free of
  * heavy includes so sim/sim_config.h can embed it; all fields travel
  * through the canonical config text as `service.*` keys, so service
- * cells are cacheable and shardable like any other sweep cell.
+ * cells are cacheable like any other sweep cell.
  */
 
 #ifndef DSTRANGE_SERVICE_SERVICE_CONFIG_H

@@ -275,76 +275,6 @@ ResultStore::sweepStaleTmp() const
     }
 }
 
-std::string
-ResultStore::costPath(const std::string &cell_key) const
-{
-    return root + "/cost-" + hexHash(cell_key) + ".json";
-}
-
-bool
-ResultStore::storeCellCost(const std::string &cell_key,
-                           double wall_ms) const
-{
-    JsonWriter w;
-    w.beginObject();
-    w.key("schema").value(kSchemaVersion);
-    w.key("key").value(cell_key);
-    w.key("wall_ms").valueExact(wall_ms);
-    w.endObject();
-
-    const std::string path = costPath(cell_key);
-    const std::string tmp =
-        path + ".tmp." +
-#ifndef _WIN32
-        std::to_string(::getpid());
-#else
-        "w";
-#endif
-
-    DirLock lock(root, /*exclusive=*/true);
-    sweepStaleTmp(); // First write only; under the exclusive lock.
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out)
-            return false;
-        out << w.str() << "\n";
-        out.flush();
-        if (!out) {
-            std::error_code ec;
-            fs::remove(tmp, ec);
-            return false;
-        }
-    }
-    std::error_code ec;
-    fs::rename(tmp, path, ec);
-    if (ec) {
-        fs::remove(tmp, ec);
-        return false;
-    }
-    return true;
-}
-
-std::optional<double>
-ResultStore::loadCellCost(const std::string &cell_key) const
-{
-    std::optional<std::string> text;
-    {
-        DirLock lock(root, /*exclusive=*/false);
-        text = readWholeFile(costPath(cell_key));
-    }
-    if (!text)
-        return std::nullopt;
-    try {
-        const JsonValue doc = JsonValue::parse(*text);
-        if (doc.at("schema").asString() == kSchemaVersion &&
-            doc.at("key").asString() == cell_key)
-            return doc.at("wall_ms").asDouble();
-    } catch (const std::exception &) {
-        // Corrupt or foreign file: treat as no record.
-    }
-    return std::nullopt;
-}
-
 void
 ResultStore::evictOverBudget() const
 {

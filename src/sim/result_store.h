@@ -5,8 +5,8 @@
  * 1. ResultStore — a crash-safe, multi-process-shared cache directory
  *    for alone-run baselines (`DS_CACHE_DIR`). sim::Runner consults it
  *    inside its in-memory alone-run cache, so repeated bench
- *    invocations (and concurrent sweep shards pointed at one
- *    directory) stop recomputing the same single-app baselines.
+ *    invocations (and concurrent processes pointed at one directory)
+ *    stop recomputing the same single-app baselines.
  *
  * 2. Free-function JSON (de)serialization of Runner::WorkloadResult
  *    and AloneResult, reusing JsonWriter on the way out and the small
@@ -43,8 +43,7 @@ namespace dstrange::sim {
  *    never leave a half-written file where a reader finds it.
  *  - An advisory file lock (POSIX flock on `<dir>/.lock`) serializes
  *    writers and excludes readers during the rename window, so any
- *    number of concurrent processes — e.g. sweep shards — can share one
- *    directory.
+ *    number of concurrent processes can share one directory.
  *  - Every file embeds its full key text and fingerprint; a hash
  *    collision, a stale fingerprint (schema bump, different compiler),
  *    or a truncated/corrupt file is treated as a miss and recomputed,
@@ -95,23 +94,6 @@ class ResultStore
                     const AloneResult &result) const;
 
     /**
-     * Record the measured wall-clock cost of one sweep cell (identified
-     * by its canonical cell key) so later sharded runs can balance
-     * shards by real cost instead of a hash. Costs live in `cost-*.json`
-     * files — a separate namespace from the `alone-*` baselines, which
-     * the size-bounded eviction therefore never touches. Costs are
-     * estimates, not correctness data: the file embeds the key and
-     * schema but not the build fingerprint, so a rebuild keeps its
-     * timing hints. Atomic like storeAlone(); returns false on I/O
-     * failure.
-     */
-    bool storeCellCost(const std::string &cell_key, double wall_ms) const;
-
-    /** Recorded wall-clock cost for a sweep cell, or nullopt when no
-     *  (valid) record exists. Never throws. */
-    std::optional<double> loadCellCost(const std::string &cell_key) const;
-
-    /**
      * Bound the total size of cache files in the directory (bytes;
      * 0 = unlimited, the default). The constructor seeds this from the
      * DS_CACHE_MAX_MB environment variable. Enforcement happens on
@@ -134,7 +116,6 @@ class ResultStore
 
   private:
     std::string filePath(const std::string &key) const;
-    std::string costPath(const std::string &cell_key) const;
     /** Delete oldest-mtime cache files until the budget is met. Must
      *  be called with the exclusive directory lock held; never throws. */
     void evictOverBudget() const;

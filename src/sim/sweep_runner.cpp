@@ -1,98 +1,17 @@
 #include "sim/sweep_runner.h"
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
-#include <cstdlib>
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <stdexcept>
 #include <thread>
 
 #include "common/env_util.h"
-#include "common/types.h"
-#include "sim/config_text.h"
 #include "sim/design_registry.h"
 #include "sim/result_store.h"
 
 namespace dstrange::sim {
-
-SweepRunner::ShardSpec
-SweepRunner::ShardSpec::parse(const std::string &text)
-{
-    const auto fail = [&text] {
-        throw std::invalid_argument(
-            "bad shard spec '" + text +
-            "' (expected I/N or I/N:balanced with 0 <= I < N, "
-            "e.g. \"0/4\")");
-    };
-    ShardSpec spec;
-    std::size_t end = text.size();
-    const std::size_t colon = text.find(':');
-    if (colon != std::string::npos) {
-        if (text.substr(colon) != ":balanced")
-            fail();
-        spec.balanced = true;
-        end = colon;
-    }
-    const std::size_t slash = text.find('/');
-    if (slash == std::string::npos || slash == 0 || slash + 1 >= end)
-        fail();
-    const auto parseField = [&](std::size_t begin, std::size_t stop,
-                                unsigned &out) {
-        const auto res =
-            std::from_chars(text.data() + begin, text.data() + stop, out);
-        if (res.ec != std::errc{} || res.ptr != text.data() + stop)
-            fail();
-    };
-    parseField(0, slash, spec.index);
-    parseField(slash + 1, end, spec.count);
-    if (spec.count == 0 || spec.index >= spec.count)
-        fail();
-    return spec;
-}
-
-SweepRunner::ShardSpec
-SweepRunner::ShardSpec::fromEnv()
-{
-    const char *env = std::getenv("DS_SHARD");
-    if (!env || *env == '\0')
-        return ShardSpec{};
-    return parse(env);
-}
-
-std::string
-SweepRunner::cellKey(const Cell &cell)
-{
-    std::string key;
-    if (cell.config) {
-        key = "config=" + serializeConfig(*cell.config);
-    } else {
-        key = "design=" + cell.design;
-    }
-    key += "|name=" + cell.spec.name;
-    key += "|group=" + cell.spec.group;
-    key += "|apps=";
-    for (const std::string &app : cell.spec.apps) {
-        key += app;
-        key += ',';
-    }
-    // Exact (shortest round-trip) float form so the key never depends
-    // on locale or printf rounding.
-    char buf[32];
-    const auto res = std::to_chars(buf, buf + sizeof(buf),
-                                   cell.spec.rngThroughputMbps);
-    key += "|mbps=";
-    key.append(buf, res.ptr);
-    return key;
-}
-
-std::uint64_t
-SweepRunner::cellHash(const Cell &cell)
-{
-    return fnv1a64(cellKey(cell));
-}
 
 SweepRunner::SweepRunner(SimConfig base, unsigned jobs)
     : nJobs(jobs != 0 ? jobs : defaultJobs()), shared(std::move(base))
@@ -131,52 +50,6 @@ SweepRunner::grid(const std::vector<std::string> &designs,
         }
     }
     return cells;
-}
-
-std::vector<unsigned>
-SweepRunner::shardOwners(const std::vector<Cell> &cells) const
-{
-    std::vector<unsigned> owners(cells.size(), 0);
-    if (shard.count <= 1)
-        return owners;
-    for (std::size_t i = 0; i < cells.size(); ++i)
-        owners[i] = static_cast<unsigned>(cellHash(cells[i]) %
-                                          shard.count);
-    const std::shared_ptr<ResultStore> &store = shared.resultStore();
-    if (!shard.balanced || !store)
-        return owners;
-
-    // Longest-processing-time-first over the cells with recorded
-    // costs: sort by cost descending (grid index breaks ties), then
-    // greedily hand each to the currently least-loaded shard. Cells
-    // without a cost record keep their hash assignment above.
-    struct Costed
-    {
-        std::size_t idx;
-        double cost;
-    };
-    std::vector<Costed> costed;
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        if (const auto cost = store->loadCellCost(cellKey(cells[i])))
-            costed.push_back({i, *cost});
-    }
-    std::sort(costed.begin(), costed.end(),
-              [](const Costed &a, const Costed &b) {
-                  if (a.cost != b.cost)
-                      return a.cost > b.cost;
-                  return a.idx < b.idx;
-              });
-    std::vector<double> load(shard.count, 0.0);
-    for (const Costed &c : costed) {
-        unsigned best = 0;
-        for (unsigned s = 1; s < shard.count; ++s) {
-            if (load[s] < load[best])
-                best = s;
-        }
-        owners[c.idx] = best;
-        load[best] += c.cost;
-    }
-    return owners;
 }
 
 SweepRunner::CellResult
@@ -219,24 +92,6 @@ SweepRunner::runCell(const Cell &cell)
     const auto elapsed = std::chrono::steady_clock::now() - start;
     out.wallMs =
         std::chrono::duration<double, std::milli>(elapsed).count();
-    // Advisory wall-clock budget (seconds; 0 = off). Workers are never
-    // killed mid-simulation — determinism would not survive — so an
-    // overrunning cell keeps its valid result and is only *tagged*,
-    // letting run_all output and CI flag runaway grid corners.
-    const std::uint64_t budget_s = envU64("DS_CELL_TIMEOUT", 0);
-    if (budget_s > 0 && out.wallMs > 1000.0 * static_cast<double>(budget_s))
-        out.outcome = "timeout";
-    // Record the measured cost so later balanced-shard runs can split
-    // the grid by real wall-clock (best-effort; failures are ignored).
-    // Sharded runs only *consume* costs: every shard of a family must
-    // compute the LPT assignment from the same store snapshot, so a
-    // shard finishing early cannot be allowed to rewrite the records a
-    // later-launched sibling would read.
-    if (out.ok && shard.count <= 1) {
-        if (const std::shared_ptr<ResultStore> &store =
-                shared.resultStore())
-            store->storeCellCost(cellKey(cell), out.wallMs);
-    }
     return out;
 }
 
@@ -244,27 +99,6 @@ std::vector<SweepRunner::CellResult>
 SweepRunner::run(const std::vector<Cell> &cells)
 {
     std::vector<CellResult> results(cells.size());
-
-    // Cross-process sharding: collect the cell indices this shard owns
-    // and pre-mark everything else skipped, keeping the full grid shape
-    // so results[i] still corresponds to cells[i].
-    const std::vector<unsigned> owners =
-        ownerOverride.size() == cells.size() ? ownerOverride
-                                             : shardOwners(cells);
-    std::vector<std::size_t> owned;
-    owned.reserve(cells.size());
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        if (shard.count <= 1 || owners[i] == shard.index) {
-            owned.push_back(i);
-        } else {
-            results[i].skipped = true;
-            results[i].outcome = "skipped";
-            results[i].error = "cell owned by another shard (" +
-                               std::to_string(shard.index) + "/" +
-                               std::to_string(shard.count) +
-                               " did not match)";
-        }
-    }
 
     // Progress reporting shared by the serial and parallel paths. The
     // mutex both serializes callback invocations and guards the counter.
@@ -275,13 +109,13 @@ SweepRunner::run(const std::vector<Cell> &cells)
             return;
         std::lock_guard<std::mutex> lock(progress_mu);
         ++done;
-        progress(done, owned.size(), idx, results[idx].wallMs);
+        progress(done, cells.size(), idx, results[idx].wallMs);
     };
 
     const unsigned workers = static_cast<unsigned>(
-        std::min<std::size_t>(nJobs, owned.size()));
+        std::min<std::size_t>(nJobs, cells.size()));
     if (workers <= 1) {
-        for (const std::size_t i : owned) {
+        for (std::size_t i = 0; i < cells.size(); ++i) {
             results[i] = runCell(cells[i]);
             report(i);
         }
@@ -302,8 +136,8 @@ SweepRunner::run(const std::vector<Cell> &cells)
     queues.reserve(workers);
     for (unsigned w = 0; w < workers; ++w)
         queues.push_back(std::make_unique<WorkQueue>());
-    for (std::size_t i = 0; i < owned.size(); ++i)
-        queues[i % workers]->q.push_back(owned[i]);
+    for (std::size_t i = 0; i < cells.size(); ++i)
+        queues[i % workers]->q.push_back(i);
 
     auto worker = [&](unsigned w) {
         for (;;) {

@@ -55,81 +55,14 @@ class SweepRunner
         Runner::WorkloadResult result{};
         double wallMs = 0.0; ///< Wall-clock of this cell on its worker.
         bool ok = false;
-        /** Cell owned by another shard (setShard()); not executed.
-         *  skipped cells report ok == false with an explanatory
-         *  error, never a result. */
-        bool skipped = false;
         std::string error; ///< Exception message when !ok.
         /**
          * Execution-hygiene tag: "ok" (first attempt succeeded),
          * "retried" (first attempt threw, the bounded retry succeeded),
-         * "error" (both attempts threw), "timeout" (the cell ran past
-         * the DS_CELL_TIMEOUT budget — advisory: simulation threads are
-         * never killed, so the result above is still valid and ok is
-         * unaffected), or "skipped" (owned by another shard).
+         * or "error" (both attempts threw).
          */
         std::string outcome = "ok";
     };
-
-    /**
-     * Deterministic cross-process partition of a cell grid: shard
-     * `index` of `count` owns exactly the cells whose stable hash
-     * (cellHash()) is congruent to `index` mod `count`. Because the
-     * hash depends only on the cell's own configuration and workload
-     * spec — never on process state — N processes given the same grid
-     * and distinct indices cover it exactly once with no coordination.
-     */
-    struct ShardSpec
-    {
-        unsigned index = 0;
-        unsigned count = 1; ///< 1 = unsharded (owns every cell).
-        /**
-         * Balance shards by measured per-cell wall-clock instead of by
-         * hash, using the cost records a ResultStore keeps (see
-         * ResultStore::storeCellCost). Cells with a recorded cost are
-         * distributed longest-processing-time-first over the shards;
-         * cells without one fall back to the hash partition, and with
-         * no store attached the whole spec degrades to plain hashing.
-         * The assignment is a pure function of the grid, the shard
-         * count, and the recorded costs, so N shards sharing one cache
-         * directory (whose cost records a previous, e.g. unbalanced,
-         * run populated) still cover the grid exactly once.
-         */
-        bool balanced = false;
-
-        /** True when this spec is the trivial single-shard partition. */
-        bool full() const { return count <= 1; }
-
-        /** Does this shard own (and therefore run) @p cell under the
-         *  hash partition? (Balanced assignment is grid-wide; see
-         *  SweepRunner::shardOwners().) */
-        bool owns(const Cell &cell) const
-        {
-            return count <= 1 || cellHash(cell) % count == index;
-        }
-
-        /**
-         * Parse "I/N" or "I/N:balanced" (e.g. "0/4", "2/8:balanced"):
-         * N >= 1 shards, index I < N.
-         * @throws std::invalid_argument on malformed text or I >= N.
-         */
-        static ShardSpec parse(const std::string &text);
-
-        /** DS_SHARD parsed as by parse(), or the trivial partition
-         *  when unset. @throws std::invalid_argument like parse(). */
-        static ShardSpec fromEnv();
-    };
-
-    /**
-     * Canonical serialization of a cell's identity: its design key or
-     * full config text plus every workload-spec field. Equal strings
-     * mean the cell simulates identically; the string (and so the
-     * partition) is stable across processes and machines.
-     */
-    static std::string cellKey(const Cell &cell);
-
-    /** FNV-1a hash of cellKey() — the shard partition function. */
-    static std::uint64_t cellHash(const Cell &cell);
 
     /**
      * @param base Base configuration design-key cells are applied over
@@ -181,47 +114,6 @@ class SweepRunner
     void setProgress(ProgressFn fn) { progress = std::move(fn); }
 
     /**
-     * Restrict subsequent run() calls to the cells owned by @p spec.
-     * Non-owned cells come back immediately with skipped == true (and
-     * ok == false) in their grid positions, so the result vector keeps
-     * the full grid shape and a later merge step can reassemble the
-     * grid from N shards' outputs. The default is the trivial
-     * partition (run everything). Set before run(), like setProgress().
-     */
-    void setShard(ShardSpec spec) { shard = spec; }
-
-    /** The active cross-process partition (trivial by default). */
-    const ShardSpec &shardSpec() const { return shard; }
-
-    /**
-     * Owning shard index for every cell of @p cells under the active
-     * ShardSpec. Hash-partitioned by default; with a balanced spec,
-     * cells whose wall-clock cost the attached ResultStore has recorded
-     * are assigned longest-first to the least-loaded shard (ties: the
-     * lowest shard index), and the rest keep their hash assignment.
-     * Deterministic for a given grid, spec, and cost-record set —
-     * every shard of an "I/N:balanced" ensemble computes the same
-     * owner vector, so the shards remain a disjoint exact cover.
-     */
-    std::vector<unsigned>
-    shardOwners(const std::vector<Cell> &cells) const;
-
-    /**
-     * Pin the per-cell owner assignment for subsequent run() calls
-     * instead of computing it via shardOwners(). run_all uses this to
-     * hand the balanced assignment (computed once, against the cost
-     * records) to its reference sweeps, which deliberately run without
-     * the cache attached and would otherwise fall back to hashing —
-     * skipping a different cell set than the measured run. Ignored
-     * when the vector's size does not match the grid passed to run();
-     * an empty vector (the default) restores the computed assignment.
-     */
-    void setShardOwners(std::vector<unsigned> owners)
-    {
-        ownerOverride = std::move(owners);
-    }
-
-    /**
      * Execute every cell and return results in cell order. A cell that
      * throws (unknown design key, bad configuration, ...) yields
      * ok == false with the exception message in error; the other cells
@@ -245,8 +137,6 @@ class SweepRunner
     unsigned nJobs;
     Runner shared;
     ProgressFn progress;
-    ShardSpec shard;
-    std::vector<unsigned> ownerOverride; ///< See setShardOwners().
 };
 
 } // namespace dstrange::sim

@@ -6,64 +6,22 @@
  * seeded golden-value arrival streams per ArrivalRegistry key,
  * closed-loop feedback, service.* config text and builder wiring,
  * end-to-end service cells through the Runner (bit-identical reruns,
- * fast-forward lockstep, saturation verdicts, SloReport JSON round
- * trips), per-cell cost records in the ResultStore, and balanced shard
- * assignment.
+ * fast-forward lockstep, saturation verdicts, and SloReport JSON round
+ * trips).
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <filesystem>
 #include <string>
 #include <vector>
-
-#ifdef _WIN32
-#include <process.h>
-#else
-#include <unistd.h>
-#endif
 
 #include "drstrange.h"
 #include "sim/lockstep.h"
 
 using namespace dstrange;
 
-namespace fs = std::filesystem;
-
 namespace {
-
-/** Self-cleaning unique temporary directory (gtest's TempDir root). */
-class TempDir
-{
-  public:
-    TempDir()
-    {
-        // gtest_discover_tests runs every case as its own process of
-        // this binary, so a per-process counter alone collides across
-        // parallel ctest jobs — qualify the name with the PID.
-        static int counter = 0;
-#ifdef _WIN32
-        const int pid = _getpid();
-#else
-        const int pid = ::getpid();
-#endif
-        path = fs::path(::testing::TempDir()) /
-               ("drstrange-service-" + std::to_string(pid) + "-" +
-                std::to_string(++counter));
-        fs::remove_all(path);
-        fs::create_directories(path);
-    }
-    ~TempDir()
-    {
-        std::error_code ec;
-        fs::remove_all(path, ec);
-    }
-    std::string str() const { return path.string(); }
-
-  private:
-    fs::path path;
-};
 
 /** A service-only configuration (no traced cores). */
 sim::SimConfig
@@ -584,148 +542,4 @@ TEST(SloReport, WorkloadResultJsonCarriesService)
     EXPECT_FALSE(no_svc.service.has_value());
     EXPECT_EQ(sim::serializeWorkloadResult(no_svc).find("\"service\""),
               std::string::npos);
-}
-
-// ---------------------------------------------------------------------
-// Cost records and balanced shard assignment.
-// ---------------------------------------------------------------------
-
-TEST(CellCosts, StoreAndLoadRoundTrip)
-{
-    TempDir dir;
-    sim::ResultStore store(dir.str());
-    EXPECT_FALSE(store.loadCellCost("cell-a").has_value());
-    EXPECT_TRUE(store.storeCellCost("cell-a", 123.25));
-    const auto cost = store.loadCellCost("cell-a");
-    ASSERT_TRUE(cost.has_value());
-    EXPECT_EQ(*cost, 123.25);
-    // Costs survive a fingerprint change (they are estimates, not
-    // correctness data) but never collide across keys.
-    sim::ResultStore rebuilt(dir.str(), "other-fingerprint");
-    EXPECT_TRUE(rebuilt.loadCellCost("cell-a").has_value());
-    EXPECT_FALSE(rebuilt.loadCellCost("cell-b").has_value());
-}
-
-TEST(CellCosts, RecordedDuringSweeps)
-{
-    TempDir dir;
-    auto store = std::make_shared<sim::ResultStore>(dir.str());
-    sim::SimConfig base;
-    base.instrBudget = 2000;
-    sim::SweepRunner sweep(base, 1, store);
-    workloads::WorkloadSpec spec;
-    spec.name = "mcf";
-    spec.apps = {"mcf"};
-    const auto cells =
-        sim::SweepRunner::grid({"oblivious", "drstrange"}, {spec});
-    sweep.run(cells);
-    for (const auto &cell : cells) {
-        const auto cost =
-            store->loadCellCost(sim::SweepRunner::cellKey(cell));
-        ASSERT_TRUE(cost.has_value());
-        EXPECT_GT(*cost, 0.0);
-    }
-}
-
-TEST(BalancedShard, ParseSpec)
-{
-    const auto spec = sim::SweepRunner::ShardSpec::parse("1/4:balanced");
-    EXPECT_EQ(spec.index, 1u);
-    EXPECT_EQ(spec.count, 4u);
-    EXPECT_TRUE(spec.balanced);
-    EXPECT_FALSE(sim::SweepRunner::ShardSpec::parse("1/4").balanced);
-    EXPECT_THROW(sim::SweepRunner::ShardSpec::parse("1/4:bogus"),
-                 std::invalid_argument);
-    EXPECT_THROW(sim::SweepRunner::ShardSpec::parse(":balanced"),
-                 std::invalid_argument);
-}
-
-TEST(BalancedShard, LptAssignmentFromRecordedCosts)
-{
-    TempDir dir;
-    auto store = std::make_shared<sim::ResultStore>(dir.str());
-    sim::SimConfig base;
-    base.instrBudget = 2000;
-
-    workloads::WorkloadSpec spec;
-    spec.name = "mcf";
-    spec.apps = {"mcf"};
-    std::vector<sim::SweepRunner::Cell> cells;
-    for (const char *design :
-         {"oblivious", "greedy", "drstrange", "drstrange-nopred"}) {
-        sim::SweepRunner::Cell cell;
-        cell.design = design;
-        cell.spec = spec;
-        cells.push_back(std::move(cell));
-    }
-    // One dominant cell: LPT must put it alone on one shard and the
-    // three cheap cells together on the other.
-    const std::vector<double> costs = {8.0, 1.0, 1.0, 1.0};
-    for (std::size_t i = 0; i < cells.size(); ++i)
-        ASSERT_TRUE(store->storeCellCost(
-            sim::SweepRunner::cellKey(cells[i]), costs[i]));
-
-    sim::SweepRunner sweep(base, 1, store);
-    sim::SweepRunner::ShardSpec shard;
-    shard.index = 0;
-    shard.count = 2;
-    shard.balanced = true;
-    sweep.setShard(shard);
-    const auto owners = sweep.shardOwners(cells);
-    ASSERT_EQ(owners.size(), cells.size());
-    EXPECT_EQ(owners[0], 0u); // costliest first, to the empty shard 0
-    EXPECT_EQ(owners[1], 1u);
-    EXPECT_EQ(owners[2], 1u);
-    EXPECT_EQ(owners[3], 1u);
-
-    // Every shard of the family computes the same assignment (disjoint
-    // exact cover), and without a store the spec degrades to hashing.
-    sim::SweepRunner other(base, 1, store);
-    shard.index = 1;
-    other.setShard(shard);
-    EXPECT_EQ(other.shardOwners(cells), owners);
-
-    sim::SweepRunner cacheless(base, 1, nullptr);
-    cacheless.setShard(shard);
-    const auto hashed = cacheless.shardOwners(cells);
-    for (std::size_t i = 0; i < cells.size(); ++i)
-        EXPECT_EQ(hashed[i],
-                  sim::SweepRunner::cellHash(cells[i]) % 2u);
-}
-
-TEST(BalancedShard, BalancedSweepCoversGridExactly)
-{
-    TempDir dir;
-    auto store = std::make_shared<sim::ResultStore>(dir.str());
-    sim::SimConfig base;
-    base.instrBudget = 2000;
-    workloads::WorkloadSpec spec;
-    spec.name = "mcf";
-    spec.apps = {"mcf"};
-    const auto cells = sim::SweepRunner::grid(
-        {"oblivious", "greedy", "drstrange"}, {spec});
-
-    // Seed cost records with a plain run, then run both balanced shards.
-    {
-        sim::SweepRunner seed_run(base, 1, store);
-        seed_run.run(cells);
-    }
-    std::vector<int> ran(cells.size(), 0);
-    for (unsigned index = 0; index < 2; ++index) {
-        sim::SweepRunner shard_run(base, 1, store);
-        sim::SweepRunner::ShardSpec shard;
-        shard.index = index;
-        shard.count = 2;
-        shard.balanced = true;
-        shard_run.setShard(shard);
-        const auto results = shard_run.run(cells);
-        for (std::size_t i = 0; i < results.size(); ++i) {
-            if (results[i].skipped)
-                continue;
-            EXPECT_TRUE(results[i].ok) << results[i].error;
-            ran[i]++;
-        }
-    }
-    for (std::size_t i = 0; i < ran.size(); ++i)
-        EXPECT_EQ(ran[i], 1) << "cell " << i;
 }

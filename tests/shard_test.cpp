@@ -1,11 +1,8 @@
 /**
  * @file
- * Tests for cross-process sweep sharding and the persistent alone-run
- * cache: ShardSpec parsing, the stable cell hash partition (disjoint
- * exact cover for several grid shapes and shard counts), 2-shard
- * results merging bit-identically to an unsharded run, ResultStore
- * round trips, fingerprint/corruption fallback to recomputation, and
- * WorkloadResult JSON (de)serialization.
+ * Tests for the persistent alone-run cache: ResultStore round trips,
+ * fingerprint/corruption fallback to recomputation, and WorkloadResult
+ * JSON (de)serialization.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +12,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -117,146 +113,6 @@ cacheFiles(const std::string &dir)
 }
 
 } // namespace
-
-// --- ShardSpec ------------------------------------------------------
-
-TEST(ShardSpec, ParsesValidSpecs)
-{
-    const auto s = sim::SweepRunner::ShardSpec::parse("0/2");
-    EXPECT_EQ(s.index, 0u);
-    EXPECT_EQ(s.count, 2u);
-    EXPECT_FALSE(s.full());
-    const auto t = sim::SweepRunner::ShardSpec::parse("7/8");
-    EXPECT_EQ(t.index, 7u);
-    EXPECT_EQ(t.count, 8u);
-    const auto u = sim::SweepRunner::ShardSpec::parse("0/1");
-    EXPECT_TRUE(u.full());
-}
-
-TEST(ShardSpec, RejectsMalformedSpecs)
-{
-    for (const char *bad : {"", "1", "/2", "2/", "a/b", "0x1/2", "1/2x",
-                            "-1/2", "2/2", "3/2", "0/0", "1 /2"})
-        EXPECT_THROW(sim::SweepRunner::ShardSpec::parse(bad),
-                     std::invalid_argument)
-            << "'" << bad << "' should not parse";
-}
-
-TEST(ShardSpec, FromEnvHonorsDsShard)
-{
-#ifndef _WIN32
-    setenv("DS_SHARD", "1/3", /*overwrite=*/1);
-    const auto s = sim::SweepRunner::ShardSpec::fromEnv();
-    EXPECT_EQ(s.index, 1u);
-    EXPECT_EQ(s.count, 3u);
-    setenv("DS_SHARD", "nonsense", 1);
-    EXPECT_THROW(sim::SweepRunner::ShardSpec::fromEnv(),
-                 std::invalid_argument);
-    unsetenv("DS_SHARD");
-#endif
-    const auto trivial = sim::SweepRunner::ShardSpec::fromEnv();
-    EXPECT_TRUE(trivial.full());
-}
-
-// --- Stable cell hash and the partition -----------------------------
-
-TEST(ShardPartition, CellKeyDistinguishesCells)
-{
-    const auto cells = sim::SweepRunner::grid(
-        {"oblivious", "drstrange"},
-        {dualSpec("mcf"), dualSpec("soplex"), dualSpec("mcf", 640.0)});
-    std::set<std::string> keys;
-    for (const auto &cell : cells)
-        keys.insert(sim::SweepRunner::cellKey(cell));
-    EXPECT_EQ(keys.size(), cells.size());
-
-    // An explicit-config cell keys on the full config text, so two
-    // configs differing in any knob hash apart.
-    sim::SimulationBuilder a{tinyConfig()}, b{tinyConfig()};
-    b.bufferEntries(4);
-    const auto ca = a.buildSweepCell(dualSpec("mcf"));
-    const auto cb = b.buildSweepCell(dualSpec("mcf"));
-    EXPECT_NE(sim::SweepRunner::cellKey(ca),
-              sim::SweepRunner::cellKey(cb));
-    EXPECT_EQ(sim::SweepRunner::cellHash(ca),
-              sim::SweepRunner::cellHash(ca));
-}
-
-TEST(ShardPartition, DisjointExactCoverForManyShapes)
-{
-    // Several grid shapes: dual-core products, a single row, a single
-    // column, and a batch of explicit-config cells.
-    std::vector<std::vector<sim::SweepRunner::Cell>> grids;
-    grids.push_back(sim::SweepRunner::grid(
-        {"oblivious", "greedy", "drstrange"},
-        {dualSpec("mcf"), dualSpec("soplex"), dualSpec("lbm"),
-         dualSpec("milc"), dualSpec("gcc")}));
-    grids.push_back(sim::SweepRunner::grid({"drstrange"},
-                                           {dualSpec("mcf")}));
-    grids.push_back(sim::SweepRunner::grid(
-        {"oblivious", "greedy", "drstrange", "bliss", "frfcfs"},
-        {dualSpec("namd")}));
-    {
-        std::vector<sim::SweepRunner::Cell> configs;
-        for (unsigned entries : {4u, 8u, 16u, 32u}) {
-            sim::SimulationBuilder b{tinyConfig()};
-            b.bufferEntries(entries);
-            configs.push_back(b.buildSweepCell(dualSpec("mcf")));
-        }
-        grids.push_back(std::move(configs));
-    }
-
-    for (std::size_t g = 0; g < grids.size(); ++g) {
-        const auto &cells = grids[g];
-        for (unsigned n : {1u, 2u, 3u, 5u, 8u}) {
-            for (const auto &cell : cells) {
-                unsigned owners = 0;
-                for (unsigned i = 0; i < n; ++i) {
-                    sim::SweepRunner::ShardSpec spec;
-                    spec.index = i;
-                    spec.count = n;
-                    owners += spec.owns(cell) ? 1 : 0;
-                }
-                EXPECT_EQ(owners, 1u)
-                    << "grid " << g << ", " << n << " shards: cell '"
-                    << sim::SweepRunner::cellKey(cell)
-                    << "' owned by " << owners << " shards";
-            }
-        }
-    }
-}
-
-TEST(ShardPartition, TwoShardRunMergesBitIdenticalToUnsharded)
-{
-    const auto cells = sim::SweepRunner::grid(
-        {"oblivious", "drstrange"},
-        {dualSpec("mcf"), dualSpec("soplex"), dualSpec("lbm")});
-
-    sim::SweepRunner whole(tinyConfig(), 2);
-    const auto ref = whole.run(cells);
-
-    sim::SweepRunner half0(tinyConfig(), 2), half1(tinyConfig(), 2);
-    half0.setShard(sim::SweepRunner::ShardSpec::parse("0/2"));
-    half1.setShard(sim::SweepRunner::ShardSpec::parse("1/2"));
-    const auto r0 = half0.run(cells);
-    const auto r1 = half1.run(cells);
-
-    ASSERT_EQ(r0.size(), cells.size());
-    ASSERT_EQ(r1.size(), cells.size());
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        // Exactly one shard ran the cell; the other skipped it.
-        ASSERT_NE(r0[i].skipped, r1[i].skipped) << "cell " << i;
-        const auto &merged = r0[i].skipped ? r1[i] : r0[i];
-        const auto &skipped = r0[i].skipped ? r0[i] : r1[i];
-        EXPECT_FALSE(skipped.ok);
-        EXPECT_NE(skipped.error.find("shard"), std::string::npos);
-        ASSERT_TRUE(merged.ok) << merged.error;
-        ASSERT_TRUE(ref[i].ok) << ref[i].error;
-        EXPECT_EQ(metricTuple(merged.result), metricTuple(ref[i].result))
-            << "cell " << i << " (" << cells[i].design << "/"
-            << cells[i].spec.name << ")";
-    }
-}
 
 // --- Persistent alone-run cache -------------------------------------
 

@@ -4,7 +4,8 @@
  * (concurrent same-key and distinct-key access, single-core runs that
  * serve as their own baseline, exact rate keys), SweepRunner's
  * deterministic grid ordering and error capture, serial-vs-parallel
- * bit-identity of every metric, DS_JOBS handling, and the builder's
+ * bit-identity of every metric (dual-core, QUAC, service, fault and
+ * 2-rank cells), DS_JOBS handling, and the builder's
  * buildSweepCell() convenience. Runs under the ASan/UBSan CI job like
  * every other suite.
  */
@@ -74,7 +75,51 @@ metricTuple(const sim::Runner::WorkloadResult &res)
         out.push_back(core.ipcAlone);
         out.push_back(core.rngStallFraction);
     }
+    if (res.service) {
+        const service::SloReport &slo = *res.service;
+        out.insert(out.end(),
+                   {static_cast<double>(slo.completed),
+                    static_cast<double>(slo.shed),
+                    static_cast<double>(slo.p50),
+                    static_cast<double>(slo.p99),
+                    static_cast<double>(slo.p999), slo.goodputRps,
+                    slo.saturated ? 1.0 : 0.0});
+    }
+    if (res.fault) {
+        const fault::FaultReport &f = *res.fault;
+        out.insert(out.end(), {static_cast<double>(f.roundsAudited),
+                               static_cast<double>(f.roundsDiscarded),
+                               static_cast<double>(f.corruptedBits),
+                               static_cast<double>(f.blacklisted),
+                               static_cast<double>(f.remapped)});
+    }
     return out;
+}
+
+/** An explicit-config cell: @p cfg is tinyConfig() under @p design,
+ *  then @p tweak. */
+template <typename Tweak>
+sim::SweepRunner::Cell
+configCell(const std::string &design, workloads::WorkloadSpec spec,
+           Tweak tweak)
+{
+    sim::SimConfig cfg = tinyConfig();
+    sim::DesignRegistry::instance().apply(design, cfg);
+    tweak(cfg);
+    sim::SweepRunner::Cell cell;
+    cell.config = std::move(cfg);
+    cell.spec = std::move(spec);
+    return cell;
+}
+
+/** Open-loop RNG service knobs, as a service-only cell uses them. */
+void
+enableService(sim::SimConfig &cfg)
+{
+    cfg.service.enabled = true;
+    cfg.service.offeredMbps = 5120.0;
+    cfg.service.durationCycles = 20000;
+    cfg.service.sloTargetCycles = 500;
 }
 
 } // namespace
@@ -237,7 +282,35 @@ TEST(SweepRunner, ParallelResultsBitIdenticalToSerialRunner)
     const std::vector<workloads::WorkloadSpec> specs = {
         dualSpec("mcf"), dualSpec("soplex"), dualSpec("lbm"),
         dualSpec("milc")};
-    const auto cells = sim::SweepRunner::grid(designs, specs);
+    auto cells = sim::SweepRunner::grid(designs, specs);
+
+    // One explicit-config cell per tier beyond the dual-core mixes: a
+    // QUAC RNG-alone cell, an open-loop service cell, a faulty service
+    // cell with the health monitor on, and a 2-rank channel.
+    cells.push_back(configCell("drstrange", rngSpec(5120.0),
+                               [](sim::SimConfig &cfg) {
+                                   cfg.mechanism =
+                                       *trng::TrngMechanism::byName("quac");
+                               }));
+    workloads::WorkloadSpec svc;
+    svc.name = "svc-poisson";
+    cells.push_back(configCell("greedy", svc, enableService));
+    svc.name = "svc-faulty";
+    cells.push_back(configCell("drstrange", svc, [](sim::SimConfig &cfg) {
+        enableService(cfg);
+        cfg.fault.models = "bitflip,weak-cell,stuck-row";
+        cfg.fault.weakCells = 8;
+        cfg.fault.stuckRows = 2;
+        cfg.fault.monitor = true;
+    }));
+    workloads::WorkloadSpec soplex = dualSpec("soplex");
+    soplex.name = "2rank";
+    cells.push_back(configCell("drstrange", soplex,
+                               [](sim::SimConfig &cfg) {
+                                   cfg.geometry.ranksPerChannel = 2;
+                                   cfg.addressMapping =
+                                       "row-bank-col-rank-ch";
+                               }));
 
     sim::SweepRunner sweep(tinyConfig(), /*jobs=*/4);
     ASSERT_EQ(sweep.jobs(), 4u);
@@ -247,12 +320,19 @@ TEST(SweepRunner, ParallelResultsBitIdenticalToSerialRunner)
     sim::Runner serial(tinyConfig());
     for (std::size_t i = 0; i < cells.size(); ++i) {
         ASSERT_TRUE(results[i].ok) << results[i].error;
-        const auto ref = serial.run(cells[i].design, cells[i].spec);
+        const auto ref =
+            cells[i].config ? serial.run(*cells[i].config, cells[i].spec)
+                            : serial.run(cells[i].design, cells[i].spec);
         EXPECT_EQ(metricTuple(results[i].result), metricTuple(ref))
             << "cell " << i << " (" << cells[i].design << "/"
             << cells[i].spec.name << ")";
         EXPECT_GE(results[i].wallMs, 0.0);
     }
+    // The tier cells really exercised their subsystems.
+    const std::size_t tiers = designs.size() * specs.size();
+    EXPECT_TRUE(results[tiers + 1].result.service.has_value());
+    ASSERT_TRUE(results[tiers + 2].result.fault.has_value());
+    EXPECT_GT(results[tiers + 2].result.fault->roundsAudited, 0u);
 }
 
 TEST(SweepRunner, RepeatedParallelRunsAreDeterministic)
