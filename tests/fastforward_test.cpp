@@ -534,11 +534,27 @@ TEST(FastForwardHorizon, ClosedFormThresholdMatchesWalk)
 struct HorizonGolden
 {
     const char *name;
-    std::string text; ///< Config text over SimConfig{}.
-    std::string app;  ///< "" = no application core.
-    double mbps;      ///< 0 = no RNG core.
+    std::string text;              ///< Config text over SimConfig{}.
+    std::vector<std::string> apps; ///< Application cores, in core order.
+    double mbps;                   ///< 0 = no RNG core.
     std::uint64_t stepped, skips, skipped, drain, fingerprint;
 };
+
+/** One core per application, then the RNG core (as perf/ builds it). */
+std::vector<std::unique_ptr<cpu::TraceSource>>
+makeMixTraces(const sim::SimConfig &cfg,
+              const std::vector<std::string> &apps, double mbps)
+{
+    std::vector<std::unique_ptr<cpu::TraceSource>> traces;
+    for (const std::string &app : apps)
+        traces.push_back(std::make_unique<workloads::SyntheticTrace>(
+            workloads::appByName(app), cfg.geometry,
+            static_cast<CoreId>(traces.size()), cfg.seed));
+    if (mbps > 0.0)
+        traces.push_back(std::make_unique<workloads::RngBenchmark>(
+            mbps, cfg.geometry, cfg.seed + traces.size()));
+    return traces;
+}
 
 TEST(FastForwardGolden, HorizonCountersAndFingerprints)
 {
@@ -552,36 +568,55 @@ TEST(FastForwardGolden, HorizonCountersAndFingerprints)
         "service.duration=400000 service.slo=500 "
         "fault.models=bitflip,weak-cell,stuck-row fault.monitor=1 "
         "fault.seed=1 seed=1";
+    const workloads::WorkloadSpec eight =
+        workloads::multiCoreCategoryGroup(8, 'H', 1).front();
     // Captured before the closed-form horizon replaced the memoized
     // production walk. drange/drstrange pins the walk with its memo
     // bypassed: the memo served stale events there (skipped 624624,
     // drain 61317); the fingerprint is the same either way.
     const std::vector<HorizonGolden> grid = {
-        {"mix/oblivious", "design=oblivious" + dual, mix.apps[0],
+        {"mix/oblivious", "design=oblivious" + dual, mix.apps,
          mix.rngThroughputMbps, 61918, 45879, 394357, 61232,
          0xc7a48b5d1dfc668cull},
-        {"mix/drstrange", "design=drstrange" + dual, mix.apps[0],
+        {"mix/drstrange", "design=drstrange" + dual, mix.apps,
          mix.rngThroughputMbps, 88137, 27935, 186974, 44100,
          0xa5a9686f15c3b6f5ull},
         {"drange/oblivious", "design=oblivious mechanism=drange" + alone,
-         "", 2560.0, 105404, 103789, 993468, 92903,
+         {}, 2560.0, 105404, 103789, 993468, 92903,
          0xf52eafc70d0bbcecull},
         {"drange/drstrange", "design=drstrange mechanism=drange" + alone,
-         "", 2560.0, 167660, 52092, 624626, 61315,
+         {}, 2560.0, 167660, 52092, 624626, 61315,
          0x406453b9e04638a5ull},
-        {"quac/oblivious", "design=oblivious mechanism=quac" + alone, "",
+        {"quac/oblivious", "design=oblivious mechanism=quac" + alone, {},
          2560.0, 159232, 48855, 1025977, 40903,
          0x3d84a058bfdebd6eull},
-        {"quac/drstrange", "design=drstrange mechanism=quac" + alone, "",
+        {"quac/drstrange", "design=drstrange mechanism=quac" + alone, {},
          2560.0, 167804, 49661, 699999, 47746,
          0x36ee3eb7451af2e0ull},
-        {"service/faulty", svc, "", 0.0, 804906, 89, 535, 1,
+        {"service/faulty", svc, {}, 0.0, 804906, 89, 535, 1,
          0x76600ca1f23120d8ull},
+        // Greedy deposits, BLISS housekeeping with rank fences, a
+        // non-DRAM timing model, and power-down edges.
+        {"mix/greedy", "design=greedy" + dual, mix.apps,
+         mix.rngThroughputMbps, 68189, 45354, 272339, 59207,
+         0x1d0f33e4486a6546ull},
+        {"eight/bliss-2rank",
+         "design=drstrange scheduler=bliss geometry.ranks=2 "
+         "mapping=row-bank-col-rank-ch budget=300000 seed=1",
+         eight.apps, eight.rngThroughputMbps, 117163, 28937, 161258, 100189,
+         0x57de4fe59ba5c9f4ull},
+        {"mix/fixed-latency",
+         "design=drstrange backend.kind=fixed-latency" + dual, mix.apps,
+         mix.rngThroughputMbps, 82699, 22826, 159647, 34931,
+         0x71e345769ff23744ull},
+        {"mix/powerdown", "design=oblivious powerdown=20" + dual, mix.apps,
+         mix.rngThroughputMbps, 61952, 45866, 394076, 61394,
+         0x277a9c056bf8cb8full},
     };
     for (const HorizonGolden &g : grid) {
         const sim::SimConfig cfg =
             sim::SimulationBuilder().applyText(g.text).config();
-        sim::System sys(cfg, makeTraces(cfg, g.app, g.mbps));
+        sim::System sys(cfg, makeMixTraces(cfg, g.apps, g.mbps));
         sys.setFastForward(true);
         sys.run();
         const sim::System::FfStats &ff = sys.ffStats();
