@@ -119,7 +119,6 @@ DramChannel::issue(DramCmd cmd, unsigned bankIdx, Cycle now, std::int64_t row)
     const unsigned rankIdx = rankOf(bankIdx);
     RankState &r = ranks[rankIdx];
     Bank &b = banks[bankIdx];
-    ++timingV;
     cmdBusFreeAt = now + 1;
     r.lastActivityAt = now;
     if (onCommand)
@@ -206,7 +205,6 @@ DramChannel::tickRefresh(Cycle now)
                 const unsigned bi = ri * banksEach + i;
                 Bank &b = banks[bi];
                 if (b.isOpen() && b.canIssue(DramCmd::Pre, now)) {
-                    ++timingV;
                     b.issue(DramCmd::Pre, now);
                     counters.nPre++;
                     r.nOpenBanks--;
@@ -229,7 +227,6 @@ DramChannel::tickRefresh(Cycle now)
         if (!ready)
             continue;
 
-        ++timingV;
         for (unsigned i = 0; i < banksEach; ++i)
             banks[ri * banksEach + i].blockUntil(now + t.tRFC);
         counters.nRef++;
@@ -284,7 +281,6 @@ DramChannel::wakeRank(RankState &r, Cycle now)
 {
     if (!r.pd)
         return;
-    ++timingV;
     r.pd = false;
     r.lastActivityAt = now;
     cmdBusFreeAt = std::max(cmdBusFreeAt, now + t.tXP);
@@ -306,7 +302,6 @@ DramChannel::occupyForRng(Cycle until)
     // non-standard timing parameters are active.
     if (anyRankPoweredDown())
         requestWake(until > 0 ? until - 1 : 0);
-    ++timingV;
     rngBusyUntil = std::max(rngBusyUntil, until);
     cmdBusFreeAt = std::max(cmdBusFreeAt, until);
     dataBusFreeAt = std::max(dataBusFreeAt, until);

@@ -185,15 +185,6 @@ class DramChannel final : public mem::MemoryBackend
         onCommand = std::move(observer);
     }
 
-    /**
-     * Bumped at every point that moves a fence earliestIssueCycle()
-     * reads: command issue (external or refresh-path), RNG-mode
-     * occupancy, and power-down wake. Power-down *entry* and refresh
-     * staging flags are excluded by the earliestIssueCycle() contract,
-     * so sampleState() never bumps.
-     */
-    std::uint64_t timingVersion() const override { return timingV; }
-
   private:
     /** Rank-scoped timing/refresh/power state (banks live in the flat
      *  channel array so existing bank-slot indexing is untouched). */
@@ -240,8 +231,6 @@ class DramChannel final : public mem::MemoryBackend
 
     // Precharge power-down policy.
     Cycle pdThreshold = 0;
-
-    std::uint64_t timingV = 0; ///< See timingVersion().
 
     ChannelEnergyCounters counters;
     CommandObserver onCommand;

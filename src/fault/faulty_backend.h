@@ -65,13 +65,6 @@ class FaultyBackend final : public mem::MemoryBackend
         // outages ride the same exclusion, so the inner fence stands.
         return inner->earliestIssueCycle(cmd, bankIdx);
     }
-    std::uint64_t
-    timingVersion() const override
-    {
-        // Outage edges never move the issue fences (see
-        // earliestIssueCycle above), so the inner version is exact.
-        return inner->timingVersion();
-    }
     Cycle
     issue(dram::DramCmd cmd, unsigned bankIdx, Cycle now,
           std::int64_t row = dram::kNoOpenRow) override

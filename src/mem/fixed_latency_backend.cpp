@@ -53,7 +53,6 @@ FixedLatencyBackend::issue(dram::DramCmd cmd, unsigned bankIdx, Cycle now,
                            std::int64_t row)
 {
     assert(canIssue(cmd, bankIdx, now));
-    ++timingV;
     cmdBusFreeAt = now + 1;
     Cycle done = 0;
     switch (cmd) {
@@ -94,7 +93,6 @@ FixedLatencyBackend::occupyForRng(Cycle until)
     for (std::int64_t &r : openRows)
         r = dram::kNoOpenRow;
     nOpen = 0;
-    ++timingV;
     rngBusyUntil = std::max(rngBusyUntil, until);
     cmdBusFreeAt = std::max(cmdBusFreeAt, until);
 }

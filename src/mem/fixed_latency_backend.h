@@ -105,9 +105,6 @@ class FixedLatencyBackend final : public MemoryBackend
         onCommand = std::move(observer);
     }
 
-    /** Bumped on issue() and occupyForRng(), the only fence movers. */
-    std::uint64_t timingVersion() const override { return timingV; }
-
   private:
     /** Whether this cycle samples as active or precharged standby. */
     bool activeNow(Cycle now) const
@@ -127,7 +124,6 @@ class FixedLatencyBackend final : public MemoryBackend
     Cycle cmdBusFreeAt = 0; ///< One command per cycle, channel-wide.
     Cycle nextColAt = 0;    ///< Column-to-column gap fence.
     Cycle rngBusyUntil = 0;
-    std::uint64_t timingV = 0; ///< See timingVersion().
 
     dram::ChannelEnergyCounters counters;
     CommandObserver onCommand;

@@ -81,16 +81,6 @@ class MemoryBackend
                         std::int64_t row = dram::kNoOpenRow) = 0;
 
     /**
-     * Monotone counter that changes whenever any earliestIssueCycle()
-     * result may have changed (command issue, RNG fence, refresh-path
-     * command, power-down wake). Callers memoize per-queue issue
-     * horizons keyed on this value. The default bumps itself on every
-     * query, so backends that do not track their fences precisely are
-     * simply never cached — correct, just uncached.
-     */
-    virtual std::uint64_t timingVersion() const { return ++fallbackTimingV; }
-
-    /**
      * Advance refresh housekeeping by one cycle; call once per bus
      * cycle before scheduling. Backends without refresh make this a
      * no-op.
@@ -162,9 +152,6 @@ class MemoryBackend
     using CommandObserver = std::function<void(dram::DramCmd, unsigned bank,
                                                Cycle, std::int64_t row)>;
     virtual void setCommandObserver(CommandObserver observer) = 0;
-
-  private:
-    mutable std::uint64_t fallbackTimingV = 0;
 };
 
 } // namespace dstrange::mem

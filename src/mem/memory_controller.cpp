@@ -123,7 +123,9 @@ MemoryController::MemoryController(const McConfig &config,
     pendingBufferServeDone.reserve(
         4 * static_cast<std::size_t>(num_cores));
 
-    horizonCache.resize(geometry.channels);
+    choiceNow.assign(geometry.channels, QueueChoice::None);
+    dueNow.assign(geometry.channels, kDue);
+    dueList.reserve(geometry.channels);
 }
 
 MemoryController::~MemoryController() = default;
@@ -137,8 +139,27 @@ MemoryController::setCompletionCallback(CompletionCallback cb)
 void
 MemoryController::setPriority(CoreId core, int priority)
 {
-    if (rngPolicy)
-        rngPolicy->setPriority(core, priority);
+    if (!rngPolicy)
+        return;
+    // Priorities feed every channel's arbitration and stall counters.
+    catchUpAll(clock);
+    rngPolicy->setPriority(core, priority);
+    dirtyAllWakes();
+}
+
+void
+MemoryController::setFastPath(bool on)
+{
+    sync();
+    fastPath = on;
+    dirtyAllWakes();
+}
+
+bool
+MemoryController::acceptsRng(CoreId core) const
+{
+    return (buf && buf->canServe64(core)) || stagingBits >= 64.0 ||
+           rngJobs.size() < cfg.rngQueueCap;
 }
 
 unsigned
@@ -164,10 +185,17 @@ bool
 MemoryController::enqueueAccept(Request &req, Cycle now)
 {
     if (req.type == ReqType::Rng) {
-        if (rngPolicy)
+        if (rngPolicy && !rngPolicy->isRngApp(req.core)) {
+            // The flag feeds every channel's arbitration.
+            catchUpAll(clock);
             rngPolicy->markRngApp(req.core);
+            dirtyAllWakes();
+        }
         if (buf && buf->canServe64(req.core)) {
+            const unsigned gate = fillGate();
             buf->serve64(req.core);
+            if (fillGate() != gate)
+                dirtyAllWakes();
             statistics.rngRequests++;
             statistics.rngServedFromBuffer++;
             statistics.sumRngLatency += cfg.bufferServeLatency;
@@ -191,12 +219,23 @@ MemoryController::enqueueAccept(Request &req, Cycle now)
         }
         if (rngJobs.size() >= cfg.rngQueueCap)
             return false;
+        // Channels read only whether jobs wait and, under RNG-aware
+        // arbitration with mixed priorities, the front job and the top
+        // job priority.
+        const bool visible =
+            rngJobs.empty() ||
+            (rngPolicy && !rngPolicy->uniformPriority() &&
+             rngPolicy->priority(req.core) > topJobPriority());
+        if (visible)
+            catchUpAll(clock);
         statistics.rngRequests++;
         RngJob job{req.core, now, nextSeq++, req.token, 0.0};
         // Start the job with whatever partial bits are staged.
         job.bitsCollected = stagingBits;
         stagingBits = 0.0;
         rngJobs.push_back(job);
+        if (visible)
+            dirtyAllWakes();
         return true;
     }
 
@@ -206,6 +245,8 @@ MemoryController::enqueueAccept(Request &req, Cycle now)
         req.type == ReqType::Write ? *cs.writeQ : *cs.readQ;
     if (q.full())
         return false;
+    catchUp(req.coord.channel, clock);
+    cs.wakeDirty = true;
     req.seq = nextSeq++;
     q.push(req);
     if (req.type == ReqType::Read)
@@ -246,9 +287,35 @@ MemoryController::updateIdleState(unsigned ch, Cycle now)
 
 }
 
+int
+MemoryController::topJobPriority() const
+{
+    int top = rngPolicy->priority(rngJobs.front().core);
+    for (const RngJob &job : rngJobs)
+        top = std::max(top, rngPolicy->priority(job.core));
+    return top;
+}
+
+unsigned
+MemoryController::fillGate() const
+{
+    if (cfg.fill != FillMode::Engine || !buf)
+        return 0;
+    return (buf->full() ? 1u : 0u) |
+           (buf->levelBits() < 0.5 * buf->capacityBits() ? 2u : 0u);
+}
+
+void
+MemoryController::sharedInputsChanged()
+{
+    dirtyAllWakes();
+    joinPending = true;
+}
+
 void
 MemoryController::routeBits(double bits, Cycle now)
 {
+    const unsigned gate = fillGate();
     while (bits > 0.0 && !rngJobs.empty()) {
         RngJob &job = rngJobs.front();
         const double need = 64.0 - job.bitsCollected;
@@ -260,6 +327,14 @@ MemoryController::routeBits(double bits, Cycle now)
             statistics.sumRngLatency += now - job.arrival;
             if (onComplete)
                 onComplete(job.core, job.token, ReqType::Rng, job.path);
+            if (rngJobs.size() == 1 ||
+                (rngPolicy && !rngPolicy->uniformPriority())) {
+                // An empty queue, or a new front job under mixed
+                // priorities, changes every channel's arbitration; the
+                // stall counters settle under the old state first.
+                catchUpAll(now);
+                sharedInputsChanged();
+            }
             rngJobs.pop_front();
         }
     }
@@ -270,6 +345,22 @@ MemoryController::routeBits(double bits, Cycle now)
                                std::max(mech.bitsPerRound,
                                         fillMech.bitsPerRound));
     }
+    if (fillGate() != gate)
+        sharedInputsChanged();
+}
+
+bool
+MemoryController::fillMember(unsigned ch) const
+{
+    return engines[ch]->active() && !engines[ch]->parked() &&
+           !perChan[ch].demandSession;
+}
+
+bool
+MemoryController::fillSetShared() const
+{
+    return cfg.fill == FillMode::Engine && buf &&
+           cfg.fillChannelLimit != 0;
 }
 
 bool
@@ -279,11 +370,8 @@ MemoryController::fillSessionActive() const
         return false; // Unlimited concurrent fill channels.
     unsigned active = 0;
     for (unsigned ch = 0; ch < chans.size(); ++ch) {
-        if (engines[ch]->active() && !engines[ch]->parked() &&
-            !perChan[ch].demandSession) {
-            if (++active >= cfg.fillChannelLimit)
-                return true;
-        }
+        if (fillMember(ch) && ++active >= cfg.fillChannelLimit)
+            return true;
     }
     return false;
 }
@@ -479,12 +567,6 @@ MemoryController::serveChannel(unsigned ch, Cycle now)
     const SchedContext ctx{*queue, chan, ch, now};
     int pick = kUnknownPick;
     if (fastPath) {
-        // Cached horizon first: when no queued command's timing fence
-        // has passed, every canIssue() is false and the full pick()
-        // scan must return kNoPick — skip it. (Refresh/RNG/power-down
-        // exclusions were already early-outed above.)
-        if (nextIssueCycle(*queue, ch, now) > now)
-            return;
         pick = sched->forcedPick(ctx);
 #ifndef NDEBUG
         assert((pick == kUnknownPick || pick == sched->pick(ctx)) &&
@@ -520,17 +602,106 @@ MemoryController::serveChannel(unsigned ch, Cycle now)
 }
 
 void
+MemoryController::catchUp(unsigned ch, Cycle to)
+{
+    ChannelState &cs = perChan[ch];
+    if (cs.synced >= to)
+        return;
+    // Residency sampling happens before the engine tick each cycle, so
+    // batch it first (the engine extends the fences afterwards).
+    chans[ch]->fastForwardState(cs.synced, to);
+    engines[ch]->fastForward(cs.synced, to);
+    if (rngPolicy)
+        rngPolicy->fastForward(ch, *cs.readQ, rngJobs, to - cs.synced);
+    cs.synced = to;
+}
+
+void
+MemoryController::catchUpAll(Cycle to)
+{
+    for (unsigned ch = 0; ch < chans.size(); ++ch)
+        catchUp(ch, to);
+}
+
+void
+MemoryController::sync()
+{
+    catchUpAll(clock);
+}
+
+void
+MemoryController::dirtyAllWakes()
+{
+    for (ChannelState &cs : perChan)
+        cs.wakeDirty = true;
+}
+
+void
+MemoryController::joinTick(unsigned ch, Cycle now)
+{
+    catchUp(ch, now);
+    chans[ch]->tickRefresh(now);
+    chans[ch]->sampleState(now);
+    if (dueNow[ch] == kPhaseEnd) {
+        // endProducerPhase() already ran this cycle's phase end.
+        engines[ch]->fastForward(now, now + 1);
+    } else {
+        [[maybe_unused]] const double bits = engines[ch]->tick(now);
+        assert(bits == 0.0 && "a channel that was not due produced bits");
+    }
+    dueNow[ch] = kDue;
+}
+
+void
+MemoryController::joinFrom(unsigned first, Cycle now, bool choose)
+{
+    // dueList stays in channel order: keep the due channels below
+    // `first`, then every channel from `first` on.
+    while (!dueList.empty() && dueList.back() >= first)
+        dueList.pop_back();
+    for (unsigned ch = first; ch < chans.size(); ++ch) {
+        if (dueNow[ch] != kDue) {
+            joinTick(ch, now);
+            if (choose)
+                choiceNow[ch] = chooseQueue(ch);
+        }
+        dueList.push_back(ch);
+    }
+}
+
+void
 MemoryController::tick(Cycle now)
 {
     readSched->tick(now);
 
+    // Which channels run their phases this cycle, in channel order. A
+    // channel that is not due would only do per-cycle bookkeeping,
+    // which it defers to its next catchUp(). Off the fast path every
+    // channel is due.
+    dueList.clear();
     for (unsigned ch = 0; ch < chans.size(); ++ch) {
-        chans[ch]->tickRefresh(now);
-        chans[ch]->sampleState(now);
+        std::uint8_t due = kDue;
+        if (fastPath) {
+            refreshWake(ch);
+            const ChannelState &cs = perChan[ch];
+            due = tickWake(ch) <= now ? kDue
+                  : cs.producing &&
+                          engines[ch]->phaseEndCycle() - 1 <= now
+                      ? kPhaseEnd
+                      : kIdle;
+        }
+        dueNow[ch] = due;
+        if (due == kDue)
+            dueList.push_back(ch);
     }
 
-    // 1. Deliver completed reads and buffer-served RNG requests.
-    for (unsigned ch = 0; ch < chans.size(); ++ch) {
+    // 1. Refresh housekeeping and residency sampling, then deliver
+    //    completed reads and buffer-served RNG requests. (One channel's
+    //    housekeeping never affects another's delivery.)
+    for (const unsigned ch : dueList) {
+        catchUp(ch, now);
+        chans[ch]->tickRefresh(now);
+        chans[ch]->sampleState(now);
         ChannelState &cs = perChan[ch];
         while (!cs.inflightDone.empty() && cs.inflightDone.front() <= now) {
             const Request &req = cs.inflightReads.front();
@@ -555,7 +726,19 @@ MemoryController::tick(Cycle now)
     //    the fault plane first: a failing round's bits are discarded
     //    (and the health monitor reacts), which also withholds the
     //    round's noteServed — fault pressure surfaces as RNG stall.
+    //    A producer with nothing else due only ends its phase. A new
+    //    front job, a buffer crossing an engine-fill gate, or a change
+    //    to the fill-session set alters every channel's inputs, so all
+    //    of them then run the rest of this cycle.
+    joinPending = false;
     for (unsigned ch = 0; ch < chans.size(); ++ch) {
+        if (dueNow[ch] == kPhaseEnd) {
+            endProducerPhase(ch, now);
+            continue;
+        }
+        if (dueNow[ch] == kIdle)
+            continue;
+        const bool member = fillMember(ch);
         const double bits = engines[ch]->tick(now);
         if (bits > 0.0) {
             if (!faultPlane ||
@@ -565,7 +748,11 @@ MemoryController::tick(Cycle now)
                     rngPolicy->noteServed(ch, QueueChoice::Rng);
             }
         }
+        if (fillSetShared() && fillMember(ch) != member)
+            sharedInputsChanged();
     }
+    if (joinPending)
+        joinFrom(0, now, /*choose=*/false);
 
     // 3. Greedy-oracle fill: once a contiguous idle stretch reaches the
     //    Period Threshold, deposit one round's bits at zero cost, then
@@ -596,23 +783,45 @@ MemoryController::tick(Cycle now)
     }
 
     // 4. Arbitrate queues, start/stop RNG mode, then issue regular DRAM
-    //    commands.
-    choiceNow.assign(chans.size(), QueueChoice::None);
-    for (unsigned ch = 0; ch < chans.size(); ++ch) {
-        if (!cfg.rngAwareQueueing) {
-            // RNG-oblivious: pending RNG work preempts every channel
-            // (the same pure arbitration the fast-forward horizon
-            // previews).
-            choiceNow[ch] = peekChoice(ch);
-        } else {
-            choiceNow[ch] =
-                rngPolicy->choose(ch, *perChan[ch].readQ, rngJobs);
+    //    commands. A change to the fill-session set is seen by the
+    //    engine management of every later channel this same cycle.
+    for (const unsigned ch : dueList)
+        choiceNow[ch] = chooseQueue(ch);
+    for (std::size_t i = 0; i < dueList.size(); ++i) {
+        const unsigned ch = dueList[i];
+        const bool member = fillMember(ch);
+        manageEngine(ch, now);
+        if (fillSetShared() && fillMember(ch) != member) {
+            dirtyAllWakes();
+            joinFrom(ch + 1, now, /*choose=*/true);
         }
     }
-    for (unsigned ch = 0; ch < chans.size(); ++ch)
-        manageEngine(ch, now);
-    for (unsigned ch = 0; ch < chans.size(); ++ch)
+    for (const unsigned ch : dueList)
         serveChannel(ch, now);
+
+    for (const unsigned ch : dueList) {
+        ChannelState &cs = perChan[ch];
+        cs.synced = now + 1;
+        // Due only for a read delivery, with no shared change this
+        // cycle: the base wake stands.
+        if (fastPath && !cs.wakeDirty && cs.baseWake > now &&
+            !(cs.regularPrio && cs.producing))
+            cs.producing = isProducer(*engines[ch]);
+        else
+            cs.wakeDirty = true;
+    }
+    channelTickCount += dueList.size();
+    clock = now + 1;
+}
+
+QueueChoice
+MemoryController::chooseQueue(unsigned ch)
+{
+    // RNG-oblivious: pending RNG work preempts every channel (the same
+    // pure arbitration the fast-forward horizon previews).
+    if (!cfg.rngAwareQueueing)
+        return peekChoice(ch);
+    return rngPolicy->choose(ch, *perChan[ch].readQ, rngJobs);
 }
 
 QueueChoice
@@ -694,31 +903,6 @@ MemoryController::nextIssueCycle(const RequestQueue &queue, unsigned ch,
     // next command is legal; with nothing issuable before that, queue
     // and bank state are static and pick() stays kNoPick.
     const MemoryBackend &chan = *chans[ch];
-    if (!fastPath) {
-        Cycle earliest = kNoEvent;
-        for (const Request &req : queue.all()) {
-            const dram::DramCmd cmd = nextCommandFor(req, chan);
-            earliest = std::min(
-                earliest, chan.earliestIssueCycle(cmd, req.coord.bank));
-            if (earliest <= now)
-                return now;
-        }
-        return earliest;
-    }
-
-    // The fast path memoizes the *full* queue minimum, keyed on the
-    // backend's fence version and the queue's membership version. Only
-    // completed scans are cached: when some entry's fence has already
-    // passed the scan early-exits with `now` uncached (a partial prefix
-    // minimum would not be reusable at a later `now`), which keeps the
-    // issuable-right-now case exactly as cheap as the uncached path.
-    // The cache pays off in blocked phases, where the old code rescanned
-    // the whole queue on every probe.
-    IssueHorizon &hz =
-        horizonCache[ch][&queue == perChan[ch].writeQ.get() ? 1 : 0];
-    const std::uint64_t tv = chan.timingVersion();
-    if (hz.timingV == tv && hz.queueV == queue.version())
-        return std::max(hz.earliest, now);
     Cycle earliest = kNoEvent;
     for (const Request &req : queue.all()) {
         const dram::DramCmd cmd = nextCommandFor(req, chan);
@@ -727,9 +911,6 @@ MemoryController::nextIssueCycle(const RequestQueue &queue, unsigned ch,
         if (earliest <= now)
             return now;
     }
-    hz.earliest = earliest;
-    hz.timingV = tv;
-    hz.queueV = queue.version();
     return earliest;
 }
 
@@ -841,11 +1022,9 @@ MemoryController::collectProducers() const
         // round every roundLatency cycles; a switching-in engine's
         // first round lands one switch phase later. A stopping engine
         // completes exactly one more round before switching out.
-        const bool periodic =
-            (eng.inRound() || eng.switchingIn()) && eng.windNone();
-        const bool stopping = eng.inRound() && eng.stopRequested();
-        if (!periodic && !stopping)
+        if (!isProducer(eng))
             continue;
+        const bool stopping = eng.stopRequested();
         const trng::TrngMechanism &m = eng.mechanism();
         Producer p;
         p.period = m.roundLatency;
@@ -951,64 +1130,154 @@ MemoryController::productionEventCycle(Cycle bound) const
     return event;
 }
 
-Cycle
-MemoryController::nextEventCycle(Cycle now) const
+MemoryController::Wake
+MemoryController::computeWake(unsigned ch) const
 {
-    // Intra-queue scheduler housekeeping (BLISS clearing interval; a
-    // custom scheduler without a nextEventCycle() override reports
-    // per-cycle work and disables skipping).
-    Cycle ev = readSched->nextEventCycle(now);
-    if (ev <= now)
-        return now;
+    // Evaluated at `synced`, the first cycle whose bookkeeping the
+    // channel has not applied: its residency branch, engine counters
+    // and stall counters all stand as of that cycle. A wake at or below
+    // the current cycle means "due now".
+    const ChannelState &cs = perChan[ch];
+    const trng::RngEngine &eng = *engines[ch];
+    const Cycle at = cs.synced;
+    const Wake due{at, false, false};
 
-    // Completion deliveries.
-    for (const ChannelState &cs : perChan)
-        if (!cs.inflightDone.empty())
-            ev = std::min(ev, cs.inflightDone.front());
-    if (!pendingBufferServeDone.empty())
-        ev = std::min(ev, pendingBufferServeDone.front());
-    if (ev <= now)
-        return now;
+    Cycle ev = chans[ch]->nextEventCycle(at, eng.active());
+    if (ev <= at)
+        return due;
 
+    Wake w;
+    QueueChoice choice;
+    if (cfg.rngAwareQueueing) {
+        // One queue scan yields the choice, the stall-limit flip event,
+        // and the counter-direction flag together.
+        const RngAwarePolicy::Arbitration arb =
+            rngPolicy->arbitration(ch, *cs.readQ, rngJobs, at);
+        choice = arb.choice;
+        ev = std::min(ev, arb.flipAt);
+        w.regularPrio = arb.regularPrioritized;
+    } else {
+        choice = peekChoice(ch);
+    }
+    ev = std::min(ev, manageEngineEventCycle(ch, at, choice));
+    ev = std::min(ev, serveChannelEventCycle(ch, at, choice));
+    if (ev <= at)
+        return due;
+
+    // Steadily-generating engines advance through whole rounds inside
+    // a span, and a stopping engine through its final round (their
+    // completions are batched; the switch-out end is the bounding
+    // event). Any other engine phase boundary ends the span. A tick
+    // ends a producer's phases through endProducerPhase().
+    w.producing = isProducer(eng);
+    if (!w.producing)
+        ev = std::min(ev, eng.nextEventCycle(at));
+    else if (eng.stopRequested())
+        ev = std::min(ev, eng.phaseEndCycle() +
+                              eng.mechanism().switchOutLatency - 1);
+    if (ev <= at)
+        return due;
+    w.base = ev;
+    return w;
+}
+
+Cycle
+MemoryController::tickWake(unsigned ch) const
+{
+    const ChannelState &cs = perChan[ch];
+    Cycle wake = cs.baseWake;
+    if (!cs.inflightDone.empty())
+        wake = std::min(wake, cs.inflightDone.front());
+    // A round completion resets the RNG stall counter, which charges
+    // while regular traffic is prioritized.
+    if (cs.producing && cs.regularPrio)
+        wake = std::min(wake, engines[ch]->phaseEndCycle() - 1);
+    return wake;
+}
+
+void
+MemoryController::endProducerPhase(unsigned ch, Cycle now)
+{
+    // The engine tick at a phase end, minus its per-cycle bookkeeping
+    // (which stays deferred: the engine keeps generating).
+    trng::RngEngine &eng = *engines[ch];
+    const bool round_end = eng.inRound();
+    if (eng.stopRequested())
+        eng.fastForwardFinalRound();
+    else
+        eng.fastForwardPhases(1);
+    if (round_end &&
+        (!faultPlane || faultPlane->onRound(ch, !rngJobs.empty()))) {
+        routeBits(eng.mechanism().bitsPerRound, now);
+        if (rngPolicy)
+            rngPolicy->noteServed(ch, QueueChoice::Rng);
+    }
+    perChan[ch].producing = isProducer(eng);
+}
+
+bool
+MemoryController::isProducer(const trng::RngEngine &eng)
+{
+    return ((eng.inRound() || eng.switchingIn()) && eng.windNone()) ||
+           (eng.inRound() && eng.stopRequested());
+}
+
+void
+MemoryController::refreshWake(unsigned ch)
+{
+    ChannelState &cs = perChan[ch];
+    if (!cs.wakeDirty) {
+#ifndef NDEBUG
+        // A clean base wake that is not yet due must equal a
+        // from-scratch recomputation: every change to the channel's
+        // inputs should have dirtied it. (A due one may have been
+        // overtaken by a catch-up, which only costs an extra tick.)
+        if (cs.baseWake > cs.synced) {
+            const Wake w = computeWake(ch);
+            assert(w.base == cs.baseWake && w.producing == cs.producing &&
+                   w.regularPrio == cs.regularPrio &&
+                   "stale cached wake cycle");
+        }
+#endif
+        return;
+    }
+    const Wake w = computeWake(ch);
+    cs.baseWake = w.base;
+    cs.producing = w.producing;
+    cs.regularPrio = w.regularPrio;
+    cs.wakeDirty = false;
+    ++recomputeCount;
+}
+
+Cycle
+MemoryController::nextEventCycle(Cycle now)
+{
+    // Every dirty wake is recomputed here, even once the min is known
+    // to be `now`, so the tick that follows runs only due channels.
+    Cycle ev = kNoEvent;
     bool producing = false;
     bool regular_prio = false;
     for (unsigned ch = 0; ch < chans.size(); ++ch) {
-        const trng::RngEngine &eng = *engines[ch];
-        ev = std::min(ev, chans[ch]->nextEventCycle(now, eng.active()));
-        QueueChoice choice;
-        if (cfg.rngAwareQueueing) {
-            // One queue scan yields the choice, the stall-limit flip
-            // event, and the counter-direction flag together.
-            const RngAwarePolicy::Arbitration arb =
-                rngPolicy->arbitration(ch, *perChan[ch].readQ, rngJobs,
-                                       now);
-            choice = arb.choice;
-            ev = std::min(ev, arb.flipAt);
-            regular_prio = regular_prio || arb.regularPrioritized;
-        } else {
-            choice = peekChoice(ch);
-        }
-        ev = std::min(ev, manageEngineEventCycle(ch, now, choice));
-        ev = std::min(ev, serveChannelEventCycle(ch, now, choice));
-        if (ev <= now)
-            return now;
-        // Steadily-generating engines advance through whole rounds
-        // inside a span, and a stopping engine through its final round
-        // (their completions are batched; the switch-out end is the
-        // bounding event). Any other engine phase boundary ends the
-        // span.
-        if ((eng.inRound() || eng.switchingIn()) && eng.windNone()) {
-            producing = true;
-        } else if (eng.inRound() && eng.stopRequested()) {
-            producing = true;
-            ev = std::min(ev, eng.phaseEndCycle() +
-                                  eng.mechanism().switchOutLatency - 1);
-        } else {
-            ev = std::min(ev, eng.nextEventCycle(now));
-        }
-        if (ev <= now)
-            return now;
+        refreshWake(ch);
+        const ChannelState &cs = perChan[ch];
+        // Read deliveries end a span; producer phase ends are batched.
+        ev = std::min(ev, cs.baseWake);
+        if (!cs.inflightDone.empty())
+            ev = std::min(ev, cs.inflightDone.front());
+        producing = producing || cs.producing;
+        regular_prio = regular_prio || cs.regularPrio;
     }
+
+    // Intra-queue scheduler housekeeping (BLISS clearing interval; a
+    // custom scheduler without a nextEventCycle() override reports
+    // per-cycle work and disables skipping).
+    ev = std::min(ev, readSched->nextEventCycle(now));
+    if (!pendingBufferServeDone.empty())
+        ev = std::min(ev, pendingBufferServeDone.front());
+    // A one-cycle span is not worth a skip: report it as `now` without
+    // deriving the global horizons.
+    if (ev <= now + 1)
+        return now;
 
     if (producing) {
         collectProducers();
@@ -1035,15 +1304,10 @@ MemoryController::fastForward(Cycle from, Cycle to)
 {
     assert(to > from);
     const Cycle span = to - from;
-    for (unsigned ch = 0; ch < chans.size(); ++ch) {
-        // Residency sampling happens before the engine tick each cycle,
-        // so batch it first (the engine extends the fences afterwards).
-        chans[ch]->fastForwardState(from, to);
-        engines[ch]->fastForward(from, to);
-        if (cfg.rngAwareQueueing) {
-            rngPolicy->fastForward(ch, *perChan[ch].readQ, rngJobs, span);
-        }
-    }
+    // Per-channel bookkeeping stays deferred across the span: the
+    // replayed phase ends below keep every engine generating, so the
+    // residency branch, the engine's cycle counter and the charging
+    // stall counter are the same before and after them.
 
     // Replay the span's engine phase completions in exact per-cycle
     // order (time, then channel index — the tick loop's order), routing
@@ -1064,6 +1328,7 @@ MemoryController::fastForward(Cycle from, Cycle to)
             Producer &p = producerScratch[i];
             trng::RngEngine &eng = *engines[p.ch];
             const bool round_end = eng.inRound();
+
             if (p.oneShot)
                 eng.fastForwardFinalRound();
             else
@@ -1084,6 +1349,10 @@ MemoryController::fastForward(Cycle from, Cycle to)
             }
             p.next = p.oneShot ? kNoEvent : p.next + p.period;
         }
+        // Only the producers' phase ends moved, which their base wakes
+        // exclude; a stopping one's switch-out end is already in it.
+        for (const Producer &p : producerScratch)
+            perChan[p.ch].producing = isProducer(*engines[p.ch]);
     }
 
     if (cfg.fill == FillMode::GreedyOracle && buf) {
@@ -1099,6 +1368,7 @@ MemoryController::fastForward(Cycle from, Cycle to)
             }
         }
     }
+    clock = to;
 }
 
 std::optional<strange::PredictorStats>

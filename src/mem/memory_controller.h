@@ -13,7 +13,6 @@
 #ifndef DSTRANGE_MEM_MEMORY_CONTROLLER_H
 #define DSTRANGE_MEM_MEMORY_CONTROLLER_H
 
-#include <array>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -213,7 +212,18 @@ class MemoryController
      */
     bool enqueue(Request req, Cycle now);
 
-    /** Advance the whole memory system by one bus cycle. */
+    /**
+     * true when an RNG request from @p core would be accepted now: the
+     * buffer or the staging register can serve 64 bits, or the RNG
+     * queue has room. While it is false, enqueue() retries are no-ops.
+     */
+    bool acceptsRng(CoreId core) const;
+
+    /**
+     * Advance the whole memory system by one bus cycle. On the fast
+     * path only channels with due work run their per-cycle phases;
+     * the others defer their bookkeeping (see sync()).
+     */
     void tick(Cycle now);
 
     /**
@@ -228,17 +238,36 @@ class MemoryController
      * must then tick normally. Never returns a cycle later than the
      * first real event, so skipping to the returned cycle is
      * bit-identical to ticking through the span.
+     *
+     * The per-channel part is a min over cached wake cycles; only
+     * channels whose inputs changed since their last computation are
+     * recomputed (and cached for the tick). A horizon of @p now + 1 is
+     * reported as @p now: a one-cycle span is ticked, not skipped.
      */
-    Cycle nextEventCycle(Cycle now) const;
+    Cycle nextEventCycle(Cycle now);
 
     /**
      * Batch-apply the per-cycle effects of the quiescent span
-     * [@p from, @p to): state-residency counters, engine
+     * [@p from, @p to): engine round completions and greedy-oracle
+     * idle credit. The per-channel bookkeeping (state residency, engine
      * occupied/parked cycles and channel fences, RNG-aware stall
-     * counters, and greedy-oracle idle credit.
+     * counters) stays deferred until the channel next runs or sync().
      * @pre nextEventCycle(from) >= to
      */
     void fastForward(Cycle from, Cycle to);
+
+    /**
+     * Apply every channel's deferred per-cycle bookkeeping (residency
+     * counters, engine occupied/parked cycles and fence, RNG-aware
+     * stall counters) up to the last processed cycle. Statistics and
+     * fingerprints read after sync() match a step-1 run exactly.
+     */
+    void sync();
+
+    /** Per-channel phase passes run by tick() (work counter). */
+    std::uint64_t channelTicks() const { return channelTickCount; }
+    /** Channel wake cycles computed from scratch (work counter). */
+    std::uint64_t horizonRecomputes() const { return recomputeCount; }
 
     /**
      * Observe every successfully enqueued request with its arrival
@@ -303,14 +332,16 @@ class MemoryController
     const RngAwarePolicy *policy() const { return rngPolicy.get(); }
 
     /**
-     * Enable/disable the fast-path shortcuts: memoized per-queue issue
-     * horizons plus the scheduler forcedPick() pre-check. Pure
+     * Enable/disable the fast-path shortcuts: ticking only channels
+     * whose cached wake cycle is due (the others defer their per-cycle
+     * bookkeeping), plus the scheduler forcedPick() pre-check. Pure
      * shortcuts — behaviour must stay bit-identical either way, which
      * DS_LOCKSTEP and the difftest harness verify. Off by default so a
-     * bare controller runs the unshortcut reference code;
-     * sim::System::setFastForward() turns them on with fast-forward.
+     * bare controller runs the unshortcut reference code, with every
+     * channel due every cycle; sim::System::setFastForward() turns them
+     * on with fast-forward.
      */
-    void setFastPath(bool on) { fastPath = on; }
+    void setFastPath(bool on);
 
     /**
      * true while any queued, in-flight, or RNG work belongs to a core
@@ -394,7 +425,71 @@ class MemoryController
         Addr lastAddr = 0;
 
         std::unique_ptr<strange::IdlenessPredictor> predictor;
+
+        // Wake cache (fast path). Valid while !wakeDirty: every input
+        // of the channel's per-cycle phases is unchanged since the
+        // computation, so the phases do only bookkeeping before the
+        // wake (see tickWake()).
+        /** Earliest event of the channel other than its next read
+         *  delivery and, for a producer, its next phase end — the two
+         *  that move without any other input changing. */
+        Cycle baseWake = 0;
+        bool producing = false;   ///< Engine is a Producer.
+        bool regularPrio = false; ///< RNG stall counter charging.
+        bool wakeDirty = true;    ///< Recompute before the next use.
+        /** Per-cycle bookkeeping is applied for cycles < synced. */
+        Cycle synced = 0;
     };
+
+    /** A channel's cached wake state, computed from scratch. */
+    struct Wake
+    {
+        Cycle base = 0;
+        bool producing = false;
+        bool regularPrio = false;
+    };
+    Wake computeWake(unsigned ch) const;
+    /** First cycle tick() must run @p ch's phases: its base wake or
+     *  next read delivery. A producer's phase ends are applied by
+     *  endProducerPhase() without running the channel. */
+    Cycle tickWake(unsigned ch) const;
+    /** Complete a producer's phase end due this cycle, as its engine
+     *  tick would, leaving the per-cycle bookkeeping deferred. */
+    void endProducerPhase(unsigned ch, Cycle now);
+    /** Recompute @p ch's cached wake if dirty. */
+    void refreshWake(unsigned ch);
+    /** @p eng completes rounds on a closed-form schedule (a Producer). */
+    static bool isProducer(const trng::RngEngine &eng);
+    /** Mark every channel's wake for recomputation (shared RNG state
+     *  changed). */
+    void dirtyAllWakes();
+    /** Apply @p ch's deferred bookkeeping for cycles [synced, @p to). */
+    void catchUp(unsigned ch, Cycle to);
+    /** catchUp() every channel: run before any change to the inputs of
+     *  the RNG-aware stall counters that all channels share. */
+    void catchUpAll(Cycle to);
+    /** Run a channel that was not due at the start of tick(@p now):
+     *  its refresh/residency and engine steps are bookkeeping only. */
+    void joinTick(unsigned ch, Cycle now);
+    /** joinTick() every channel from @p first on that is not due yet
+     *  (running its choose() too when @p choose), keeping dueList in
+     *  channel order. */
+    void joinFrom(unsigned first, Cycle now, bool choose);
+    /** Highest priority among the queued RNG jobs. @pre jobs queued */
+    int topJobPriority() const;
+    /** The buffer state engine-fill management reads: full, and below
+     *  the low-utilization trigger's half-capacity mark (0 when no
+     *  channel reads it). */
+    unsigned fillGate() const;
+    /** Shared state that every channel's wake reads changed inside a
+     *  tick: dirty all wakes and run every channel this cycle. */
+    void sharedInputsChanged();
+    /** @p ch's engine runs a session that counts against
+     *  fillChannelLimit (see fillSessionActive()). */
+    bool fillMember(unsigned ch) const;
+    /** Fill-session membership feeds other channels' engine
+     *  management (engine fill with a channel limit). */
+    bool fillSetShared() const;
 
     unsigned occupancy(const ChannelState &cs) const;
     void updateIdleState(unsigned ch, Cycle now);
@@ -418,18 +513,6 @@ class MemoryController
     Cycle nextIssueCycle(const RequestQueue &queue, unsigned ch,
                          Cycle now) const;
 
-    /**
-     * Memoized full-queue issue horizon, valid while neither the
-     * backend's timing fences nor the queue's membership have changed.
-     * Two slots per channel: [0] readQ, [1] writeQ. Only consulted on
-     * the fast path; the sentinel versions make the first probe a miss.
-     */
-    struct IssueHorizon
-    {
-        std::uint64_t timingV = ~std::uint64_t{0};
-        std::uint64_t queueV = ~std::uint64_t{0};
-        Cycle earliest = 0;
-    };
     /** Next greedy-oracle deposit cycle on the selected channel, or
      *  @p now when credit bookkeeping mutates state this cycle. */
     Cycle greedyNextEventCycle(Cycle now) const;
@@ -457,12 +540,27 @@ class MemoryController
      *  this cycle (always true under FillPlacement::FirstIdle). */
     bool fillStartAllowed(unsigned ch, Cycle now) const;
     void routeBits(double bits, Cycle now);
+    /** choose() for @p ch this cycle (advances its stall counters). */
+    QueueChoice chooseQueue(unsigned ch);
     void serveChannel(unsigned ch, Cycle now);
     void manageEngine(unsigned ch, Cycle now);
 
-    /** Per-channel queue choice, computed once per tick (the policy's
-     *  stall counters advance exactly once per channel per cycle). */
+    /** Per-channel queue choice, computed once per tick for each
+     *  running channel (the policy's stall counters advance exactly
+     *  once per channel per cycle; catchUp() batches the others'). */
     std::vector<QueueChoice> choiceNow;
+    /** What each channel does in the current tick, and the list of the
+     *  channels running their phases (kDue), in channel order. */
+    enum : std::uint8_t
+    {
+        kIdle,     ///< Bookkeeping only; deferred.
+        kDue,      ///< Runs its phases.
+        kPhaseEnd, ///< A producer that only ends its engine phase.
+    };
+    std::vector<std::uint8_t> dueNow;
+    std::vector<unsigned> dueList;
+    /** Set by sharedInputsChanged(): every channel joins this tick. */
+    bool joinPending = false;
 
     McConfig cfg;
     std::unique_ptr<const dram::AddressMapping> mapper;
@@ -507,8 +605,10 @@ class MemoryController
     mutable std::vector<Producer> producerScratch;
 
     bool fastPath = false; ///< See setFastPath().
-    /** Per-channel {readQ, writeQ} horizon memos (see IssueHorizon). */
-    mutable std::vector<std::array<IssueHorizon, 2>> horizonCache;
+    /** First cycle not yet processed by tick() or fastForward(). */
+    Cycle clock = 0;
+    std::uint64_t channelTickCount = 0;
+    std::uint64_t recomputeCount = 0;
 
     /** Cap on stored idle-period samples per channel (memory bound). */
     static constexpr std::size_t kMaxIdleSamples = 1u << 18;

@@ -39,7 +39,6 @@ class RequestQueue
         if (full())
             return false;
         entries.push_back(req);
-        ++ver;
         return true;
     }
 
@@ -51,21 +50,13 @@ class RequestQueue
     erase(std::size_t i)
     {
         entries.erase(entries.begin() + i);
-        ++ver;
     }
 
     const std::vector<Request> &all() const { return entries; }
 
-    /**
-     * Monotone counter bumped on every membership change; memoized
-     * per-queue issue horizons key on (this, backend timingVersion).
-     */
-    std::uint64_t version() const { return ver; }
-
   private:
     std::size_t cap;
     std::vector<Request> entries;
-    std::uint64_t ver = 0;
 };
 
 /**

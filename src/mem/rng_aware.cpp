@@ -17,6 +17,8 @@ RngAwarePolicy::setPriority(CoreId core, int priority)
 {
     if (priorities[core] != priority) {
         priorities[core] = priority;
+        uniform = std::all_of(priorities.begin(), priorities.end(),
+                              [&](int p) { return p == priorities[0]; });
         // Priority changes reset the anti-starvation state (Section 5.2).
         for (auto &s : stalls)
             s = StallCounters{};
@@ -29,6 +31,10 @@ RngAwarePolicy::pressure(const RequestQueue &read_queue,
 {
     if (rng_jobs.empty() || read_queue.empty())
         return Pressure::None;
+    // Equal priorities everywhere: neither side outranks the other and
+    // the old-RNG-drain rule never applies.
+    if (uniform)
+        return Pressure::OnRegular;
 
     int prio_rng = priorities[rng_jobs.front().core];
     for (const RngJob &job : rng_jobs)

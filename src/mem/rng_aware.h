@@ -52,6 +52,14 @@ class RngAwarePolicy
 
     int priority(CoreId core) const { return priorities[core]; }
 
+    /**
+     * true while every application has the same priority. Arbitration
+     * then reads the RNG queue only for whether it is empty: the top
+     * job priority never differs from the regular one, so the
+     * old-RNG-drain rule (which compares the front job) never applies.
+     */
+    bool uniformPriority() const { return uniform; }
+
     /** Mark an application as an RNG application (sticky). */
     void markRngApp(CoreId core) { rngApp[core] = true; }
 
@@ -130,6 +138,7 @@ class RngAwarePolicy
 
     Config cfg;
     std::vector<int> priorities;
+    bool uniform = true; ///< See uniformPriority().
     std::vector<bool> rngApp;
 
     struct StallCounters

@@ -98,7 +98,12 @@ OpenLoopService::tick(Cycle now)
 Cycle
 OpenLoopService::nextEventCycle(Cycle now) const
 {
-    if (!backlog.empty())
+    // A backlog retries every cycle the controller can accept. While it
+    // cannot, the RNG queue is full (its capacity is at least one) and
+    // every retry is a no-op: engine bits go to the front job, so
+    // acceptance changes only when that job completes or a greedy
+    // deposit lands — controller events that end any span.
+    if (!backlog.empty() && mc.acceptsRng(portId))
         return now;
     if (doneGenerating)
         return kNoEvent;

@@ -64,8 +64,8 @@ class OpenLoopService
 
     /**
      * Earliest cycle >= @p now this driver does non-batchable work:
-     * now while a backlog waits on a full RNG queue (retry every
-     * cycle), else the next pending arrival (clamped so the
+     * now while a backlog waits and the controller accepts RNG
+     * requests, else the next pending arrival (clamped so the
      * generation-window close itself is an event).
      */
     Cycle nextEventCycle(Cycle now) const;

@@ -189,9 +189,12 @@ System::drainBound(Cycle end) const
     // service-destined one would mutate service state mid-drain unseen.
     // Refuse while any service work is in flight — no new service work
     // can appear during the drain, since the service only issues in its
-    // own tick and the cores are blocked.
-    if (svc &&
-        controller->hasWorkForPort(static_cast<CoreId>(cores.size())))
+    // own tick and the cores are blocked. A backlog refuses too: when
+    // it waits on a full RNG queue it resumes as soon as a job of any
+    // port completes, which the service would miss mid-drain.
+    if (svc && (svc->backlogDepth() > 0 ||
+                controller->hasWorkForPort(
+                    static_cast<CoreId>(cores.size()))))
         return now;
     return bound;
 }
@@ -220,17 +223,11 @@ void
 System::advanceUntil(Cycle end, bool stop_when_finished)
 {
     // Each iteration takes one of three actions: a span skip, a
-    // controller-only tick (while draining), or a full tick.
+    // controller-only tick (while draining), or a full tick. Every
+    // iteration probes: the controller's horizon is a min over cached
+    // per-channel wake cycles, so a probe costs little even in dense
+    // phases.
     //
-    // Adaptive horizon backoff: during dense event phases the horizon
-    // computation itself is the overhead, so after consecutive blocked
-    // probes the loop ticks a few cycles without probing. This only
-    // delays the start of the next skip by at most the backoff (the
-    // step path is always correct) and keeps event-dense workloads
-    // from paying the probe on every cycle.
-    Cycle probe_at = 0;
-    unsigned backoff = 0;
-
     // Controller-only drain: when a probe finds no system-wide span but
     // the controller is the only dense component — the command-bound
     // phases of heavy workloads spend most of their cycles here — it
@@ -249,15 +246,13 @@ System::advanceUntil(Cycle end, bool stop_when_finished)
             if (svc && now > drain_from)
                 svc->fastForward(drain_from, now);
             draining = false;
-            backoff = 0;
-            probe_at = now;
         }
         if (now >= end)
-            return;
+            break;
         if (!draining && stop_when_finished && allFinished() &&
             (!svc || svc->drained()))
-            return;
-        if (ffEnabled && now >= probe_at) {
+            break;
+        if (ffEnabled) {
             // While draining, the cores and the service are quiescent
             // through drain_end, so the controller's (much cheaper)
             // horizon alone bounds a skip — enough to jump intra-burst
@@ -279,23 +274,14 @@ System::advanceUntil(Cycle end, bool stop_when_finished)
                 ffCounters.skips++;
                 ffCounters.skippedCycles += to - now;
                 now = to;
-                backoff = 0;
                 continue;
             }
-            // Only back off inside genuinely dense phases: isolated
-            // event ticks between skips keep probing every cycle.
-            ++backoff;
-            if (backoff > 4)
-                probe_at = now + 1 + std::min(backoff - 4, 8u);
             if (!draining) {
                 drain_end = drainBound(end);
                 if (drain_end > now) {
                     draining = true;
                     drain_from = core_from = now;
                     coreCompletionPending = false;
-                    // This cycle is known dense: probe from the next.
-                    backoff = 0;
-                    probe_at = now + 1;
                 }
             }
         }
@@ -346,6 +332,11 @@ System::advanceUntil(Cycle end, bool stop_when_finished)
         ffCounters.steppedCycles++;
         ++now;
     }
+    // Channels that were not due defer their bookkeeping; settle it
+    // before anyone reads statistics.
+    controller->sync();
+    ffCounters.channelTicks = controller->channelTicks();
+    ffCounters.horizonRecomputes = controller->horizonRecomputes();
 }
 
 void

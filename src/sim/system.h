@@ -53,11 +53,12 @@ class System
      * DS_FAST_FORWARD environment flag, which defaults to on). With it
      * on, quiescent spans are jumped over, the controller is ticked
      * alone while every core is blocked (the controller-only drain),
-     * and the controller's shortcuts (memoized issue horizons, the
-     * scheduler forcedPick() pre-check) are enabled. With it off every
-     * bus cycle is ticked individually by the unshortcut code — the
-     * reference that DS_LOCKSTEP and the difftest harness compare the
-     * fast path against. Results are bit-identical either way.
+     * and the controller's shortcuts (ticking only channels with due
+     * work, the scheduler forcedPick() pre-check) are enabled. With it
+     * off every bus cycle is ticked individually by the unshortcut
+     * code — the reference that DS_LOCKSTEP and the difftest harness
+     * compare the fast path against. Results are bit-identical either
+     * way.
      */
     void
     setFastForward(bool enabled)
@@ -83,6 +84,11 @@ class System
         /** Bus cycles where only the controller ticked (the drain);
          *  the cores/service advanced analytically over them. */
         std::uint64_t drainTicks = 0;
+        /** Per-channel phase passes the controller ran: at most
+         *  channels x (steppedCycles + drainTicks). */
+        std::uint64_t channelTicks = 0;
+        /** Channel wake cycles the controller computed from scratch. */
+        std::uint64_t horizonRecomputes = 0;
     };
     const FfStats &ffStats() const { return ffCounters; }
 

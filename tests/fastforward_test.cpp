@@ -537,7 +537,8 @@ struct HorizonGolden
     std::string text;              ///< Config text over SimConfig{}.
     std::vector<std::string> apps; ///< Application cores, in core order.
     double mbps;                   ///< 0 = no RNG core.
-    std::uint64_t stepped, skips, skipped, drain, fingerprint;
+    std::uint64_t stepped, skips, skipped, drain, channelTicks,
+        recomputes, fingerprint;
 };
 
 /** One core per application, then the RNG core (as perf/ builds it). */
@@ -570,48 +571,47 @@ TEST(FastForwardGolden, HorizonCountersAndFingerprints)
         "fault.seed=1 seed=1";
     const workloads::WorkloadSpec eight =
         workloads::multiCoreCategoryGroup(8, 'H', 1).front();
-    // Captured before the closed-form horizon replaced the memoized
-    // production walk. drange/drstrange pins the walk with its memo
-    // bypassed: the memo served stale events there (skipped 624624,
-    // drain 61317); the fingerprint is the same either way.
+    // Counters as of per-channel wake cycles: every loop iteration
+    // probes, and the controller runs only channels with due work. The
+    // fingerprints predate that change and must not move.
     const std::vector<HorizonGolden> grid = {
         {"mix/oblivious", "design=oblivious" + dual, mix.apps,
-         mix.rngThroughputMbps, 61918, 45879, 394357, 61232,
-         0xc7a48b5d1dfc668cull},
+         mix.rngThroughputMbps, 61569, 45961, 394748, 61190,
+         308644, 316344, 0xc7a48b5d1dfc668cull},
         {"mix/drstrange", "design=drstrange" + dual, mix.apps,
-         mix.rngThroughputMbps, 88137, 27935, 186974, 44100,
-         0xa5a9686f15c3b6f5ull},
+         mix.rngThroughputMbps, 82234, 29265, 191108, 45869,
+         58727, 70827, 0xa5a9686f15c3b6f5ull},
         {"drange/oblivious", "design=oblivious mechanism=drange" + alone,
-         {}, 2560.0, 105404, 103789, 993468, 92903,
-         0xf52eafc70d0bbcecull},
+         {}, 2560.0, 105404, 103748, 965428, 120943,
+         477939, 590099, 0xf52eafc70d0bbcecull},
         {"drange/drstrange", "design=drstrange mechanism=drange" + alone,
-         {}, 2560.0, 167660, 52092, 624626, 61315,
-         0x406453b9e04638a5ull},
+         {}, 2560.0, 155597, 52284, 636840, 61164,
+         98492, 130004, 0x406453b9e04638a5ull},
         {"quac/oblivious", "design=oblivious mechanism=quac" + alone, {},
-         2560.0, 159232, 48855, 1025977, 40903,
-         0x3d84a058bfdebd6eull},
+         2560.0, 148465, 48896, 1036002, 41645,
+         63468, 72744, 0x3d84a058bfdebd6eull},
         {"quac/drstrange", "design=drstrange mechanism=quac" + alone, {},
-         2560.0, 167804, 49661, 699999, 47746,
-         0x36ee3eb7451af2e0ull},
-        {"service/faulty", svc, {}, 0.0, 804906, 89, 535, 1,
-         0x76600ca1f23120d8ull},
+         2560.0, 155739, 49699, 712293, 47517,
+         67118, 92103, 0x36ee3eb7451af2e0ull},
+        {"service/faulty", svc, {}, 0.0, 238430, 96906, 567011, 1,
+         16, 20, 0x76600ca1f23120d8ull},
         // Greedy deposits, BLISS housekeeping with rank fences, a
         // non-DRAM timing model, and power-down edges.
         {"mix/greedy", "design=greedy" + dual, mix.apps,
-         mix.rngThroughputMbps, 68189, 45354, 272339, 59207,
-         0x1d0f33e4486a6546ull},
+         mix.rngThroughputMbps, 65222, 46003, 274353, 60160,
+         167463, 208990, 0x1d0f33e4486a6546ull},
         {"eight/bliss-2rank",
          "design=drstrange scheduler=bliss geometry.ranks=2 "
          "mapping=row-bank-col-rank-ch budget=300000 seed=1",
-         eight.apps, eight.rngThroughputMbps, 117163, 28937, 161258, 100189,
-         0x57de4fe59ba5c9f4ull},
+         eight.apps, eight.rngThroughputMbps, 111708, 30069, 164521, 102381,
+         357966, 382218, 0x57de4fe59ba5c9f4ull},
         {"mix/fixed-latency",
          "design=drstrange backend.kind=fixed-latency" + dual, mix.apps,
-         mix.rngThroughputMbps, 82699, 22826, 159647, 34931,
-         0x71e345769ff23744ull},
+         mix.rngThroughputMbps, 77081, 24068, 163656, 36540,
+         46455, 56155, 0x71e345769ff23744ull},
         {"mix/powerdown", "design=oblivious powerdown=20" + dual, mix.apps,
-         mix.rngThroughputMbps, 61952, 45866, 394076, 61394,
-         0x277a9c056bf8cb8full},
+         mix.rngThroughputMbps, 61559, 45957, 394507, 61356,
+         308875, 316577, 0x277a9c056bf8cb8full},
     };
     for (const HorizonGolden &g : grid) {
         const sim::SimConfig cfg =
@@ -624,6 +624,8 @@ TEST(FastForwardGolden, HorizonCountersAndFingerprints)
         EXPECT_EQ(ff.skips, g.skips) << g.name;
         EXPECT_EQ(ff.skippedCycles, g.skipped) << g.name;
         EXPECT_EQ(ff.drainTicks, g.drain) << g.name;
+        EXPECT_EQ(ff.channelTicks, g.channelTicks) << g.name;
+        EXPECT_EQ(ff.horizonRecomputes, g.recomputes) << g.name;
         EXPECT_EQ(fnv1a64(sim::systemFingerprint(sys)), g.fingerprint)
             << g.name;
     }

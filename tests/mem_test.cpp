@@ -503,6 +503,30 @@ TEST_F(MemoryControllerTest, RngQueueCapacityBackpressure)
     EXPECT_FALSE(mc->enqueue(req, now));
 }
 
+TEST_F(MemoryControllerTest, AcceptsRngPredictsEnqueueOutcome)
+{
+    McConfig cfg;
+    cfg.rngQueueCap = 2;
+    build(cfg);
+    Request req;
+    req.type = ReqType::Rng;
+    req.core = 1;
+    for (std::uint64_t token = 0; token < 2; ++token) {
+        EXPECT_TRUE(mc->acceptsRng(req.core));
+        req.token = token;
+        EXPECT_TRUE(mc->enqueue(req, now));
+    }
+    // Full queue: every retry is a no-op until the front job completes.
+    EXPECT_FALSE(mc->acceptsRng(req.core));
+    while (completions.empty()) {
+        EXPECT_FALSE(mc->acceptsRng(req.core));
+        tickN(1);
+    }
+    EXPECT_TRUE(mc->acceptsRng(req.core));
+    req.token = 2;
+    EXPECT_TRUE(mc->enqueue(req, now));
+}
+
 TEST_F(MemoryControllerTest, ReadQueueFullRejectsRequests)
 {
     McConfig cfg;
