@@ -22,35 +22,27 @@
 namespace bench {
 
 /**
- * Base configuration builder for all figure benches, the single entry
- * point shared with the CLI and run_all. The per-core instruction
+ * Base configuration for all figure benches. The per-core instruction
  * budget is scaled down from the paper's 200M-instruction SimPoints so
  * the whole harness runs in minutes; override with DS_INSTR_BUDGET.
  * DS_CONFIG may hold extra key=value config text (see
  * sim/config_text.h) applied on top — e.g.
  * DS_CONFIG="mechanism=quac buffer-entries=32".
  */
-inline dstrange::sim::SimulationBuilder
-baseBuilder()
+inline dstrange::sim::SimConfig
+baseConfig()
 {
-    dstrange::sim::SimulationBuilder b;
-    b.instrBudget(dstrange::envU64("DS_INSTR_BUDGET", 200000));
+    dstrange::sim::SimConfig cfg;
+    cfg.instrBudget = dstrange::envU64("DS_INSTR_BUDGET", 200000);
     if (const char *text = std::getenv("DS_CONFIG")) {
         try {
-            b.applyText(text);
+            dstrange::sim::applyConfigText(cfg, text);
         } catch (const std::exception &e) {
             std::cerr << "DS_CONFIG: " << e.what() << "\n";
             std::exit(2);
         }
     }
-    return b;
-}
-
-/** Base configuration for all figure benches (baseBuilder()'s config). */
-inline dstrange::sim::SimConfig
-baseConfig()
-{
-    return baseBuilder().config();
+    return cfg;
 }
 
 /**
@@ -63,7 +55,7 @@ baseConfig()
 inline dstrange::sim::SweepRunner
 baseSweepRunner()
 {
-    return baseBuilder().buildSweepRunner();
+    return dstrange::sim::SweepRunner(baseConfig());
 }
 
 /**

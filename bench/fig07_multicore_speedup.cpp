@@ -47,10 +47,9 @@ main()
     bench::banner("Figure 7: multi-core normalized weighted speedup",
                   "non-RNG weighted speedup vs. RNG-oblivious baseline");
 
-    sim::SimulationBuilder b = bench::baseBuilder();
-    b.instrBudget(
-        std::min<std::uint64_t>(b.config().instrBudget, 60000));
-    const std::uint64_t seed = b.config().seed;
+    sim::SimConfig base = bench::baseConfig();
+    base.instrBudget = std::min<std::uint64_t>(base.instrBudget, 60000);
+    const std::uint64_t seed = base.seed;
 
     // One flat grid over every group's mixes; cells fan out across the
     // worker pool and come back in deterministic grid order.
@@ -59,7 +58,7 @@ main()
         bench::multiCoreSweepMixes(seed, &group_labels);
     const std::vector<std::string> designs = {"oblivious", "greedy",
                                               "drstrange"};
-    sim::SweepRunner sweep = b.buildSweepRunner();
+    sim::SweepRunner sweep(base);
     const auto results = bench::runCellsOrExit(
         sweep, sim::SweepRunner::grid(designs, mixes));
 

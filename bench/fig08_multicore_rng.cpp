@@ -41,17 +41,16 @@ main()
     bench::banner("Figure 8: multi-core RNG application slowdown",
                   "RNG app slowdown vs. single-core baseline execution");
 
-    sim::SimulationBuilder b = bench::baseBuilder();
-    b.instrBudget(
-        std::min<std::uint64_t>(b.config().instrBudget, 60000));
-    const std::uint64_t seed = b.config().seed;
+    sim::SimConfig base = bench::baseConfig();
+    base.instrBudget = std::min<std::uint64_t>(base.instrBudget, 60000);
+    const std::uint64_t seed = base.seed;
 
     std::vector<std::string> group_labels;
     const std::vector<workloads::WorkloadSpec> mixes =
         bench::multiCoreSweepMixes(seed, &group_labels);
     const std::vector<std::string> designs = {"oblivious", "greedy",
                                               "drstrange"};
-    sim::SweepRunner sweep = b.buildSweepRunner();
+    sim::SweepRunner sweep(base);
     const auto results = bench::runCellsOrExit(
         sweep, sim::SweepRunner::grid(designs, mixes));
 

@@ -17,8 +17,9 @@ main()
     bench::banner("Figure 16: QUAC-TRNG end-to-end",
                   "DR-STRaNGe compatibility with a second TRNG mechanism");
 
-    sim::SweepRunner sweep =
-        bench::baseBuilder().mechanism("quac").buildSweepRunner();
+    sim::SimConfig base = bench::baseConfig();
+    base.mechanism = trng::TrngMechanism::quacTrng();
+    sim::SweepRunner sweep(base);
 
     const std::vector<std::string> designs = {"oblivious", "greedy",
                                               "drstrange"};

@@ -44,11 +44,12 @@ main()
     const auto mixes = workloads::dualCorePlottedMixes(5120.0);
     std::vector<sim::SweepRunner::Cell> cells;
     for (const Combo &combo : combos) {
-        sim::SimulationBuilder b = bench::baseBuilder();
-        b.design("drstrange");
-        b.mechanism(combo.demand);
+        sim::SimConfig cfg = bench::baseConfig();
+        sim::DesignRegistry::instance().apply("drstrange", cfg);
+        cfg.mechanism = combo.demand;
         if (combo.fill)
-            b.fillMechanism(*combo.fill);
+            cfg.fillMechanism = combo.fill;
+        const sim::SimulationBuilder b(cfg);
         for (const auto &mix : mixes)
             cells.push_back(b.buildSweepCell(mix));
     }

@@ -64,9 +64,10 @@ main()
         const std::vector<Cycle> thresholds = {Cycle(0), Cycle(50)};
         std::vector<sim::SweepRunner::Cell> cells;
         for (Cycle threshold : thresholds) {
-            sim::SimulationBuilder b = bench::baseBuilder();
-            b.design("drstrange");
-            b.powerDownThreshold(threshold);
+            sim::SimConfig cfg = bench::baseConfig();
+            sim::DesignRegistry::instance().apply("drstrange", cfg);
+            cfg.powerDownThreshold = threshold;
+            const sim::SimulationBuilder b(cfg);
             for (const auto &mix : mixes)
                 cells.push_back(b.buildSweepCell(mix));
         }

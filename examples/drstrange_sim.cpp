@@ -1,27 +1,29 @@
 /**
  * @file
  * Full command-line simulator front-end: configure a workload mix,
- * system design, TRNG mechanism and controller parameters through the
- * sim::SimulationBuilder API, run the simulation, and print
- * human-readable or JSON results.
+ * system design, TRNG mechanism and controller parameters through
+ * canonical config text (sim/config_text.h), run the simulation, and
+ * print human-readable or JSON results.
  *
  * Usage:
  *   drstrange_sim [options]
  *     --design NAME       any sim::DesignRegistry key (oblivious|greedy|
  *                         drstrange|drstrange-rl|drstrange-nopred|
  *                         drstrange-nolowutil|rng-aware|frfcfs|bliss|
- *                         ...user-registered)
+ *                         ...user-registered)           [design]
  *     --apps a,b,c        non-RNG applications (default soplex)
  *     --trace FILE        add a core driven by a trace file (repeatable)
  *     --rng-mbps N        RNG app required throughput (default 5120; 0=off)
- *     --mechanism NAME    drange|quac (default drange)
- *     --hybrid-fill NAME  distinct fill mechanism (hybrid design)
- *     --buffer N          buffer entries (default 16)
- *     --partitions N      buffer partitions (default 0 = shared)
- *     --powerdown N       power-down idle threshold cycles (default 0)
- *     --budget N          instructions per core (default 200000)
- *     --priorities a,b,.. per-core OS priorities
- *     --seed N            master seed (default 1)
+ *     --mechanism NAME    drange|quac (default drange)  [mechanism]
+ *     --hybrid-fill NAME  fill mechanism (hybrid design) [fill-mechanism]
+ *     --buffer N          buffer entries (default 16)   [buffer-entries]
+ *     --partitions N      buffer partitions (0 = shared)
+ *                                                    [buffer-partitions]
+ *     --powerdown N       idle cycles before power-down (default 0)
+ *                                                       [powerdown]
+ *     --budget N          instructions per core (default 200000) [budget]
+ *     --priorities a,b,.. per-core OS priorities        [priorities]
+ *     --seed N            master seed (default 1)       [seed]
  *     --set key=value     set any config-text knob (repeatable; see
  *                         sim/config_text.h for the grammar), e.g.
  *                         geometry.ranks=2, mapping=row-bank-col-rank-ch,
@@ -31,13 +33,21 @@
  *     --print-config      print the canonical config text and exit
  *     --json              machine-readable output
  *
- * Flags are applied in order, so `--design drstrange --set predictor=rl`
- * overrides the preset's predictor while `--set predictor=rl --design
- * drstrange` does not.
+ * A flag marked [key] is a fixed alias of `--set key=VALUE`: its value
+ * goes through the same config-text parser and checks, and must be one
+ * token (no whitespace, no '='). Flags are applied in order, so
+ * `--design drstrange --set predictor=rl` overrides the preset's
+ * predictor while `--set predictor=rl --design drstrange` does not.
  */
 
+#include <cctype>
+#include <charconv>
+#include <cmath>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
+#include <string_view>
+#include <utility>
 
 #include "common/json_writer.h"
 #include "dram/mapping_registry.h"
@@ -54,6 +64,58 @@
 using namespace dstrange;
 
 namespace {
+
+/** Convenience flags that are fixed aliases of a config-text key. */
+constexpr std::pair<std::string_view, const char *> kFlagAliases[] = {
+    {"--design", "design"},
+    {"--mechanism", "mechanism"},
+    {"--hybrid-fill", "fill-mechanism"},
+    {"--buffer", "buffer-entries"},
+    {"--partitions", "buffer-partitions"},
+    {"--powerdown", "powerdown"},
+    {"--budget", "budget"},
+    {"--priorities", "priorities"},
+    {"--seed", "seed"},
+};
+
+/** The config-text key @p flag aliases, or nullptr. */
+const char *
+aliasedKey(std::string_view flag)
+{
+    for (const auto &[name, key] : kFlagAliases)
+        if (name == flag)
+            return key;
+    return nullptr;
+}
+
+/** The single config-text token `key=value` an alias flag stands for;
+ *  whitespace or '=' in @p value would smuggle in a second token. */
+std::string
+aliasToken(const char *key, const std::string &value)
+{
+    for (const char c : value)
+        if (c == '=' || std::isspace(static_cast<unsigned char>(c)))
+            throw std::invalid_argument(
+                "value '" + value +
+                "' must be one token (no whitespace or '=')");
+    std::string token = key;
+    token += '=';
+    token += value;
+    return token;
+}
+
+/** --rng-mbps value: a finite, non-negative number, nothing trailing. */
+double
+parseMbps(const std::string &value)
+{
+    double v = 0.0;
+    const char *end = value.data() + value.size();
+    const auto [ptr, ec] = std::from_chars(value.data(), end, v);
+    if (ec != std::errc() || ptr != end || !std::isfinite(v) || v < 0.0)
+        throw std::invalid_argument("expected a finite non-negative "
+                                    "number, got '" + value + "'");
+    return v;
+}
 
 std::vector<std::string>
 splitCsv(const std::string &csv)
@@ -121,8 +183,7 @@ listRegistries()
 int
 main(int argc, char **argv)
 {
-    sim::SimulationBuilder builder;
-    builder.design("drstrange").instrBudget(200000);
+    sim::SimConfig cfg = sim::parseConfig("design=drstrange budget=200000");
     std::vector<std::string> apps;
     std::vector<std::string> trace_files;
     double rng_mbps = 5120.0;
@@ -140,43 +201,22 @@ main(int argc, char **argv)
             return argv[++i];
         };
         try {
-            if (arg == "--design") {
-                builder.design(next_arg("--design"));
+            if (const char *key = aliasedKey(arg)) {
+                sim::applyConfigText(cfg,
+                                     aliasToken(key, next_arg(arg.c_str())));
             } else if (arg == "--apps") {
                 apps = splitCsv(next_arg("--apps"));
             } else if (arg == "--trace") {
                 trace_files.push_back(next_arg("--trace"));
             } else if (arg == "--rng-mbps") {
-                rng_mbps = std::stod(next_arg("--rng-mbps"));
+                rng_mbps = parseMbps(next_arg("--rng-mbps"));
                 rng_given = true;
-            } else if (arg == "--mechanism") {
-                builder.mechanism(next_arg("--mechanism"));
-            } else if (arg == "--hybrid-fill") {
-                builder.fillMechanism(next_arg("--hybrid-fill"));
-            } else if (arg == "--buffer") {
-                builder.bufferEntries(static_cast<unsigned>(
-                    std::stoul(next_arg("--buffer"))));
-            } else if (arg == "--partitions") {
-                builder.bufferPartitions(static_cast<unsigned>(
-                    std::stoul(next_arg("--partitions"))));
-            } else if (arg == "--powerdown") {
-                builder.powerDownThreshold(
-                    std::stoull(next_arg("--powerdown")));
-            } else if (arg == "--budget") {
-                builder.instrBudget(std::stoull(next_arg("--budget")));
-            } else if (arg == "--priorities") {
-                std::vector<int> prios;
-                for (const auto &p : splitCsv(next_arg("--priorities")))
-                    prios.push_back(std::stoi(p));
-                builder.priorities(std::move(prios));
-            } else if (arg == "--seed") {
-                builder.seed(std::stoull(next_arg("--seed")));
             } else if (arg == "--set") {
-                builder.applyText(next_arg("--set"));
+                sim::applyConfigText(cfg, next_arg("--set"));
             } else if (arg == "--record-trace") {
-                builder.recordTrace(next_arg("--record-trace"));
+                cfg.traceRecord = next_arg("--record-trace");
             } else if (arg == "--replay-trace") {
-                builder.replayTrace(next_arg("--replay-trace"));
+                cfg.traceReplay = next_arg("--replay-trace");
             } else if (arg == "--list") {
                 listRegistries();
                 return 0;
@@ -192,7 +232,7 @@ main(int argc, char **argv)
                        "                      drstrange|drstrange-rl|"
                        "drstrange-nopred|\n"
                        "                      drstrange-nolowutil|"
-                       "rng-aware|frfcfs|bliss|...)\n"
+                       "rng-aware|frfcfs|bliss|...)  [design]\n"
                        "  --apps a,b,c        non-RNG applications"
                        " (default soplex)\n"
                        "  --trace FILE        add a core driven by a"
@@ -200,19 +240,21 @@ main(int argc, char **argv)
                        "  --rng-mbps N        RNG app required"
                        " throughput (default 5120; 0=off)\n"
                        "  --mechanism NAME    drange|quac (default"
-                       " drange)\n"
-                       "  --hybrid-fill NAME  distinct fill mechanism"
-                       " (hybrid design)\n"
+                       " drange)  [mechanism]\n"
+                       "  --hybrid-fill NAME  fill mechanism (hybrid"
+                       " design)  [fill-mechanism]\n"
                        "  --buffer N          buffer entries (default"
-                       " 16)\n"
-                       "  --partitions N      buffer partitions"
-                       " (default 0 = shared)\n"
-                       "  --powerdown N       power-down idle threshold"
-                       " cycles (default 0)\n"
+                       " 16)  [buffer-entries]\n"
+                       "  --partitions N      buffer partitions (0 ="
+                       " shared)  [buffer-partitions]\n"
+                       "  --powerdown N       idle cycles before"
+                       " power-down (default 0)  [powerdown]\n"
                        "  --budget N          instructions per core"
-                       " (default 200000)\n"
-                       "  --priorities a,b    per-core OS priorities\n"
-                       "  --seed N            master seed (default 1)\n"
+                       " (default 200000)  [budget]\n"
+                       "  --priorities a,b    per-core OS priorities"
+                       "  [priorities]\n"
+                       "  --seed N            master seed (default 1)"
+                       "  [seed]\n"
                        "  --set key=value     set any config-text knob"
                        " (repeatable; see\n"
                        "                      docs/configuration.md for"
@@ -249,7 +291,11 @@ main(int argc, char **argv)
                        " shed-policies)\n"
                        "  --print-config      print the canonical"
                        " config text and exit\n"
-                       "  --json              machine-readable output\n";
+                       "  --json              machine-readable output\n"
+                       "A flag marked [key] is an alias of --set"
+                       " key=VALUE: same parser, same\n"
+                       "checks; VALUE must be one token (no whitespace"
+                       " or '=').\n";
                 return 0;
             } else {
                 std::cerr << "unknown option: " << arg << "\n";
@@ -261,12 +307,12 @@ main(int argc, char **argv)
         }
     }
     if (print_config) {
-        std::cout << builder.toText() << "\n";
+        std::cout << sim::serializeConfig(cfg) << "\n";
         return 0;
     }
     // In replay mode the tape stands in for every request source: no
     // cores, no RNG benchmark, no service driver get built.
-    const bool replay_mode = !builder.config().traceReplay.empty();
+    const bool replay_mode = !cfg.traceReplay.empty();
     if (replay_mode) {
         apps.clear();
         trace_files.clear();
@@ -274,16 +320,14 @@ main(int argc, char **argv)
     }
     // With the open-loop service enabled and no workload asked for
     // explicitly, run service-only: the service layer is the workload.
-    const bool service_only = builder.config().service.enabled &&
-                              apps.empty() && trace_files.empty() &&
-                              !rng_given;
+    const bool service_only = cfg.service.enabled && apps.empty() &&
+                              trace_files.empty() && !rng_given;
     if (service_only)
         rng_mbps = 0.0;
     else if (!replay_mode && apps.empty() && trace_files.empty())
         apps = {"soplex"};
 
     // Build the system directly so trace-file cores can join.
-    const sim::SimConfig &cfg = builder.config();
     const std::string design_label = designLabelFor(cfg);
     std::vector<std::unique_ptr<cpu::TraceSource>> traces;
     CoreId core = 0;
@@ -313,7 +357,7 @@ main(int argc, char **argv)
             rng_mbps, cfg.geometry, cfg.seed + core));
     }
 
-    sim::System sys = builder.buildSystem(std::move(traces));
+    sim::System sys(cfg, std::move(traces));
     sys.run();
 
     double energy_nj = 0.0;
@@ -329,7 +373,7 @@ main(int argc, char **argv)
         w.beginObject();
         w.key("design").value(design_label);
         w.key("mechanism").value(cfg.mechanism.name);
-        w.key("config").value(builder.toText());
+        w.key("config").value(sim::serializeConfig(cfg));
         w.key("busCycles").value(sys.busCycles());
         w.key("energy_nJ").value(energy_nj);
         w.key("bufferServeRate").value(mcs.bufferServeRate());

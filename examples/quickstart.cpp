@@ -4,8 +4,9 @@
  * next to one memory-intensive application under the three headline
  * system designs, and print the paper's headline metrics for the mix.
  *
- * This is the canonical SimulationBuilder snippet: configure once with
- * the fluent API, then sweep design presets through the Runner.
+ * This is the canonical SimulationBuilder snippet: configure once by
+ * setting SimConfig fields (or applying config text), then sweep
+ * design presets through the Runner.
  */
 
 #include <iostream>
@@ -18,12 +19,13 @@ using namespace dstrange;
 int
 main()
 {
-    // One builder configures the whole experiment; buildRunner() hands
-    // back a Runner whose alone-run baselines are cached across sweeps.
-    sim::Runner runner = sim::SimulationBuilder()
-                             .instrBudget(envU64("DS_INSTR_BUDGET", 200000))
-                             .seed(1)
-                             .buildRunner();
+    // One configuration covers the whole experiment; buildRunner()
+    // hands back a Runner whose alone-run baselines are cached across
+    // sweeps.
+    sim::SimConfig cfg;
+    cfg.instrBudget = envU64("DS_INSTR_BUDGET", 200000);
+    cfg.seed = 1;
+    sim::Runner runner = sim::SimulationBuilder(cfg).buildRunner();
 
     workloads::WorkloadSpec spec;
     spec.name = "mcf+rng5120";

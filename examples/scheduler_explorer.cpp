@@ -111,8 +111,9 @@ main(int argc, char **argv)
     // controls the worker count); the custom "fcfs-baseline" design
     // registered above rides along because cells resolve design keys
     // through the same registry.
-    sim::SweepRunner sweep =
-        sim::SimulationBuilder().instrBudget(150000).buildSweepRunner();
+    sim::SimConfig base;
+    base.instrBudget = 150000;
+    sim::SweepRunner sweep(base);
 
     std::cout << "Workload:";
     for (const auto &a : spec.apps)

@@ -35,9 +35,9 @@ class RandomDevice
          * Full policy/parameter configuration of the backing memory
          * system. Defaults to the DR-STRaNGe design (SimConfig's
          * default) with the device's historical seed; select another
-         * design with sim::DesignRegistry::apply (e.g. "oblivious") or
-         * sim::SimulationBuilder::design, or flip individual policy
-         * knobs directly.
+         * design with sim::DesignRegistry::apply (e.g. "oblivious"),
+         * set individual knobs as fields, or apply config text with
+         * sim::applyConfigText.
          */
         sim::SimConfig sim;
 

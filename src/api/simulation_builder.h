@@ -1,18 +1,15 @@
 /**
  * @file
- * Fluent facade over the composable configuration API. One builder
- * covers the whole construction surface: select a named design preset
- * (built-in or registered in sim::DesignRegistry), override individual
- * policy knobs (scheduler / predictor registry keys, buffering, fill,
- * low-utilization mode) and numeric parameters, serialize the result to
- * canonical key=value text (sim/config_text.h), and produce System,
- * Runner, or api::RandomDevice instances.
+ * Thin facade over SimConfig: select a named design preset (built-in
+ * or registered in sim::DesignRegistry), apply canonical key=value
+ * config text (sim/config_text.h) — the one parser and validator of
+ * every knob — and produce System, Runner or SweepRunner instances.
+ * Programmatic code that wants a single knob assigns the SimConfig
+ * field directly.
  *
  *   auto runner = sim::SimulationBuilder()
  *                     .design("drstrange")
- *                     .mechanism("quac")
- *                     .bufferEntries(32)
- *                     .instrBudget(200000)
+ *                     .applyText("mechanism=quac buffer-entries=32")
  *                     .buildRunner();
  */
 
@@ -20,7 +17,6 @@
 #define DSTRANGE_API_SIMULATION_BUILDER_H
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -32,10 +28,9 @@
 namespace dstrange::sim {
 
 /**
- * Fluent single-entry-point builder over SimConfig: design presets,
- * policy knobs, numeric parameters, canonical config text, and the
- * simulation products (System, Runner, SweepRunner, grid cells) all
- * hang off one chainable object.
+ * Chainable holder of one SimConfig: design presets and config text
+ * go in, the simulation products (System, Runner, SweepRunner, grid
+ * cells) come out.
  */
 class SimulationBuilder
 {
@@ -53,7 +48,6 @@ class SimulationBuilder
      */
     static SimulationBuilder fromText(const std::string &text);
 
-    // --- Design presets ----------------------------------------------
     /**
      * Reset the policy knobs to a design registered in
      * sim::DesignRegistry (key or display name; covers the paper's
@@ -62,148 +56,19 @@ class SimulationBuilder
      */
     SimulationBuilder &design(const std::string &name);
 
-    // --- Policy knobs ------------------------------------------------
-    /** Registry-keyed setters validate eagerly: @throws
-     *  std::out_of_range when the key is not registered (yet). */
-    SimulationBuilder &scheduler(std::string registry_key);
-    SimulationBuilder &rngAwareQueueing(bool on);
-    SimulationBuilder &buffering(bool on);
-    SimulationBuilder &fillPolicy(std::string mode);
-    SimulationBuilder &predictor(std::string registry_key);
-    SimulationBuilder &lowUtilFill(bool on);
-    /** Physical-address interleaving policy (dram::MappingRegistry
-     *  key, e.g. "row-bank-col-ch" or "row-bank-col-rank-ch"). */
-    SimulationBuilder &addressMapping(std::string registry_key);
-    /** Cross-channel placement of engine buffer-fill sessions
-     *  ("first-idle" or "round-robin"). */
-    SimulationBuilder &fillPlacement(std::string name);
-    /** Channel timing model behind the controller
-     *  (mem::BackendRegistry key: "ddr4" cycle-accurate, or
-     *  "fixed-latency" analytical). */
-    SimulationBuilder &backend(std::string registry_key);
-    /** Read/write service latency of the fixed-latency backend. */
-    SimulationBuilder &backendReadLatency(Cycle cycles);
-    SimulationBuilder &backendWriteLatency(Cycle cycles);
-    /** Minimum cycles between column commands (fixed-latency). */
-    SimulationBuilder &backendGap(Cycle cycles);
-
-    // --- Request-trace capture and replay ----------------------------
-    /** Record every accepted controller request to a binary trace at
-     *  @p path (written crash-safely when the run finishes). */
-    SimulationBuilder &recordTrace(std::string path);
-    /** Replay a recorded trace instead of simulating cores/service;
-     *  controller-side metrics reproduce the recorded run exactly. */
-    SimulationBuilder &replayTrace(std::string path);
-
-    // --- Mechanisms and numeric parameters ---------------------------
-    /** TRNG mechanism serving demand RNG requests. */
-    SimulationBuilder &mechanism(const trng::TrngMechanism &m);
-    /** Built-in mechanism by name ("drange"/"quac").
-     *  @throws std::out_of_range when unknown. */
-    SimulationBuilder &mechanism(const std::string &name);
-    /** Separate mechanism for buffer fills (hybrid designs,
-     *  Section 8.7); the default is the demand mechanism. */
-    SimulationBuilder &fillMechanism(const trng::TrngMechanism &m);
-    SimulationBuilder &fillMechanism(const std::string &name);
-    /** Fills use the demand mechanism again (undo fillMechanism()). */
-    SimulationBuilder &noFillMechanism();
-    SimulationBuilder &timings(const dram::DramTimings &t);
-    SimulationBuilder &geometry(const dram::DramGeometry &g);
-    SimulationBuilder &bufferEntries(unsigned entries);
-    SimulationBuilder &bufferPartitions(unsigned partitions);
-    /** Queue-occupancy threshold below which low-util fill kicks in. */
-    SimulationBuilder &lowUtilThreshold(unsigned occupancy);
-    /** Idle cycles before a rank enters power-down. */
-    SimulationBuilder &powerDownThreshold(Cycle cycles);
-    /** Per-core instruction budget ending the simulation. */
-    SimulationBuilder &instrBudget(std::uint64_t instructions);
-    /** Hard bus-cycle cap (0 = none), a safety net over instrBudget. */
-    SimulationBuilder &maxBusCycles(Cycle cycles);
-    /** Per-core scheduling priorities (empty = all equal). */
-    SimulationBuilder &priorities(std::vector<int> per_core);
-    SimulationBuilder &seed(std::uint64_t s);
-
-    // --- Open-loop service layer (service::OpenLoopService) ----------
-    /** Attach the open-loop RNG request service to the built system. */
-    SimulationBuilder &serviceEnabled(bool on);
-    /** Arrival process (service::ArrivalRegistry key, e.g. "poisson",
-     *  "bursty", "diurnal", "closed-loop").
-     *  @throws std::out_of_range when the key is not registered. */
-    SimulationBuilder &serviceArrival(std::string registry_key);
-    /** Aggregate offered RNG load in Mbps across all logical clients. */
-    SimulationBuilder &serviceOfferedMbps(double mbps);
-    /** Logical client population (closed-loop concurrency; also the
-     *  bursty/diurnal modulation base). */
-    SimulationBuilder &serviceClients(unsigned clients);
-    /** SLO latency target in bus cycles (requests above it count as
-     *  over-SLO in the SloReport). */
-    SimulationBuilder &serviceSloTarget(Cycle cycles);
-    /** Bus cycles over which new requests are generated. */
-    SimulationBuilder &serviceDuration(Cycle cycles);
-    /** Admission-control policy (service::ShedRegistry key:
-     *  "shed-none", "shed-tail", "shed-priority").
-     *  @throws std::out_of_range when the key is not registered. */
-    SimulationBuilder &serviceShedPolicy(std::string registry_key);
-    /** Backlog bound the shed policy trips at (0 = derive from the SLO
-     *  target and offered rate). */
-    SimulationBuilder &serviceShedLimit(std::uint64_t limit);
-
-    // --- Fault injection (fault::FaultPlane / fault::FaultyBackend) --
-    /**
-     * Comma-separated fault::FaultRegistry keys to inject ("bitflip",
-     * "weak-cell", "stuck-row", "outage"); empty disables injection.
-     * @throws std::out_of_range when any key is not registered.
-     */
-    SimulationBuilder &faultModels(const std::string &models_csv);
-    /** Seed of the fault plane (independent of the master seed). */
-    SimulationBuilder &faultSeed(std::uint64_t s);
-    /** Expected silently-flipped bits per 256-bit round ("bitflip"). */
-    SimulationBuilder &faultBitflipRate(double rate);
-    /** RNG cell pool per channel / weak and stuck population sizes. */
-    SimulationBuilder &faultCells(unsigned cells_per_channel);
-    SimulationBuilder &faultWeakCells(unsigned cells);
-    SimulationBuilder &faultWeakSeverity(unsigned severity);
-    /** Uses per severity step a weak cell drifts by (0 = no drift). */
-    SimulationBuilder &faultDriftInterval(std::uint64_t uses);
-    SimulationBuilder &faultStuckRows(unsigned rows);
-    /** Screened spare cells per channel for blacklist remapping. */
-    SimulationBuilder &faultSpares(unsigned cells);
-    /** Health monitor on/off and its escalation bounds. */
-    SimulationBuilder &faultMonitor(bool on);
-    SimulationBuilder &faultBlacklistThreshold(unsigned failures);
-    SimulationBuilder &faultRetryLimit(unsigned rounds);
-    /** Periodic rank/channel outage windows ("outage" model). */
-    SimulationBuilder &faultOutagePeriod(Cycle cycles);
-    SimulationBuilder &faultOutageDuration(Cycle cycles);
-    /** Outage blast radius: "channel" or "rank".
-     *  @throws std::out_of_range on any other value. */
-    SimulationBuilder &faultOutageScope(std::string scope);
-
-    // --- Execution environment ---------------------------------------
-    /**
-     * Persistent alone-run cache directory for the built Runner /
-     * SweepRunner (see sim::ResultStore): baselines are read from and
-     * written back to @p dir, shared safely between concurrent
-     * processes. An empty string disables persistence. When this
-     * setter is never called, the built products fall back to the
-     * DS_CACHE_DIR environment variable (unset = no persistence).
-     */
-    SimulationBuilder &cacheDir(std::string dir);
-
-    // --- Text form ---------------------------------------------------
     /** Apply key=value tokens on top of the current state.
      *  @throws std::invalid_argument on malformed text. */
     SimulationBuilder &applyText(const std::string &text);
     /** Canonical key=value serialization of the current state. */
     std::string toText() const;
 
-    // --- Products ----------------------------------------------------
     /** The built configuration (valid to copy and use directly). */
     const SimConfig &config() const { return cfg; }
-    /** The memory-controller slice of the configuration. */
-    mem::McConfig mcConfig() const { return mcConfigFor(cfg); }
-    /** Experiment runner over this configuration (honors cacheDir()). */
-    Runner buildRunner() const;
+
+    /** Experiment runner over this configuration (its alone-run
+     *  cache persists under DS_CACHE_DIR when set). */
+    Runner buildRunner() const { return Runner(cfg); }
+
     /** One simulated system over explicit per-core traces. */
     System buildSystem(
         std::vector<std::unique_ptr<cpu::TraceSource>> traces) const
@@ -212,8 +77,11 @@ class SimulationBuilder
     }
 
     /** Parallel sweep executor over this configuration (jobs == 0
-     *  selects DS_JOBS / hardware_concurrency; honors cacheDir()). */
-    SweepRunner buildSweepRunner(unsigned jobs = 0) const;
+     *  selects DS_JOBS / hardware_concurrency). */
+    SweepRunner buildSweepRunner(unsigned jobs = 0) const
+    {
+        return SweepRunner(cfg, jobs);
+    }
 
     /**
      * One SweepRunner grid cell that runs @p spec under exactly this
@@ -230,11 +98,7 @@ class SimulationBuilder
     }
 
   private:
-    std::shared_ptr<ResultStore> makeStore() const;
-
     SimConfig cfg;
-    /** nullopt = DS_CACHE_DIR default; "" = persistence disabled. */
-    std::optional<std::string> cacheDirOverride;
 };
 
 } // namespace dstrange::sim

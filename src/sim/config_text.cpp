@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -29,12 +30,15 @@ namespace {
 std::uint64_t
 parseU64(const std::string &value)
 {
-    // std::stoull would wrap a leading minus instead of failing.
-    if (value.empty() || value[0] == '-' || value[0] == '+')
+    // Digits only, so a leading minus fails instead of wrapping.
+    std::uint64_t v = 0;
+    const char *end = value.data() + value.size();
+    const auto [ptr, ec] = std::from_chars(value.data(), end, v);
+    if (ec == std::errc::result_out_of_range)
+        throw std::invalid_argument("value out of range");
+    if (ec != std::errc())
         throw std::invalid_argument("expected an unsigned number");
-    std::size_t used = 0;
-    const std::uint64_t v = std::stoull(value, &used);
-    if (used != value.size())
+    if (ptr != end)
         throw std::invalid_argument("trailing characters");
     return v;
 }
@@ -58,6 +62,18 @@ parseUnsigned(const std::string &value)
     return static_cast<unsigned>(v);
 }
 
+/** Geometry sizes divide addresses, so a value below the model's
+ *  floor would crash the run instead of failing here. */
+unsigned
+parseAtLeast(const std::string &value, unsigned floor)
+{
+    const unsigned v = parseUnsigned(value);
+    if (v < floor)
+        throw std::invalid_argument("must be at least " +
+                                    std::to_string(floor));
+    return v;
+}
+
 double
 parseDouble(const std::string &value)
 {
@@ -65,6 +81,8 @@ parseDouble(const std::string &value)
     const double v = std::stod(value, &used);
     if (used != value.size())
         throw std::invalid_argument("trailing characters");
+    if (!std::isfinite(v))
+        throw std::invalid_argument("expected a finite number");
     return v;
 }
 
@@ -101,13 +119,19 @@ bool
 applyMechanismField(trng::TrngMechanism &m, const std::string &field,
                     const std::string &value)
 {
-    if (field == "name")
+    if (field == "name") {
         m.name = value;
-    else if (field == "bits")
-        m.bitsPerRound = parseDouble(value);
-    else if (field == "round")
-        m.roundLatency = parseU64(value);
-    else if (field == "in")
+    } else if (field == "bits") {
+        const double bits = parseDouble(value);
+        if (bits <= 0.0)
+            throw std::invalid_argument("bits per round must be > 0");
+        m.bitsPerRound = bits;
+    } else if (field == "round") {
+        const Cycle round = parseU64(value);
+        if (round == 0)
+            throw std::invalid_argument("round latency must be > 0");
+        m.roundLatency = round;
+    } else if (field == "in")
         m.switchInLatency = parseU64(value);
     else if (field == "out")
         m.switchOutLatency = parseU64(value);
@@ -162,15 +186,15 @@ applyGeometryField(dram::DramGeometry &g, const std::string &field,
                    const std::string &value)
 {
     if (field == "channels")
-        g.channels = parseUnsigned(value);
+        g.channels = parseAtLeast(value, 1);
     else if (field == "ranks")
-        g.ranksPerChannel = parseUnsigned(value);
+        g.ranksPerChannel = parseAtLeast(value, 1);
     else if (field == "banks")
-        g.banksPerRank = parseUnsigned(value);
+        g.banksPerRank = parseAtLeast(value, 1);
     else if (field == "rows")
-        g.rowsPerBank = parseUnsigned(value);
+        g.rowsPerBank = parseAtLeast(value, 1);
     else if (field == "rowbytes")
-        g.rowBytes = parseUnsigned(value);
+        g.rowBytes = parseAtLeast(value, kLineBytes);
     else
         return false;
     return true;

@@ -1,8 +1,9 @@
 /**
  * @file
  * Canonical key=value text form of a SimConfig. One grammar serves the
- * CLI (--set/--design), the bench harness (DS_CONFIG), saved experiment
- * configs, and the Runner's alone-run cache keys.
+ * CLI (--set and its flag aliases), the bench harness (DS_CONFIG),
+ * saved experiment configs, and the Runner's alone-run cache keys; it
+ * is the only parser and validator of knob values from outside.
  *
  * Grammar: whitespace-separated `key=value` tokens. serializeConfig()
  * emits every knob in a fixed order, so equal strings mean equal

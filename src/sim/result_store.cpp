@@ -124,8 +124,9 @@ ResultStore::openFromEnv()
     // warning) rather than aborting every binary that links the
     // library: the cache is an optimization, and this runs inside
     // Runner's constructor where callers cannot reasonably catch.
-    // Explicit construction (SimulationBuilder::cacheDir) still
-    // throws, so deliberate API use keeps the hard error.
+    // Explicit construction (ResultStore(dir), passed to Runner or
+    // SweepRunner) still throws, so deliberate API use keeps the hard
+    // error.
     try {
         return std::make_shared<ResultStore>(dir);
     } catch (const std::exception &e) {

@@ -99,8 +99,9 @@ TEST(BackendRegistry, UserBackendReachesTheController)
                 ctx.geometry, 5, 5, 1);
         });
     }
-    sim::SimulationBuilder b;
-    b.backend("test-fixed").instrBudget(2000);
+    // A user registration is a valid config-text key at once.
+    const sim::SimulationBuilder b =
+        sim::SimulationBuilder::fromText("backend.kind=test-fixed budget=2000");
     std::vector<std::unique_ptr<cpu::TraceSource>> traces;
     traces.push_back(std::make_unique<workloads::SyntheticTrace>(
         workloads::appByName("soplex"), b.config().geometry, 0,
@@ -120,11 +121,11 @@ TEST(BackendRegistry, UserBackendReachesTheController)
 TEST(BackendConfig, BuilderValidatesEagerly)
 {
     sim::SimulationBuilder b;
-    EXPECT_THROW(b.backend("no-such-backend"), std::out_of_range);
-    b.backend("fixed-latency")
-        .backendReadLatency(7)
-        .backendWriteLatency(9)
-        .backendGap(2);
+    EXPECT_THROW(b.applyText("backend.kind=no-such-backend"),
+                 std::invalid_argument);
+    EXPECT_EQ(b.config().backend, "ddr4");
+    b.applyText("backend.kind=fixed-latency backend.read-latency=7 "
+                "backend.write-latency=9 backend.gap=2");
     EXPECT_EQ(b.config().backend, "fixed-latency");
     EXPECT_EQ(b.config().backendReadLatency, 7u);
     EXPECT_EQ(b.config().backendWriteLatency, 9u);

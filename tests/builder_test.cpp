@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
 #include <stdexcept>
 
 #include "drstrange.h"
@@ -463,8 +464,10 @@ TEST(Registries, CustomSchedulerRunsThroughDesignNamePath)
 {
     registerOldestFirst();
 
-    SimulationBuilder builder;
-    builder.design("test-oldest-baseline").instrBudget(8000);
+    SimConfig base;
+    base.instrBudget = 8000;
+    SimulationBuilder builder(base);
+    builder.design("test-oldest-baseline");
     EXPECT_EQ(builder.config().scheduler, "test-oldest-first");
 
     std::vector<std::unique_ptr<cpu::TraceSource>> traces;
@@ -512,18 +515,15 @@ TEST(ConfigText, SerializeParseRoundTripsDefaults)
 
 TEST(ConfigText, SerializeParseRoundTripsCustomConfig)
 {
-    SimulationBuilder b;
-    b.design("greedy")
-        .mechanism("quac")
-        .fillMechanism(trng::TrngMechanism::withSystemThroughput(640.0, 4))
-        .bufferEntries(32)
-        .bufferPartitions(4)
-        .lowUtilThreshold(7)
-        .powerDownThreshold(50)
-        .instrBudget(12345)
-        .seed(99)
-        .priorities({2, 1, 1});
-    SimConfig cfg = b.config();
+    SimConfig cfg = parseConfig("design=greedy mechanism=quac");
+    cfg.fillMechanism = trng::TrngMechanism::withSystemThroughput(640.0, 4);
+    cfg.bufferEntries = 32;
+    cfg.bufferPartitions = 4;
+    cfg.lowUtilThreshold = 7;
+    cfg.powerDownThreshold = 50;
+    cfg.instrBudget = 12345;
+    cfg.seed = 99;
+    cfg.priorities = {2, 1, 1};
     cfg.timings.tRCD = 13;
     cfg.geometry.channels = 2;
 
@@ -584,6 +584,28 @@ TEST(ConfigText, RejectsMalformedInput)
                  std::invalid_argument);
     EXPECT_THROW(applyConfigText(cfg, "priorities=1x,2"),
                  std::invalid_argument);
+    // Zero geometry sizes divide addresses by zero at run time.
+    for (const char *field : {"channels", "ranks", "banks", "rows",
+                              "rowbytes"}) {
+        SCOPED_TRACE(field);
+        EXPECT_THROW(applyConfigText(cfg, std::string("geometry.") +
+                                              field + "=0"),
+                     std::invalid_argument);
+    }
+    // Rows hold at least one cache line, for the same reason.
+    EXPECT_THROW(applyConfigText(cfg, "geometry.rowbytes=63"),
+                 std::invalid_argument);
+    // Floating-point knobs must be finite; mechanism bits and round
+    // latency positive.
+    for (const char *text :
+         {"mechanism.bits=nan", "mechanism.bits=inf", "mechanism.bits=-8",
+          "mechanism.bits=0", "fill-mechanism.bits=nan",
+          "fill-mechanism.bits=-8", "mechanism.round=0",
+          "fill-mechanism.round=0", "timings.tck=inf",
+          "service.offered-mbps=nan", "fault.bitflip-rate=-inf"}) {
+        SCOPED_TRACE(text);
+        EXPECT_THROW(applyConfigText(cfg, text), std::invalid_argument);
+    }
 }
 
 TEST(ConfigText, WhitespaceMechanismNameStaysParseable)
@@ -594,13 +616,103 @@ TEST(ConfigText, WhitespaceMechanismNameStaysParseable)
     EXPECT_EQ(back.mechanism.name, "my-custom-mech");
 }
 
+/**
+ * Seeded byte-mutation robustness (a plain loop standing in for a
+ * fuzzer): every mutation of a non-default config's text either parses
+ * or throws std::invalid_argument, and every accepted text is a fixed
+ * point of serialize-after-parse.
+ */
+TEST(ConfigText, MutatedTextParsesOrRejectsCleanly)
+{
+    SimConfig base = parseConfig("design=drstrange-rl mechanism=quac");
+    base.fillMechanism = trng::TrngMechanism::dRange();
+    base.priorities = {2, -1, 3};
+    base.service.enabled = true;
+    base.service.arrival = "bursty";
+    base.service.burstFactor = 2.5;
+    base.fault.models = "bitflip,outage";
+    base.fault.bitflipRate = 0.125;
+    base.geometry.ranksPerChannel = 2;
+    base.traceRecord = "tape.bin";
+    const std::string seed_text = serializeConfig(base);
+
+    // Bytes the grammar gives meaning to, plus arbitrary ones.
+    const std::string special = "= ,.-+0123456789eExnaif\t";
+    std::mt19937_64 rng(2022);
+    constexpr int kCases = 20000;
+    int accepted = 0;
+    for (int c = 0; c < kCases; ++c) {
+        std::string text = seed_text;
+        const int ops = 1 + static_cast<int>(rng() % 3);
+        for (int op = 0; op < ops; ++op) {
+            std::size_t pos = rng() % (text.size() + 1);
+            // Every other case aims at a value, where a mutation is
+            // likelier to survive parsing and test the fixed point.
+            if (c % 2 == 0) {
+                const std::size_t eq = text.find('=', pos);
+                if (eq != std::string::npos)
+                    pos = std::min(eq + 1 + rng() % 3, text.size());
+            }
+            const char byte =
+                rng() % 2 ? special[rng() % special.size()]
+                          : static_cast<char>(rng() % 256);
+            switch (rng() % 3) {
+            case 0: // flip: one bit or a whole-byte replacement
+                if (pos < text.size())
+                    text[pos] = rng() % 2
+                                    ? static_cast<char>(
+                                          text[pos] ^ (1 << (rng() % 8)))
+                                    : byte;
+                break;
+            case 1:
+                text.insert(pos, 1, byte);
+                break;
+            default:
+                if (pos < text.size())
+                    text.erase(pos, 1);
+                break;
+            }
+        }
+        SimConfig parsed;
+        try {
+            parsed = parseConfig(text);
+        } catch (const std::invalid_argument &) {
+            continue;
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << "case " << c << " threw a non-invalid_argument "
+                          << "exception: " << e.what() << "\ntext: " << text;
+            continue;
+        }
+        ++accepted;
+        const std::string once = serializeConfig(parsed);
+        std::string twice;
+        try {
+            twice = serializeConfig(parseConfig(once));
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << "case " << c << ": serialization of an "
+                          << "accepted text does not parse: " << e.what()
+                          << "\ntext: " << once;
+            continue;
+        }
+        EXPECT_EQ(once, twice) << "case " << c << " is not a fixed point";
+    }
+    // Both branches must be exercised for the loop to mean anything.
+    EXPECT_GT(accepted, kCases / 50);
+    EXPECT_LT(accepted, kCases);
+}
+
 TEST(ConfigText, BuilderFromTextMatchesFluentCalls)
 {
+    SimConfig base;
+    base.seed = 7;
     const SimulationBuilder fluent =
-        SimulationBuilder().design("drstrange-rl").seed(7);
+        SimulationBuilder(base).design("drstrange-rl");
     const SimulationBuilder parsed =
         SimulationBuilder::fromText("design=drstrange-rl seed=7");
     EXPECT_EQ(fluent.toText(), parsed.toText());
+    const SimulationBuilder applied =
+        SimulationBuilder().design("drstrange-rl").applyText("seed=7");
+    EXPECT_EQ(applied.toText(), parsed.toText());
 }
 
 // ---------------------------------------------------------------------

@@ -413,30 +413,34 @@ TEST(FaultConfigText, InvalidKeysFailEagerlyNamingValidOnes)
 
 TEST(FaultBuilder, SettersValidateAndRoundTrip)
 {
-    sim::SimulationBuilder b;
-    b.faultModels("bitflip,stuck-row")
-        .faultSeed(7)
-        .faultBitflipRate(0.1)
-        .faultWeakCells(2)
-        .faultStuckRows(1)
-        .faultSpares(3)
-        .faultMonitor(false)
-        .faultOutagePeriod(1000)
-        .faultOutageDuration(100)
-        .faultOutageScope("rank")
-        .serviceShedPolicy("shed-priority")
-        .serviceShedLimit(32);
-    EXPECT_EQ(b.config().fault.models, "bitflip,stuck-row");
+    const sim::SimulationBuilder b = sim::SimulationBuilder::fromText(
+        "fault.models=bitflip,stuck-row fault.seed=7 "
+        "fault.bitflip-rate=0.1 fault.weak-cells=2 fault.stuck-rows=1 "
+        "fault.spares=3 fault.monitor=0 fault.outage-period=1000 "
+        "fault.outage-duration=100 fault.outage-scope=rank "
+        "service.shed=shed-priority service.shed-limit=32");
+    const fault::FaultConfig &f = b.config().fault;
+    EXPECT_EQ(f.models, "bitflip,stuck-row");
+    EXPECT_EQ(f.seed, 7u);
+    EXPECT_EQ(f.bitflipRate, 0.1);
+    EXPECT_EQ(f.weakCells, 2u);
+    EXPECT_EQ(f.stuckRows, 1u);
+    EXPECT_EQ(f.spareCells, 3u);
+    EXPECT_FALSE(f.monitor);
+    EXPECT_EQ(f.outagePeriod, 1000u);
+    EXPECT_EQ(f.outageDuration, 100u);
+    EXPECT_EQ(f.outageScope, "rank");
     EXPECT_EQ(b.config().service.shed, "shed-priority");
+    EXPECT_EQ(b.config().service.shedLimit, 32u);
     const std::string text = b.toText();
     EXPECT_EQ(sim::SimulationBuilder::fromText(text).toText(), text);
 
-    EXPECT_THROW(sim::SimulationBuilder().faultModels("bitflip,nope"),
-                 std::out_of_range);
-    EXPECT_THROW(sim::SimulationBuilder().faultOutageScope("bank"),
-                 std::out_of_range);
-    EXPECT_THROW(sim::SimulationBuilder().serviceShedPolicy("nope"),
-                 std::out_of_range);
+    for (const char *bad : {"fault.models=bitflip,nope",
+                            "fault.outage-scope=bank", "service.shed=nope"}) {
+        SCOPED_TRACE(bad);
+        EXPECT_THROW(sim::SimulationBuilder::fromText(bad),
+                     std::invalid_argument);
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -366,21 +366,18 @@ TEST(ServiceConfigText, RejectsUnknownArrivalAndKeys)
 
 TEST(ServiceBuilder, SettersAndValidation)
 {
-    const sim::SimulationBuilder b = sim::SimulationBuilder()
-                                         .serviceEnabled(true)
-                                         .serviceArrival("diurnal")
-                                         .serviceOfferedMbps(2560.0)
-                                         .serviceClients(32)
-                                         .serviceSloTarget(250)
-                                         .serviceDuration(10000);
+    const sim::SimulationBuilder b = sim::SimulationBuilder::fromText(
+        "service.enabled=1 service.arrival=diurnal "
+        "service.offered-mbps=2560 service.clients=32 service.slo=250 "
+        "service.duration=10000");
     EXPECT_TRUE(b.config().service.enabled);
     EXPECT_EQ(b.config().service.arrival, "diurnal");
     EXPECT_EQ(b.config().service.offeredMbps, 2560.0);
     EXPECT_EQ(b.config().service.clients, 32u);
     EXPECT_EQ(b.config().service.sloTargetCycles, 250u);
     EXPECT_EQ(b.config().service.durationCycles, 10000u);
-    EXPECT_THROW(sim::SimulationBuilder().serviceArrival("nope"),
-                 std::out_of_range);
+    EXPECT_THROW(sim::SimulationBuilder::fromText("service.arrival=nope"),
+                 std::invalid_argument);
     // Builder text round trip carries the service keys.
     const std::string text = b.toText();
     EXPECT_EQ(sim::SimulationBuilder::fromText(text).toText(), text);

@@ -366,8 +366,10 @@ TEST(SweepRunner, FailedCellCarriesErrorAndOthersStillRun)
 
 TEST(SweepRunner, ExplicitConfigCellOverridesBase)
 {
-    sim::SimulationBuilder b{tinyConfig()};
-    b.bufferEntries(4).seed(7);
+    sim::SimConfig cfg = tinyConfig();
+    cfg.bufferEntries = 4;
+    cfg.seed = 7;
+    const sim::SimulationBuilder b{cfg};
     sim::SweepRunner::Cell cell = b.buildSweepCell(dualSpec("mcf"));
     ASSERT_TRUE(cell.config.has_value());
     EXPECT_EQ(cell.config->bufferEntries, 4u);
