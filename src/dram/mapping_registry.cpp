@@ -1,10 +1,7 @@
 #include "dram/mapping_registry.h"
 
 #include <cassert>
-#include <mutex>
 #include <stdexcept>
-
-#include "common/registry_key.h"
 
 namespace dstrange::dram {
 
@@ -160,7 +157,7 @@ PermutedBankMapping::encode(const DramCoord &coord) const
     return InterleavedMapping::encode(unpermuted);
 }
 
-MappingRegistry::MappingRegistry()
+MappingRegistry::MappingRegistry() : Registry("mapping")
 {
     add(kDefault, [](const DramGeometry &g) {
         return std::make_unique<InterleavedMapping>(g, kRowBankColCh);
@@ -178,56 +175,6 @@ MappingRegistry::instance()
 {
     static MappingRegistry registry;
     return registry;
-}
-
-void
-MappingRegistry::add(const std::string &key, MappingFactory factory)
-{
-    validateRegistryKey("mapping", key);
-    if (!factory)
-        throw std::invalid_argument("mapping factory for '" + key +
-                                    "' must not be empty");
-    std::unique_lock<std::shared_mutex> lock(mu);
-    if (!factories.emplace(key, std::move(factory)).second)
-        throw std::invalid_argument("mapping '" + key +
-                                    "' is already registered");
-}
-
-std::unique_ptr<const AddressMapping>
-MappingRegistry::make(const std::string &key,
-                      const DramGeometry &geometry) const
-{
-    MappingFactory factory;
-    {
-        std::shared_lock<std::shared_mutex> lock(mu);
-        const auto it = factories.find(key);
-        if (it == factories.end()) {
-            std::string known;
-            for (const auto &[k, f] : factories)
-                known += (known.empty() ? "" : ", ") + k;
-            throw std::out_of_range("unknown mapping '" + key +
-                                    "' (registered: " + known + ")");
-        }
-        factory = it->second;
-    }
-    return factory(geometry);
-}
-
-bool
-MappingRegistry::contains(const std::string &key) const
-{
-    std::shared_lock<std::shared_mutex> lock(mu);
-    return factories.count(key) != 0;
-}
-
-std::vector<std::string>
-MappingRegistry::keys() const
-{
-    std::shared_lock<std::shared_mutex> lock(mu);
-    std::vector<std::string> out;
-    for (const auto &[key, factory] : factories)
-        out.push_back(key);
-    return out;
 }
 
 } // namespace dstrange::dram

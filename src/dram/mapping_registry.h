@@ -27,12 +27,9 @@
 
 #include <array>
 #include <functional>
-#include <map>
 #include <memory>
-#include <shared_mutex>
-#include <string>
-#include <vector>
 
+#include "common/registry.h"
 #include "dram/address_mapper.h"
 
 namespace dstrange::dram {
@@ -98,45 +95,26 @@ class PermutedBankMapping final : public InterleavedMapping
     unsigned permute(unsigned bank_in_rank, unsigned row) const;
 };
 
+/** Factory producing a mapping policy for one geometry. */
+using MappingFactory =
+    std::function<std::unique_ptr<const AddressMapping>(
+        const DramGeometry &)>;
+
 /**
- * Process-global mapping-policy registry, keyed like the scheduler /
- * predictor / design registries. Thread-safe: lookups take a shared
- * lock, add() an exclusive one.
+ * Process-global mapping-policy registry (the contract is in
+ * common/registry.h). make(key, geometry) instantiates the policy
+ * registered under @p key for @p geometry.
  */
-class MappingRegistry
+class MappingRegistry : public Registry<MappingFactory>
 {
   public:
-    using MappingFactory =
-        std::function<std::unique_ptr<const AddressMapping>(
-            const DramGeometry &)>;
-
     /** Key of the default policy (kRowBankColCh). */
     static constexpr const char *kDefault = "row-bank-col-ch";
 
     static MappingRegistry &instance();
 
-    /** @throws std::invalid_argument on empty/duplicate/unserializable
-     *  keys or an empty factory. */
-    void add(const std::string &key, MappingFactory factory);
-
-    /**
-     * Instantiate the policy registered under @p key for @p geometry.
-     * @throws std::out_of_range on an unknown key (the message lists
-     *         the registered keys).
-     */
-    std::unique_ptr<const AddressMapping>
-    make(const std::string &key, const DramGeometry &geometry) const;
-
-    bool contains(const std::string &key) const;
-
-    /** Registered keys in sorted order. */
-    std::vector<std::string> keys() const;
-
   private:
     MappingRegistry();
-
-    mutable std::shared_mutex mu;
-    std::map<std::string, MappingFactory> factories;
 };
 
 } // namespace dstrange::dram

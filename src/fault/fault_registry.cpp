@@ -1,11 +1,9 @@
 #include "fault/fault_registry.h"
 
 #include <bit>
-#include <mutex>
 #include <sstream>
 #include <stdexcept>
 
-#include "common/registry_key.h"
 #include "common/rng.h"
 
 namespace dstrange::fault {
@@ -191,7 +189,7 @@ healthyBlock(const RoundContext &ctx)
     return block;
 }
 
-FaultRegistry::FaultRegistry()
+FaultRegistry::FaultRegistry() : Registry("fault model")
 {
     add("bitflip", [](const FaultConfig &cfg) {
         return std::make_unique<BitflipModel>(cfg);
@@ -217,56 +215,10 @@ FaultRegistry::instance()
 void
 FaultRegistry::add(const std::string &key, FaultModelFactory factory)
 {
-    validateRegistryKey("fault model", key);
-    // Keys also travel inside the comma-joined fault.models value.
     if (key.find(',') != std::string::npos)
         throw std::invalid_argument("fault model key '" + key +
                                     "' must not contain a comma");
-    if (!factory)
-        throw std::invalid_argument("fault model factory for '" + key +
-                                    "' must not be empty");
-    std::unique_lock<std::shared_mutex> lock(mu);
-    if (!factories.emplace(key, std::move(factory)).second)
-        throw std::invalid_argument("fault model '" + key +
-                                    "' is already registered");
-}
-
-std::unique_ptr<FaultModel>
-FaultRegistry::make(const std::string &key, const FaultConfig &cfg) const
-{
-    // Copy the factory out so user factories run lock-free (one that
-    // registers another model from inside would otherwise deadlock).
-    FaultModelFactory factory;
-    {
-        std::shared_lock<std::shared_mutex> lock(mu);
-        const auto it = factories.find(key);
-        if (it == factories.end()) {
-            std::string known;
-            for (const auto &[k, f] : factories)
-                known += (known.empty() ? "" : ", ") + k;
-            throw std::out_of_range("unknown fault model '" + key +
-                                    "' (registered: " + known + ")");
-        }
-        factory = it->second;
-    }
-    return factory(cfg);
-}
-
-bool
-FaultRegistry::contains(const std::string &key) const
-{
-    std::shared_lock<std::shared_mutex> lock(mu);
-    return factories.count(key) != 0;
-}
-
-std::vector<std::string>
-FaultRegistry::keys() const
-{
-    std::shared_lock<std::shared_mutex> lock(mu);
-    std::vector<std::string> out;
-    for (const auto &[key, factory] : factories)
-        out.push_back(key);
-    return out;
+    Registry::add(key, std::move(factory));
 }
 
 std::vector<std::unique_ptr<FaultModel>>

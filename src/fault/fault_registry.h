@@ -14,12 +14,11 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
+#include "common/registry.h"
 #include "fault/fault_config.h"
 
 namespace dstrange::fault {
@@ -78,8 +77,8 @@ using FaultModelFactory =
     std::function<std::unique_ptr<FaultModel>(const FaultConfig &)>;
 
 /**
- * Process-global fault-model registry. Built-in models are registered
- * on first access:
+ * Process-global fault-model registry (the contract is in
+ * common/registry.h). Built-in models are registered on first access:
  *
  *   "bitflip"    transient bit flips in otherwise healthy blocks —
  *                rarely fails the audit, so flipped bits are *silent*
@@ -90,40 +89,24 @@ using FaultModelFactory =
  *   "outage"     timed rank/channel unavailability windows (applied by
  *                the "faulty" decorator MemoryBackend, not to blocks)
  *
- * Thread-safe: lookups take a shared lock and add() an exclusive one,
- * so parallel sweeps can build fault planes while user code registers
- * new models.
+ * make(key, cfg) instantiates one configured model.
  */
-class FaultRegistry
+class FaultRegistry : public Registry<FaultModelFactory>
 {
   public:
     static FaultRegistry &instance();
 
     /**
-     * Register a factory under @p key.
-     * @throws std::invalid_argument if @p key is empty, contains
-     *         whitespace or a comma, or is already taken.
+     * Register a factory under @p key. Keys also travel inside the
+     * comma-joined FaultConfig::models value, so on top of the common
+     * key rules a key may not contain a comma.
+     * @throws std::invalid_argument on a bad or taken key or an empty
+     *         factory.
      */
     void add(const std::string &key, FaultModelFactory factory);
 
-    /**
-     * Instantiate the model registered under @p key.
-     * @throws std::out_of_range if @p key is unknown (the message lists
-     *         the registered keys).
-     */
-    std::unique_ptr<FaultModel> make(const std::string &key,
-                                     const FaultConfig &cfg) const;
-
-    bool contains(const std::string &key) const;
-
-    /** Registered keys in sorted order. */
-    std::vector<std::string> keys() const;
-
   private:
     FaultRegistry();
-
-    mutable std::shared_mutex mu;
-    std::map<std::string, FaultModelFactory> factories;
 };
 
 /**

@@ -1,16 +1,12 @@
 #include "mem/backend_registry.h"
 
-#include <mutex>
-#include <stdexcept>
-
-#include "common/registry_key.h"
 #include "dram/dram_channel.h"
 #include "mem/fixed_latency_backend.h"
 #include "mem/memory_controller.h"
 
 namespace dstrange::mem {
 
-BackendRegistry::BackendRegistry()
+BackendRegistry::BackendRegistry() : Registry("backend")
 {
     add("ddr4", [](const BackendContext &ctx) {
         return std::make_unique<dram::DramChannel>(ctx.timings,
@@ -28,57 +24,6 @@ BackendRegistry::instance()
 {
     static BackendRegistry registry;
     return registry;
-}
-
-void
-BackendRegistry::add(const std::string &key, BackendFactory factory)
-{
-    validateRegistryKey("backend", key);
-    if (!factory)
-        throw std::invalid_argument("backend factory for '" + key +
-                                    "' must not be empty");
-    std::unique_lock<std::shared_mutex> lock(mu);
-    if (!factories.emplace(key, std::move(factory)).second)
-        throw std::invalid_argument("backend '" + key +
-                                    "' is already registered");
-}
-
-std::unique_ptr<MemoryBackend>
-BackendRegistry::make(const std::string &key, const BackendContext &ctx) const
-{
-    // Copy the factory out so user factories run lock-free (one that
-    // registers another backend from inside would otherwise deadlock).
-    BackendFactory factory;
-    {
-        std::shared_lock<std::shared_mutex> lock(mu);
-        const auto it = factories.find(key);
-        if (it == factories.end()) {
-            std::string known;
-            for (const auto &[k, f] : factories)
-                known += (known.empty() ? "" : ", ") + k;
-            throw std::out_of_range("unknown backend '" + key +
-                                    "' (registered: " + known + ")");
-        }
-        factory = it->second;
-    }
-    return factory(ctx);
-}
-
-bool
-BackendRegistry::contains(const std::string &key) const
-{
-    std::shared_lock<std::shared_mutex> lock(mu);
-    return factories.count(key) != 0;
-}
-
-std::vector<std::string>
-BackendRegistry::keys() const
-{
-    std::shared_lock<std::shared_mutex> lock(mu);
-    std::vector<std::string> out;
-    for (const auto &[key, factory] : factories)
-        out.push_back(key);
-    return out;
 }
 
 } // namespace dstrange::mem

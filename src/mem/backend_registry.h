@@ -12,12 +12,9 @@
 #define DSTRANGE_MEM_BACKEND_REGISTRY_H
 
 #include <functional>
-#include <map>
 #include <memory>
-#include <shared_mutex>
-#include <string>
-#include <vector>
 
+#include "common/registry.h"
 #include "dram/address_mapper.h"
 #include "dram/dram_timings.h"
 #include "mem/memory_backend.h"
@@ -39,8 +36,8 @@ using BackendFactory =
     std::function<std::unique_ptr<MemoryBackend>(const BackendContext &)>;
 
 /**
- * Process-global backend registry. Built-in backends are registered on
- * first access:
+ * Process-global backend registry (the contract is in
+ * common/registry.h). Built-in backends are registered on first access:
  *
  *   "ddr4"           the cycle-level dram::DramChannel (the default).
  *                    It models DDR3-1600 (dram::DramTimings, the
@@ -49,39 +46,15 @@ using BackendFactory =
  *                    text, run fingerprints and alone-cache keys.
  *   "fixed-latency"  the analytical constant-latency cross-check model
  *
- * Thread-safe: lookups take a shared lock and add() an exclusive one,
- * so parallel sweeps (sim::SweepRunner) can instantiate backends while
- * user code registers new ones.
+ * make(key, ctx) instantiates one channel's backend.
  */
-class BackendRegistry
+class BackendRegistry : public Registry<BackendFactory>
 {
   public:
     static BackendRegistry &instance();
 
-    /**
-     * Register a factory under @p key.
-     * @throws std::invalid_argument if @p key is empty or already taken.
-     */
-    void add(const std::string &key, BackendFactory factory);
-
-    /**
-     * Instantiate the backend registered under @p key.
-     * @throws std::out_of_range if @p key is unknown (the message lists
-     *         the registered keys).
-     */
-    std::unique_ptr<MemoryBackend> make(const std::string &key,
-                                        const BackendContext &ctx) const;
-
-    bool contains(const std::string &key) const;
-
-    /** Registered keys in sorted order. */
-    std::vector<std::string> keys() const;
-
   private:
     BackendRegistry();
-
-    mutable std::shared_mutex mu;
-    std::map<std::string, BackendFactory> factories;
 };
 
 } // namespace dstrange::mem

@@ -1,16 +1,12 @@
 #include "mem/scheduler_registry.h"
 
-#include <mutex>
-#include <stdexcept>
-
-#include "common/registry_key.h"
 #include "mem/bliss.h"
 #include "mem/fr_fcfs.h"
 #include "mem/memory_controller.h"
 
 namespace dstrange::mem {
 
-SchedulerRegistry::SchedulerRegistry()
+SchedulerRegistry::SchedulerRegistry() : Registry("scheduler")
 {
     add("fr-fcfs", [](const SchedulerContext &ctx) {
         return std::make_unique<FrFcfsScheduler>(
@@ -32,58 +28,6 @@ SchedulerRegistry::instance()
 {
     static SchedulerRegistry registry;
     return registry;
-}
-
-void
-SchedulerRegistry::add(const std::string &key, SchedulerFactory factory)
-{
-    validateRegistryKey("scheduler", key);
-    if (!factory)
-        throw std::invalid_argument("scheduler factory for '" + key +
-                                    "' must not be empty");
-    std::unique_lock<std::shared_mutex> lock(mu);
-    if (!factories.emplace(key, std::move(factory)).second)
-        throw std::invalid_argument("scheduler '" + key +
-                                    "' is already registered");
-}
-
-std::unique_ptr<Scheduler>
-SchedulerRegistry::make(const std::string &key,
-                        const SchedulerContext &ctx) const
-{
-    // Copy the factory out so user factories run lock-free (one that
-    // registers another policy from inside would otherwise deadlock).
-    SchedulerFactory factory;
-    {
-        std::shared_lock<std::shared_mutex> lock(mu);
-        const auto it = factories.find(key);
-        if (it == factories.end()) {
-            std::string known;
-            for (const auto &[k, f] : factories)
-                known += (known.empty() ? "" : ", ") + k;
-            throw std::out_of_range("unknown scheduler '" + key +
-                                    "' (registered: " + known + ")");
-        }
-        factory = it->second;
-    }
-    return factory(ctx);
-}
-
-bool
-SchedulerRegistry::contains(const std::string &key) const
-{
-    std::shared_lock<std::shared_mutex> lock(mu);
-    return factories.count(key) != 0;
-}
-
-std::vector<std::string>
-SchedulerRegistry::keys() const
-{
-    std::shared_lock<std::shared_mutex> lock(mu);
-    std::vector<std::string> out;
-    for (const auto &[key, factory] : factories)
-        out.push_back(key);
-    return out;
 }
 
 } // namespace dstrange::mem

@@ -12,12 +12,9 @@
 #define DSTRANGE_MEM_SCHEDULER_REGISTRY_H
 
 #include <functional>
-#include <map>
 #include <memory>
-#include <shared_mutex>
-#include <string>
-#include <vector>
 
+#include "common/registry.h"
 #include "mem/scheduler.h"
 
 namespace dstrange::mem {
@@ -38,46 +35,22 @@ using SchedulerFactory =
     std::function<std::unique_ptr<Scheduler>(const SchedulerContext &)>;
 
 /**
- * Process-global scheduler registry. Built-in policies are registered on
- * first access:
+ * Process-global scheduler registry (the contract is in
+ * common/registry.h). Built-in policies are registered on first access:
  *
  *   "fr-fcfs"      classic FR-FCFS (row hits first, then oldest)
  *   "fr-fcfs-cap"  FR-FCFS with the paper's 16-column streak cap
  *   "bliss"        the BLISS blacklisting scheduler
  *
- * Thread-safe: lookups take a shared lock and add() an exclusive one,
- * so parallel sweeps (sim::SweepRunner) can instantiate schedulers
- * while user code registers new ones.
+ * make(key, ctx) instantiates a scheduler for one memory controller.
  */
-class SchedulerRegistry
+class SchedulerRegistry : public Registry<SchedulerFactory>
 {
   public:
     static SchedulerRegistry &instance();
 
-    /**
-     * Register a factory under @p key.
-     * @throws std::invalid_argument if @p key is empty or already taken.
-     */
-    void add(const std::string &key, SchedulerFactory factory);
-
-    /**
-     * Instantiate the scheduler registered under @p key.
-     * @throws std::out_of_range if @p key is unknown (the message lists
-     *         the registered keys).
-     */
-    std::unique_ptr<Scheduler> make(const std::string &key,
-                                    const SchedulerContext &ctx) const;
-
-    bool contains(const std::string &key) const;
-
-    /** Registered keys in sorted order. */
-    std::vector<std::string> keys() const;
-
   private:
     SchedulerRegistry();
-
-    mutable std::shared_mutex mu;
-    std::map<std::string, SchedulerFactory> factories;
 };
 
 } // namespace dstrange::mem

@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
-#include <mutex>
-#include <stdexcept>
 
-#include "common/registry_key.h"
 #include "common/rng.h"
 
 namespace dstrange::service {
@@ -194,20 +191,20 @@ class ClosedLoopProcess final : public ArrivalProcess
 
 } // namespace
 
-ArrivalRegistry::ArrivalRegistry()
+ArrivalRegistry::ArrivalRegistry() : Registry("arrival process")
 {
-    factories["poisson"] = [](const ArrivalParams &p) {
+    add("poisson", [](const ArrivalParams &p) {
         return std::make_unique<PoissonProcess>(p);
-    };
-    factories["bursty"] = [](const ArrivalParams &p) {
+    });
+    add("bursty", [](const ArrivalParams &p) {
         return std::make_unique<BurstyProcess>(p);
-    };
-    factories["diurnal"] = [](const ArrivalParams &p) {
+    });
+    add("diurnal", [](const ArrivalParams &p) {
         return std::make_unique<DiurnalProcess>(p);
-    };
-    factories["closed-loop"] = [](const ArrivalParams &p) {
+    });
+    add("closed-loop", [](const ArrivalParams &p) {
         return std::make_unique<ClosedLoopProcess>(p);
-    };
+    });
 }
 
 ArrivalRegistry &
@@ -215,52 +212,6 @@ ArrivalRegistry::instance()
 {
     static ArrivalRegistry registry;
     return registry;
-}
-
-void
-ArrivalRegistry::add(const std::string &key, ArrivalFactory factory)
-{
-    validateRegistryKey("arrival process", key);
-    if (!factory)
-        throw std::invalid_argument("arrival process '" + key +
-                                    "' has an empty factory");
-    std::unique_lock lock(mu);
-    if (!factories.emplace(key, std::move(factory)).second)
-        throw std::invalid_argument("arrival process '" + key +
-                                    "' is already registered");
-}
-
-std::unique_ptr<ArrivalProcess>
-ArrivalRegistry::make(const std::string &key,
-                      const ArrivalParams &params) const
-{
-    std::shared_lock lock(mu);
-    const auto it = factories.find(key);
-    if (it == factories.end()) {
-        std::string known;
-        for (const auto &[k, v] : factories)
-            known += (known.empty() ? "" : ", ") + k;
-        throw std::out_of_range("unknown arrival process '" + key +
-                                "' (known: " + known + ")");
-    }
-    return it->second(params);
-}
-
-bool
-ArrivalRegistry::contains(const std::string &key) const
-{
-    std::shared_lock lock(mu);
-    return factories.count(key) != 0;
-}
-
-std::vector<std::string>
-ArrivalRegistry::keys() const
-{
-    std::shared_lock lock(mu);
-    std::vector<std::string> out;
-    for (const auto &[k, v] : factories)
-        out.push_back(k);
-    return out;
 }
 
 } // namespace dstrange::service

@@ -22,12 +22,9 @@
 #define DSTRANGE_SERVICE_ARRIVAL_PROCESS_H
 
 #include <functional>
-#include <map>
 #include <memory>
-#include <shared_mutex>
-#include <string>
-#include <vector>
 
+#include "common/registry.h"
 #include "common/types.h"
 
 namespace dstrange::service {
@@ -69,44 +66,25 @@ class ArrivalProcess
     virtual void onCompletion(Cycle now) { (void)now; }
 };
 
+/** Factory producing one arrival process. */
+using ArrivalFactory =
+    std::function<std::unique_ptr<ArrivalProcess>(const ArrivalParams &)>;
+
 /**
- * Process-global arrival-process registry, keyed like the scheduler /
- * predictor / mapping registries. Thread-safe: lookups take a shared
- * lock, add() an exclusive one.
+ * Process-global arrival-process registry (the contract is in
+ * common/registry.h). make(key, params) instantiates the process
+ * registered under @p key.
  */
-class ArrivalRegistry
+class ArrivalRegistry : public Registry<ArrivalFactory>
 {
   public:
-    using ArrivalFactory = std::function<std::unique_ptr<ArrivalProcess>(
-        const ArrivalParams &)>;
-
     /** Key of the default process. */
     static constexpr const char *kDefault = "poisson";
 
     static ArrivalRegistry &instance();
 
-    /** @throws std::invalid_argument on empty/duplicate/unserializable
-     *  keys or an empty factory. */
-    void add(const std::string &key, ArrivalFactory factory);
-
-    /**
-     * Instantiate the process registered under @p key.
-     * @throws std::out_of_range on an unknown key (the message lists
-     *         the registered keys).
-     */
-    std::unique_ptr<ArrivalProcess> make(const std::string &key,
-                                         const ArrivalParams &params) const;
-
-    bool contains(const std::string &key) const;
-
-    /** Registered keys in sorted order. */
-    std::vector<std::string> keys() const;
-
   private:
     ArrivalRegistry();
-
-    mutable std::shared_mutex mu;
-    std::map<std::string, ArrivalFactory> factories;
 };
 
 } // namespace dstrange::service

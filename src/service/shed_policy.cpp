@@ -1,9 +1,5 @@
 #include "service/shed_policy.h"
 
-#include <mutex>
-#include <stdexcept>
-
-#include "common/registry_key.h"
 #include "common/rng.h"
 
 namespace dstrange::service {
@@ -92,7 +88,7 @@ class ShedPriority final : public ShedPolicy
 
 } // namespace
 
-ShedRegistry::ShedRegistry()
+ShedRegistry::ShedRegistry() : Registry("shed policy")
 {
     add("shed-none", [](const ShedContext &) {
         return std::make_unique<ShedNone>();
@@ -110,56 +106,6 @@ ShedRegistry::instance()
 {
     static ShedRegistry registry;
     return registry;
-}
-
-void
-ShedRegistry::add(const std::string &key, ShedPolicyFactory factory)
-{
-    validateRegistryKey("shed policy", key);
-    if (!factory)
-        throw std::invalid_argument("shed policy factory for '" + key +
-                                    "' must not be empty");
-    std::unique_lock<std::shared_mutex> lock(mu);
-    if (!factories.emplace(key, std::move(factory)).second)
-        throw std::invalid_argument("shed policy '" + key +
-                                    "' is already registered");
-}
-
-std::unique_ptr<ShedPolicy>
-ShedRegistry::make(const std::string &key, const ShedContext &ctx) const
-{
-    // Copy the factory out so user factories run lock-free.
-    ShedPolicyFactory factory;
-    {
-        std::shared_lock<std::shared_mutex> lock(mu);
-        const auto it = factories.find(key);
-        if (it == factories.end()) {
-            std::string known;
-            for (const auto &[k, f] : factories)
-                known += (known.empty() ? "" : ", ") + k;
-            throw std::out_of_range("unknown shed policy '" + key +
-                                    "' (registered: " + known + ")");
-        }
-        factory = it->second;
-    }
-    return factory(ctx);
-}
-
-bool
-ShedRegistry::contains(const std::string &key) const
-{
-    std::shared_lock<std::shared_mutex> lock(mu);
-    return factories.count(key) != 0;
-}
-
-std::vector<std::string>
-ShedRegistry::keys() const
-{
-    std::shared_lock<std::shared_mutex> lock(mu);
-    std::vector<std::string> out;
-    for (const auto &[key, factory] : factories)
-        out.push_back(key);
-    return out;
 }
 
 } // namespace dstrange::service

@@ -17,11 +17,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
-#include <shared_mutex>
 #include <string>
-#include <vector>
+
+#include "common/registry.h"
 
 namespace dstrange::service {
 
@@ -54,8 +53,8 @@ using ShedPolicyFactory =
     std::function<std::unique_ptr<ShedPolicy>(const ShedContext &)>;
 
 /**
- * Process-global shed-policy registry. Built-in policies are
- * registered on first access:
+ * Process-global shed-policy registry (the contract is in
+ * common/registry.h). Built-in policies are registered on first access:
  *
  *   "shed-none"      admit everything (the default; bit-identical to
  *                    the pre-shedding service layer)
@@ -64,37 +63,15 @@ using ShedPolicyFactory =
  *                    the two low classes at half the limit, everything
  *                    at the limit
  *
- * Thread-safe: lookups take a shared lock and add() an exclusive one.
+ * make(key, ctx) instantiates one configured policy.
  */
-class ShedRegistry
+class ShedRegistry : public Registry<ShedPolicyFactory>
 {
   public:
     static ShedRegistry &instance();
 
-    /**
-     * Register a factory under @p key.
-     * @throws std::invalid_argument if @p key is empty or taken.
-     */
-    void add(const std::string &key, ShedPolicyFactory factory);
-
-    /**
-     * Instantiate the policy registered under @p key.
-     * @throws std::out_of_range if @p key is unknown (the message
-     *         lists the registered keys).
-     */
-    std::unique_ptr<ShedPolicy> make(const std::string &key,
-                                     const ShedContext &ctx) const;
-
-    bool contains(const std::string &key) const;
-
-    /** Registered keys in sorted order. */
-    std::vector<std::string> keys() const;
-
   private:
     ShedRegistry();
-
-    mutable std::shared_mutex mu;
-    std::map<std::string, ShedPolicyFactory> factories;
 };
 
 } // namespace dstrange::service

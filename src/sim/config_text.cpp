@@ -205,8 +205,7 @@ applyBackendField(SimConfig &cfg, const std::string &field,
                   const std::string &value)
 {
     if (field == "kind") {
-        if (!mem::BackendRegistry::instance().contains(value))
-            throw std::invalid_argument("unknown backend '" + value + "'");
+        mem::BackendRegistry::instance().require(value);
         cfg.backend = value;
     } else if (field == "read-latency")
         cfg.backendReadLatency = parseU64(value);
@@ -248,16 +247,6 @@ pathToken(const std::string &path)
     return out;
 }
 
-/** Registered keys joined for eager-validation error messages. */
-std::string
-joinKeys(const std::vector<std::string> &keys)
-{
-    std::string out;
-    for (const std::string &k : keys)
-        out += (out.empty() ? "" : ", ") + k;
-    return out;
-}
-
 bool
 applyServiceField(service::ServiceConfig &s, const std::string &field,
                   const std::string &value)
@@ -265,9 +254,7 @@ applyServiceField(service::ServiceConfig &s, const std::string &field,
     if (field == "enabled")
         s.enabled = parseBool(value);
     else if (field == "arrival") {
-        if (!service::ArrivalRegistry::instance().contains(value))
-            throw std::invalid_argument("unknown arrival process '" +
-                                        value + "'");
+        service::ArrivalRegistry::instance().require(value);
         s.arrival = value;
     } else if (field == "offered-mbps")
         s.offeredMbps = parseDouble(value);
@@ -282,11 +269,7 @@ applyServiceField(service::ServiceConfig &s, const std::string &field,
     else if (field == "duration")
         s.durationCycles = parseU64(value);
     else if (field == "shed") {
-        if (!service::ShedRegistry::instance().contains(value))
-            throw std::invalid_argument(
-                "unknown shed policy '" + value + "' (known: " +
-                joinKeys(service::ShedRegistry::instance().keys()) +
-                ")");
+        service::ShedRegistry::instance().require(value);
         s.shed = value;
     } else if (field == "shed-limit")
         s.shedLimit = parseU64(value);
@@ -304,14 +287,9 @@ applyFaultField(fault::FaultConfig &f, const std::string &field,
         const std::string models = value == "-" ? "" : value;
         std::istringstream iss(models);
         std::string key;
-        while (std::getline(iss, key, ',')) {
-            if (!key.empty() &&
-                !fault::FaultRegistry::instance().contains(key))
-                throw std::invalid_argument(
-                    "unknown fault model '" + key + "' (known: " +
-                    joinKeys(fault::FaultRegistry::instance().keys()) +
-                    ")");
-        }
+        while (std::getline(iss, key, ','))
+            if (!key.empty())
+                fault::FaultRegistry::instance().require(key);
         f.models = models;
     } else if (field == "seed")
         f.seed = parseU64(value);
@@ -357,9 +335,7 @@ applyToken(SimConfig &cfg, const std::string &key,
     if (key == "design") {
         DesignRegistry::instance().apply(value, cfg);
     } else if (key == "scheduler") {
-        if (!mem::SchedulerRegistry::instance().contains(value))
-            throw std::invalid_argument("unknown scheduler '" + value +
-                                        "'");
+        mem::SchedulerRegistry::instance().require(value);
         cfg.scheduler = value;
     } else if (key == "rng-aware") {
         cfg.rngAwareQueueing = parseBool(value);
@@ -369,16 +345,12 @@ applyToken(SimConfig &cfg, const std::string &key,
         mem::fillModeFromName(value); // validate
         cfg.fillPolicy = value;
     } else if (key == "predictor") {
-        if (!strange::PredictorRegistry::instance().contains(value))
-            throw std::invalid_argument("unknown predictor '" + value +
-                                        "'");
+        strange::PredictorRegistry::instance().require(value);
         cfg.predictor = value;
     } else if (key == "low-util") {
         cfg.lowUtilFill = parseBool(value);
     } else if (key == "mapping") {
-        if (!dram::MappingRegistry::instance().contains(value))
-            throw std::invalid_argument("unknown mapping '" + value +
-                                        "'");
+        dram::MappingRegistry::instance().require(value);
         cfg.addressMapping = value;
     } else if (key == "fill-placement") {
         mem::fillPlacementFromName(value); // validate

@@ -14,11 +14,9 @@
 
 #include <array>
 #include <functional>
-#include <map>
-#include <shared_mutex>
 #include <string>
-#include <vector>
 
+#include "common/registry.h"
 #include "sim/sim_config.h"
 
 namespace dstrange::sim {
@@ -71,16 +69,22 @@ inline constexpr std::array<DesignPreset, 9> kPaperDesigns = {{
     {"bliss", "BLISS", "bliss", false, false, "none", "simple", false},
 }};
 
+/** A registered design: its display name and the preset it applies. */
+struct DesignEntry
+{
+    std::string displayName;
+    std::function<void(SimConfig &)> preset;
+
+    explicit operator bool() const { return static_cast<bool>(preset); }
+};
+
 /**
- * Process-global design-preset registry. The built-in keys are the
- * kPaperDesigns keys ("oblivious", "greedy", "drstrange", ...); lookups
- * also accept display names ("DR-STRANGE").
- *
- * Thread-safe: lookups take a shared lock and add() an exclusive one,
- * so parallel sweeps (sim::SweepRunner) can apply presets while user
- * code registers new ones.
+ * Process-global design-preset registry (the contract is in
+ * common/registry.h). The built-in keys are the kPaperDesigns keys
+ * ("oblivious", "greedy", "drstrange", ...); lookups also accept
+ * display names ("DR-STRANGE").
  */
-class DesignRegistry
+class DesignRegistry : public Registry<DesignEntry>
 {
   public:
     /** Applies a preset's policy knobs onto a configuration. */
@@ -90,8 +94,9 @@ class DesignRegistry
 
     /**
      * Register a preset under @p key with a human-readable
-     * @p display_name (shown in tables; may equal the key).
-     * @throws std::invalid_argument if the key is empty or taken.
+     * @p display_name (shown in tables; empty means the key).
+     * @throws std::invalid_argument on a bad or taken key or an empty
+     *         preset.
      */
     void add(const std::string &key, const std::string &display_name,
              Preset preset);
@@ -109,21 +114,9 @@ class DesignRegistry
     /** Display name of a registered design. @throws std::out_of_range */
     std::string displayName(const std::string &name) const;
 
-    /** Registered keys in sorted order. */
-    std::vector<std::string> keys() const;
-
   private:
-    struct Entry
-    {
-        std::string displayName;
-        Preset preset;
-    };
-
     DesignRegistry();
-    Entry at(const std::string &name) const;
-
-    mutable std::shared_mutex mu;
-    std::map<std::string, Entry> entries;
+    DesignEntry at(const std::string &name) const;
 };
 
 } // namespace dstrange::sim

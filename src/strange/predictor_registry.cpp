@@ -1,14 +1,10 @@
 #include "strange/predictor_registry.h"
 
-#include <mutex>
-#include <stdexcept>
-
-#include "common/registry_key.h"
 #include "strange/simple_predictor.h"
 
 namespace dstrange::strange {
 
-PredictorRegistry::PredictorRegistry()
+PredictorRegistry::PredictorRegistry() : Registry("predictor")
 {
     add("none",
         [](const PredictorContext &) {
@@ -61,31 +57,7 @@ void
 PredictorRegistry::add(const std::string &key, PredictorFactory factory,
                        PredictorAreaModel area)
 {
-    validateRegistryKey("predictor", key);
-    if (!factory)
-        throw std::invalid_argument("predictor factory for '" + key +
-                                    "' must not be empty");
-    std::unique_lock<std::shared_mutex> lock(mu);
-    if (!entries.emplace(key, Entry{std::move(factory), std::move(area)})
-             .second)
-        throw std::invalid_argument("predictor '" + key +
-                                    "' is already registered");
-}
-
-PredictorRegistry::Entry
-PredictorRegistry::at(const std::string &key) const
-{
-    // Returns a copy so the factory/area functions run lock-free.
-    std::shared_lock<std::shared_mutex> lock(mu);
-    const auto it = entries.find(key);
-    if (it == entries.end()) {
-        std::string known;
-        for (const auto &[k, e] : entries)
-            known += (known.empty() ? "" : ", ") + k;
-        throw std::out_of_range("unknown predictor '" + key +
-                                "' (registered: " + known + ")");
-    }
-    return it->second;
+    Registry::add(key, {std::move(factory), std::move(area)});
 }
 
 std::unique_ptr<IdlenessPredictor>
@@ -99,25 +71,8 @@ double
 PredictorRegistry::storageBits(const std::string &key,
                                const PredictorAreaContext &ctx) const
 {
-    const Entry entry = at(key);
+    const PredictorEntry entry = at(key);
     return entry.area ? entry.area(ctx) : 0.0;
-}
-
-bool
-PredictorRegistry::contains(const std::string &key) const
-{
-    std::shared_lock<std::shared_mutex> lock(mu);
-    return entries.count(key) != 0;
-}
-
-std::vector<std::string>
-PredictorRegistry::keys() const
-{
-    std::shared_lock<std::shared_mutex> lock(mu);
-    std::vector<std::string> out;
-    for (const auto &[key, entry] : entries)
-        out.push_back(key);
-    return out;
 }
 
 } // namespace dstrange::strange

@@ -14,12 +14,10 @@
 #define DSTRANGE_STRANGE_PREDICTOR_REGISTRY_H
 
 #include <functional>
-#include <map>
 #include <memory>
-#include <shared_mutex>
 #include <string>
-#include <vector>
 
+#include "common/registry.h"
 #include "strange/idleness_predictor.h"
 #include "strange/rl_predictor.h"
 
@@ -54,26 +52,32 @@ struct PredictorAreaContext
 using PredictorAreaModel =
     std::function<double(const PredictorAreaContext &)>;
 
+/** A predictor factory and its optional storage-cost model. */
+struct PredictorEntry
+{
+    PredictorFactory factory;
+    PredictorAreaModel area;
+
+    explicit operator bool() const { return static_cast<bool>(factory); }
+};
+
 /**
- * Process-global predictor registry. Built-in policies are registered on
- * first access:
+ * Process-global predictor registry (the contract is in
+ * common/registry.h). Built-in policies are registered on first access:
  *
  *   "none"    no predictor — every quiet period is assumed long
  *   "simple"  2-bit saturating counter table (Section 5.1.2)
  *   "rl"      Q-learning agent (Section 5.1.2)
- *
- * Thread-safe: lookups take a shared lock and add() an exclusive one,
- * so parallel sweeps (sim::SweepRunner) can instantiate predictors
- * while user code registers new ones.
  */
-class PredictorRegistry
+class PredictorRegistry : public Registry<PredictorEntry>
 {
   public:
     static PredictorRegistry &instance();
 
     /**
      * Register a factory (and optional storage model) under @p key.
-     * @throws std::invalid_argument if @p key is empty or already taken.
+     * @throws std::invalid_argument on a bad or taken key or an empty
+     *         factory.
      */
     void add(const std::string &key, PredictorFactory factory,
              PredictorAreaModel area = nullptr);
@@ -81,8 +85,7 @@ class PredictorRegistry
     /**
      * Instantiate the predictor registered under @p key (may be null —
      * see PredictorFactory).
-     * @throws std::out_of_range if @p key is unknown (the message lists
-     *         the registered keys).
+     * @throws std::out_of_range if @p key is unknown.
      */
     std::unique_ptr<IdlenessPredictor>
     make(const std::string &key, const PredictorContext &ctx) const;
@@ -95,23 +98,8 @@ class PredictorRegistry
     double storageBits(const std::string &key,
                        const PredictorAreaContext &ctx) const;
 
-    bool contains(const std::string &key) const;
-
-    /** Registered keys in sorted order. */
-    std::vector<std::string> keys() const;
-
   private:
-    struct Entry
-    {
-        PredictorFactory factory;
-        PredictorAreaModel area;
-    };
-
     PredictorRegistry();
-    Entry at(const std::string &key) const;
-
-    mutable std::shared_mutex mu;
-    std::map<std::string, Entry> entries;
 };
 
 } // namespace dstrange::strange

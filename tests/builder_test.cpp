@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the composable policy API: design presets vs. the legacy
- * per-design expansion (frozen here as reference data), the scheduler /
- * predictor / design registries, the SimulationBuilder facade, the
+ * per-design expansion (frozen here as reference data), the registry
+ * contract over all eight registries, the SimulationBuilder facade, the
  * key=value config text format, and the Runner's configuration-keyed
  * alone-run cache.
  */
@@ -10,10 +10,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <functional>
 #include <random>
 #include <stdexcept>
+#include <thread>
 
 #include "drstrange.h"
+#include "fault/fault_registry.h"
+#include "mem/backend_registry.h"
+#include "service/shed_policy.h"
 #include "workloads/rng_benchmark.h"
 #include "workloads/synthetic_trace.h"
 
@@ -301,8 +307,163 @@ TEST(PresetEquivalence, SystemMatchesHandDrivenLegacyController)
 // Registry behaviour: duplicate/unknown keys, custom registration.
 // ---------------------------------------------------------------------
 
+namespace {
+
+/**
+ * One registry behind a uniform face, so the shared contract
+ * (common/registry.h) is checked on all eight. add() registers a
+ * trivial entry, or an empty one when @p empty is set; the entry runs
+ * @p on_make (if any) each time make() instantiates it.
+ */
+struct RegistryFace
+{
+    const char *tag;     ///< Key-safe short name.
+    const char *builtin; ///< A key registered on first access.
+    std::function<void(const std::string &key, bool empty,
+                       std::function<void()> on_make)>
+        add;
+    std::function<void(const std::string &key)> make;
+    std::function<bool(const std::string &key)> contains;
+    std::function<std::vector<std::string>()> keys;
+};
+
+template <typename Entry>
+Entry entryOf(const Registry<Entry> &);
+
+/** add() for registries whose entry is the factory itself. */
+template <typename Reg>
+void
+addFactory(const std::string &key, bool empty,
+           std::function<void()> on_make)
+{
+    using Factory = decltype(entryOf(Reg::instance()));
+    Factory factory;
+    if (!empty) {
+        factory = [on_make](const auto &) {
+            if (on_make)
+                on_make();
+            return typename Factory::result_type{};
+        };
+    }
+    Reg::instance().add(key, std::move(factory));
+}
+
+template <typename Reg>
+RegistryFace
+faceOf(const char *tag, const char *builtin,
+       std::function<void(const std::string &)> make)
+{
+    return {tag,
+            builtin,
+            addFactory<Reg>,
+            std::move(make),
+            [](const std::string &k) { return Reg::instance().contains(k); },
+            [] { return Reg::instance().keys(); }};
+}
+
+std::vector<RegistryFace>
+allRegistries()
+{
+    std::vector<RegistryFace> faces;
+    faces.push_back(faceOf<mem::SchedulerRegistry>(
+        "sched", "fr-fcfs-cap", [](const std::string &k) {
+            const SimConfig cfg;
+            mem::SchedulerRegistry::instance().make(
+                k, mem::SchedulerContext{4, 8, 2, mcConfigFor(cfg)});
+        }));
+    faces.push_back(faceOf<mem::BackendRegistry>(
+        "backend", "fixed-latency", [](const std::string &k) {
+            const SimConfig cfg;
+            const mem::McConfig mc = mcConfigFor(cfg);
+            mem::BackendRegistry::instance().make(
+                k, mem::BackendContext{cfg.timings, cfg.geometry, mc});
+        }));
+    faces.push_back(faceOf<dram::MappingRegistry>(
+        "mapping", dram::MappingRegistry::kDefault,
+        [](const std::string &k) {
+            dram::MappingRegistry::instance().make(k, SimConfig{}.geometry);
+        }));
+    faces.push_back(faceOf<fault::FaultRegistry>(
+        "fault", "stuck-row", [](const std::string &k) {
+            fault::FaultRegistry::instance().make(k, fault::FaultConfig{});
+        }));
+    faces.push_back(faceOf<service::ArrivalRegistry>(
+        "arrival", "poisson", [](const std::string &k) {
+            service::ArrivalRegistry::instance().make(
+                k, service::ArrivalParams{});
+        }));
+    faces.push_back(faceOf<service::ShedRegistry>(
+        "shed", "shed-tail", [](const std::string &k) {
+            service::ShedRegistry::instance().make(
+                k, service::ShedContext{1, 8});
+        }));
+    faces.push_back(
+        {"pred", "simple",
+         [](const std::string &k, bool empty,
+            std::function<void()> on_make) {
+             strange::PredictorFactory factory;
+             if (!empty) {
+                 factory = [on_make](const strange::PredictorContext &) {
+                     if (on_make)
+                         on_make();
+                     return std::unique_ptr<strange::IdlenessPredictor>();
+                 };
+             }
+             strange::PredictorRegistry::instance().add(
+                 k, std::move(factory), [](const auto &) { return 1.0; });
+         },
+         [](const std::string &k) {
+             strange::PredictorRegistry::instance().make(
+                 k, strange::PredictorContext{});
+         },
+         [](const std::string &k) {
+             return strange::PredictorRegistry::instance().contains(k);
+         },
+         [] { return strange::PredictorRegistry::instance().keys(); }});
+    faces.push_back(
+        {"design", "drstrange",
+         [](const std::string &k, bool empty,
+            std::function<void()> on_make) {
+             DesignRegistry::Preset preset;
+             if (!empty) {
+                 preset = [on_make](SimConfig &) {
+                     if (on_make)
+                         on_make();
+                 };
+             }
+             DesignRegistry::instance().add(k, "", std::move(preset));
+         },
+         [](const std::string &k) {
+             SimConfig cfg;
+             DesignRegistry::instance().apply(k, cfg);
+         },
+         [](const std::string &k) {
+             return DesignRegistry::instance().contains(k);
+         },
+         [] { return DesignRegistry::instance().keys(); }});
+    return faces;
+}
+
+} // namespace
+
 TEST(Registries, UnknownKeysThrowWithKnownKeysListed)
 {
+    for (const RegistryFace &reg : allRegistries()) {
+        SCOPED_TRACE(reg.tag);
+        EXPECT_FALSE(reg.contains("no-such-key"));
+        try {
+            reg.make("no-such-key");
+            FAIL() << "expected std::out_of_range";
+        } catch (const std::out_of_range &e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find("unknown "), std::string::npos) << msg;
+            EXPECT_NE(msg.find("'no-such-key' (registered: "),
+                      std::string::npos)
+                << msg;
+            EXPECT_NE(msg.find(reg.builtin), std::string::npos) << msg;
+        }
+    }
+
     SimConfig cfg;
     try {
         mem::SchedulerRegistry::instance().make(
@@ -322,6 +483,20 @@ TEST(Registries, UnknownKeysThrowWithKnownKeysListed)
 
 TEST(Registries, DuplicateRegistrationThrows)
 {
+    for (const RegistryFace &reg : allRegistries()) {
+        SCOPED_TRACE(reg.tag);
+        for (const std::string &key :
+             {std::string(reg.builtin), std::string(), std::string(" "),
+              std::string("has space"), std::string("tab\tkey"),
+              std::string("has=equals"), std::string("=")})
+            EXPECT_THROW(reg.add(key, false, nullptr),
+                         std::invalid_argument)
+                << "'" << key << "'";
+        const std::string fresh = std::string("empty-entry-") + reg.tag;
+        EXPECT_THROW(reg.add(fresh, true, nullptr), std::invalid_argument);
+        EXPECT_FALSE(reg.contains(fresh));
+    }
+
     EXPECT_THROW(mem::SchedulerRegistry::instance().add(
                      "fr-fcfs",
                      [](const mem::SchedulerContext &)
@@ -355,8 +530,84 @@ TEST(Registries, DuplicateRegistrationThrows)
                  std::invalid_argument);
 }
 
+/** A factory may register another key from inside make(): lookups
+ *  release the registry lock before running the entry. */
+TEST(Registries, ReentrantFactoryRegistersAnotherKey)
+{
+    for (const RegistryFace &reg : allRegistries()) {
+        SCOPED_TRACE(reg.tag);
+        const std::string outer = std::string("reentrant-") + reg.tag;
+        const std::string inner = outer + "-inner";
+        if (!reg.contains(outer)) {
+            // Captures copies: the entry outlives this test's faces.
+            reg.add(outer, false,
+                    [add = reg.add, contains = reg.contains, inner] {
+                        if (!contains(inner))
+                            add(inner, false, nullptr);
+                    });
+        }
+        reg.make(outer);
+        EXPECT_TRUE(reg.contains(inner));
+        reg.make(inner);
+    }
+}
+
+/** Readers (make/contains/keys) race a writer adding distinct keys on
+ *  every registry; CI runs it under ThreadSanitizer. */
+TEST(Registries, ConcurrentAddAndMake)
+{
+    const std::vector<RegistryFace> faces = allRegistries();
+    constexpr int kAdds = 100;
+    constexpr int kReaders = 3;
+    const auto keyFor = [](const RegistryFace &reg, int i) {
+        return std::string("concurrent-") + reg.tag + "-" +
+               std::to_string(i);
+    };
+    std::atomic<int> started{0};
+    std::atomic<bool> done{false};
+    std::vector<std::thread> readers;
+    for (int r = 0; r < kReaders; ++r) {
+        readers.emplace_back([&] {
+            ++started;
+            do {
+                for (const RegistryFace &reg : faces) {
+                    reg.make(reg.builtin);
+                    EXPECT_TRUE(reg.contains(reg.builtin));
+                    const auto keys = reg.keys();
+                    EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
+                }
+            } while (!done);
+        });
+    }
+    while (started < kReaders)
+        std::this_thread::yield();
+    for (int i = 0; i < kAdds; ++i) {
+        for (const RegistryFace &reg : faces) {
+            if (!reg.contains(keyFor(reg, i)))
+                reg.add(keyFor(reg, i), false, nullptr);
+        }
+    }
+    done = true;
+    for (std::thread &t : readers)
+        t.join();
+    for (const RegistryFace &reg : faces) {
+        SCOPED_TRACE(reg.tag);
+        for (int i = 0; i < kAdds; ++i)
+            EXPECT_TRUE(reg.contains(keyFor(reg, i)));
+    }
+}
+
 TEST(Registries, BuiltinsArePresent)
 {
+    for (const RegistryFace &reg : allRegistries()) {
+        SCOPED_TRACE(reg.tag);
+        const auto keys = reg.keys();
+        EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
+        EXPECT_NE(std::find(keys.begin(), keys.end(), reg.builtin),
+                  keys.end());
+        EXPECT_TRUE(reg.contains(reg.builtin));
+    }
+
     const auto sched = mem::SchedulerRegistry::instance().keys();
     for (const char *k : {"fr-fcfs", "fr-fcfs-cap", "bliss"})
         EXPECT_NE(std::find(sched.begin(), sched.end(), k), sched.end());
@@ -605,6 +856,41 @@ TEST(ConfigText, RejectsMalformedInput)
           "service.offered-mbps=nan", "fault.bitflip-rate=-inf"}) {
         SCOPED_TRACE(text);
         EXPECT_THROW(applyConfigText(cfg, text), std::invalid_argument);
+    }
+}
+
+/** Every registry-backed key rejects an unknown value with the
+ *  registry's own message: the bad value plus the registered keys. */
+TEST(ConfigText, UnknownRegistryValuesListRegisteredKeys)
+{
+    const struct
+    {
+        const char *key;
+        const char *value;
+        const char *builtin;
+    } rows[] = {
+        {"scheduler", "no-such-value", "fr-fcfs-cap"},
+        {"predictor", "no-such-value", "simple"},
+        {"mapping", "no-such-value", "permute-bank"},
+        {"backend.kind", "no-such-value", "ddr4"},
+        {"service.arrival", "no-such-value", "poisson"},
+        {"service.shed", "no-such-value", "shed-tail"},
+        {"fault.models", "bitflip,no-such-value", "stuck-row"},
+        {"design", "no-such-value", "drstrange"},
+    };
+    for (const auto &row : rows) {
+        SCOPED_TRACE(row.key);
+        SimConfig cfg;
+        try {
+            applyConfigText(cfg, std::string(row.key) + "=" + row.value);
+            FAIL() << "expected std::invalid_argument";
+        } catch (const std::invalid_argument &e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find("'no-such-value' (registered: "),
+                      std::string::npos)
+                << msg;
+            EXPECT_NE(msg.find(row.builtin), std::string::npos) << msg;
+        }
     }
 }
 
