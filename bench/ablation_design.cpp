@@ -1,7 +1,8 @@
 /**
  * @file
  * Ablation of the three modelling refinements the simulator adds to the
- * paper's description of DR-STRaNGe (the mem::McConfig ablation knobs):
+ * paper's description of DR-STRaNGe (the config-text keys parking,
+ * fill-abort and fill-channels):
  *
  *  1. RNG-mode parking between demand bursts (the RNG-aware batching
  *     the paper motivates in Section 2),
@@ -9,16 +10,15 @@
  *  3. single-channel buffer fill (Section 5.1.1 "selects a channel").
  *
  * Each row disables one refinement on the full DR-STRaNGe design over
- * the 23 plotted dual-core mixes.
+ * the 23 plotted dual-core mixes. Every run goes through
+ * sim::runSystem(), so DS_LOCKSTEP=1 cross-checks it step-1 against
+ * fast-forward.
  */
 
 #include <iostream>
 
 #include "bench_util.h"
-#include "mem/memory_controller.h"
-#include "sim/system.h"
-#include "workloads/rng_benchmark.h"
-#include "workloads/synthetic_trace.h"
+#include "sim/lockstep.h"
 
 using namespace dstrange;
 
@@ -27,9 +27,7 @@ namespace {
 struct Variant
 {
     const char *label;
-    bool parking;
-    bool abortSwitchIn;
-    unsigned fillChannels; // 0 = unlimited
+    const char *knobs; ///< Config text over the full design.
 };
 
 /** Run one mix under DR-STRaNGe with the given refinement settings. */
@@ -44,53 +42,24 @@ Outcome
 run(const Variant &v, const workloads::WorkloadSpec &spec)
 {
     sim::SimConfig cfg = bench::baseConfig();
-    sim::DesignRegistry::instance().apply("drstrange", cfg);
+    sim::applyConfigText(cfg, "design=drstrange parking=1 fill-abort=1 "
+                              "fill-channels=1");
+    sim::applyConfigText(cfg, v.knobs);
 
-    std::vector<std::unique_ptr<cpu::TraceSource>> traces;
-    traces.push_back(std::make_unique<workloads::SyntheticTrace>(
-        workloads::appByName(spec.apps[0]), cfg.geometry, 0, cfg.seed));
-    traces.push_back(std::make_unique<workloads::RngBenchmark>(
-        spec.rngThroughputMbps, cfg.geometry, cfg.seed + 1));
-
-    // Build the system, then rebuild the controller config by hand to
-    // apply the ablation knobs (they are not part of SimConfig).
-    mem::McConfig mc_cfg = sim::mcConfigFor(cfg);
-    mc_cfg.enableParking = v.parking;
-    mc_cfg.enableFillAbort = v.abortSwitchIn;
-    mc_cfg.fillChannelLimit = v.fillChannels;
-
-    // Drive the pieces directly (same loop as sim::System).
-    mem::MemoryController mc(mc_cfg, cfg.timings, cfg.geometry,
-                             cfg.mechanism, 2);
-    std::vector<std::unique_ptr<cpu::Core>> cores;
-    cpu::Core::Config core_cfg;
-    core_cfg.instrBudget = cfg.instrBudget;
-    for (unsigned i = 0; i < 2; ++i) {
-        cores.push_back(std::make_unique<cpu::Core>(
-            static_cast<CoreId>(i), core_cfg, *traces[i], mc));
-    }
-    mc.setCompletionCallback(
-        [&](CoreId core, std::uint64_t token, mem::ReqType,
-            mem::ServePath) { cores[core]->onCompletion(token); });
-
-    Cycle now = 0;
-    auto all_done = [&] {
-        for (const auto &c : cores)
-            if (!c->finished())
-                return false;
-        return true;
-    };
-    while (!all_done() && now < cfg.maxBusCycles) {
-        mc.tick(now);
-        for (auto &c : cores)
-            c->tickBusCycle(now);
-        ++now;
-    }
+    const auto sys = sim::runSystem(cfg, [&] {
+        std::vector<std::unique_ptr<cpu::TraceSource>> traces;
+        traces.push_back(std::make_unique<workloads::SyntheticTrace>(
+            workloads::appByName(spec.apps[0]), cfg.geometry, 0,
+            cfg.seed));
+        traces.push_back(std::make_unique<workloads::RngBenchmark>(
+            spec.rngThroughputMbps, cfg.geometry, cfg.seed + 1));
+        return traces;
+    });
 
     Outcome out;
-    out.nonRngCycles = static_cast<double>(cores[0]->stats().finishCycle);
-    out.rngCycles = static_cast<double>(cores[1]->stats().finishCycle);
-    out.serveRate = mc.stats().bufferServeRate();
+    out.nonRngCycles = static_cast<double>(sys->coreStats(0).finishCycle);
+    out.rngCycles = static_cast<double>(sys->coreStats(1).finishCycle);
+    out.serveRate = sys->mc().stats().bufferServeRate();
     return out;
 }
 
@@ -104,10 +73,10 @@ main()
                   "cycles normalized to the full design");
 
     const Variant variants[] = {
-        {"full design", true, true, 1},
-        {"no RNG-mode parking", false, true, 1},
-        {"no switch-in abort", true, false, 1},
-        {"fill on all channels", true, true, 0},
+        {"full design", ""},
+        {"no RNG-mode parking", "parking=0"},
+        {"no switch-in abort", "fill-abort=0"},
+        {"fill on all channels", "fill-channels=0"}, // 0 = unlimited
     };
 
     const auto mixes = workloads::dualCorePlottedMixes(5120.0);

@@ -8,6 +8,7 @@
 #include <iostream>
 
 #include "bench_util.h"
+#include "sim/lockstep.h"
 
 using namespace dstrange;
 
@@ -28,12 +29,14 @@ main()
 
     for (const std::string &app : workloads::paperPlottedApps()) {
         sim::SimConfig cfg = base;
-        std::vector<std::unique_ptr<cpu::TraceSource>> traces;
-        traces.push_back(std::make_unique<workloads::SyntheticTrace>(
-            workloads::appByName(app), cfg.geometry, 0, cfg.seed));
         sim::DesignRegistry::instance().apply("oblivious", cfg);
-        sim::System sys(cfg, std::move(traces));
-        sys.run();
+        const auto sys_ptr = sim::runSystem(cfg, [&] {
+            std::vector<std::unique_ptr<cpu::TraceSource>> traces;
+            traces.push_back(std::make_unique<workloads::SyntheticTrace>(
+                workloads::appByName(app), cfg.geometry, 0, cfg.seed));
+            return traces;
+        });
+        const sim::System &sys = *sys_ptr;
 
         std::vector<double> lengths;
         std::uint64_t over = 0;

@@ -32,9 +32,7 @@ class Channel
         sim::SimConfig sc;
         sim::DesignRegistry::instance().apply("drstrange", sc);
         sc.bufferPartitions = partitions;
-        mem::McConfig mc_cfg = sim::mcConfigFor(sc);
-        mc = std::make_unique<mem::MemoryController>(
-            mc_cfg, timings, geom, sc.mechanism, 2);
+        mc = std::make_unique<mem::MemoryController>(sc, 2);
         mc->setCompletionCallback(
             [this](CoreId core, std::uint64_t, mem::ReqType,
                    mem::ServePath) { done[core]++; });
@@ -69,8 +67,6 @@ class Channel
     }
 
   private:
-    dram::DramTimings timings;
-    dram::DramGeometry geom;
     std::unique_ptr<mem::MemoryController> mc;
     Cycle now = 0;
     std::uint64_t token = 0;

@@ -98,9 +98,7 @@ main()
     const sim::DesignRegistry &registry = sim::DesignRegistry::instance();
     for (const char *design : {"drstrange", "drstrange-rl"}) {
         registry.apply(design, cfg);
-        const auto est =
-            sim::drStrangeArea(sim::mcConfigFor(cfg),
-                               cfg.geometry.channels);
+        const auto est = sim::drStrangeArea(cfg, cfg.geometry.channels);
         a.addRow({registry.displayName(design),
                   bench::num(est.storageBits / 8.0 / 1024.0, 3),
                   bench::num(est.mm2, 4),

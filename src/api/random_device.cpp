@@ -11,10 +11,7 @@ RandomDevice::RandomDevice() : RandomDevice(Config{})
 RandomDevice::RandomDevice(const Config &config)
     : cfg(config), entropy(mix64(config.sim.seed) ^ 0xfeed)
 {
-    mc = std::make_unique<mem::MemoryController>(
-        sim::mcConfigFor(cfg.sim), cfg.sim.timings, cfg.sim.geometry,
-        cfg.sim.mechanism,
-        /*num_cores=*/1);
+    mc = std::make_unique<mem::MemoryController>(cfg.sim, /*ports=*/1);
     mc->setCompletionCallback(
         [this](CoreId, std::uint64_t, mem::ReqType, mem::ServePath) {
             completions++;

@@ -28,7 +28,7 @@ struct BackendContext
 {
     const dram::DramTimings &timings;
     const dram::DramGeometry &geometry;
-    const McConfig &cfg; ///< Numeric tuning knobs (latencies, thresholds).
+    const McConfig &cfg; ///< The controller's configuration (backend.*).
 };
 
 /** Factory producing one channel's timing backend. */

@@ -39,28 +39,50 @@ fillPlacementFromName(const std::string &name)
                             "' (known: first-idle, round-robin)");
 }
 
-std::vector<std::string>
-fillPlacementNames()
+FillMode
+McConfig::fillMode() const
 {
-    return {"first-idle", "round-robin"};
+    return buffering ? fillModeFromName(fillPolicy) : FillMode::None;
 }
 
-MemoryController::MemoryController(const McConfig &config,
-                                   const dram::DramTimings &timings,
-                                   const dram::DramGeometry &geometry,
-                                   const trng::TrngMechanism &mechanism,
-                                   unsigned num_cores)
-    : cfg(config),
-      mapper(dram::MappingRegistry::instance().make(config.addressMapping,
-                                                    geometry)),
-      mech(mechanism),
-      fillMech(config.fillMechanism.value_or(mechanism)),
-      numCores(num_cores),
-      writeSched(geometry.channels, geometry.banksPerChannel(), /*cap=*/0)
+FillPlacement
+McConfig::placement() const
 {
-    assert(timingsAreConsistent(timings));
+    return fillPlacementFromName(fillPlacement);
+}
 
-    const BackendContext bctx{timings, geometry, cfg};
+Cycle
+McConfig::periodThreshold() const
+{
+    const trng::TrngMechanism &m = fillMechanism.value_or(mechanism);
+    return std::max<Cycle>(40, m.switchInLatency + m.roundLatency +
+                                   m.switchOutLatency);
+}
+
+strange::RlIdlenessPredictor::Config
+McConfig::rlConfig() const
+{
+    strange::RlIdlenessPredictor::Config rl;
+    if (predictor == "rl")
+        rl.seed = seed * 7919 + 17;
+    return rl;
+}
+
+MemoryController::MemoryController(const McConfig &config, unsigned ports)
+    : cfg(config), fillMode(config.fillMode()),
+      placement(config.placement()), lowUtilBound(config.lowUtilBound()),
+      periodThreshold(config.periodThreshold()),
+      mapper(dram::MappingRegistry::instance().make(config.addressMapping,
+                                                    config.geometry)),
+      mech(config.mechanism),
+      fillMech(config.fillMechanism.value_or(config.mechanism)),
+      writeSched(config.geometry.channels,
+                 config.geometry.banksPerChannel(), /*cap=*/0)
+{
+    const dram::DramGeometry &geometry = cfg.geometry;
+    assert(timingsAreConsistent(cfg.timings));
+
+    const BackendContext bctx{cfg.timings, geometry, cfg};
     for (unsigned ch = 0; ch < geometry.channels; ++ch) {
         auto backend = BackendRegistry::instance().make(cfg.backend, bctx);
         // Outage injection decorates the timing model, so it composes
@@ -82,18 +104,18 @@ MemoryController::MemoryController(const McConfig &config,
     perChan.resize(geometry.channels);
     for (unsigned ch = 0; ch < geometry.channels; ++ch) {
         ChannelState &cs = perChan[ch];
-        cs.readQ = std::make_unique<RequestQueue>(cfg.readQueueCap);
-        cs.writeQ = std::make_unique<RequestQueue>(cfg.writeQueueCap);
+        cs.readQ = std::make_unique<RequestQueue>(kReadQueueCap);
+        cs.writeQ = std::make_unique<RequestQueue>(kWriteQueueCap);
         // Completion lists never outgrow the queues feeding them by
         // much; pre-sizing keeps the per-cycle loop allocation-free.
-        cs.inflightReads.reserve(cfg.readQueueCap + 8);
-        cs.inflightDone.reserve(cfg.readQueueCap + 8);
-        if (cfg.fill == FillMode::Engine) {
+        cs.inflightReads.reserve(kReadQueueCap + 8);
+        cs.inflightDone.reserve(kReadQueueCap + 8);
+        if (fillMode == FillMode::Engine) {
             strange::PredictorContext pctx;
             pctx.channel = ch;
-            pctx.tableEntries = cfg.predictorEntries;
-            pctx.periodThreshold = cfg.periodThreshold;
-            pctx.rlConfig = cfg.rlConfig;
+            pctx.tableEntries = kPredictorEntries;
+            pctx.periodThreshold = periodThreshold;
+            pctx.rlConfig = cfg.rlConfig();
             cs.predictor = strange::PredictorRegistry::instance().make(
                 cfg.predictor, pctx);
         }
@@ -103,25 +125,20 @@ MemoryController::MemoryController(const McConfig &config,
     }
 
     const SchedulerContext sctx{geometry.channels,
-                                geometry.banksPerChannel(), num_cores,
-                                cfg};
+                                geometry.banksPerChannel(), ports, cfg};
     readSched = SchedulerRegistry::instance().make(cfg.scheduler, sctx);
 
-    if (cfg.rngAwareQueueing) {
-        RngAwarePolicy::Config pc;
-        pc.stallLimit = cfg.stallLimit;
-        rngPolicy = std::make_unique<RngAwarePolicy>(geometry.channels,
-                                                     num_cores, pc);
-    }
+    if (cfg.rngAwareQueueing)
+        rngPolicy = std::make_unique<RngAwarePolicy>(
+            geometry.channels, ports, RngAwarePolicy::Config{});
 
-    if (cfg.bufferEntries > 0) {
-        buf = std::make_unique<strange::BufferSet>(cfg.bufferEntries,
+    if (cfg.bufferCapacity() > 0) {
+        buf = std::make_unique<strange::BufferSet>(cfg.bufferCapacity(),
                                                    cfg.bufferPartitions);
     }
 
-    pendingBufferServes.reserve(4 * static_cast<std::size_t>(num_cores));
-    pendingBufferServeDone.reserve(
-        4 * static_cast<std::size_t>(num_cores));
+    pendingBufferServes.reserve(4 * static_cast<std::size_t>(ports));
+    pendingBufferServeDone.reserve(4 * static_cast<std::size_t>(ports));
 
     choiceNow.assign(geometry.channels, QueueChoice::None);
     dueNow.assign(geometry.channels, kDue);
@@ -159,7 +176,7 @@ bool
 MemoryController::acceptsRng(CoreId core) const
 {
     return (buf && buf->canServe64(core)) || stagingBits >= 64.0 ||
-           rngJobs.size() < cfg.rngQueueCap;
+           rngJobs.size() < kRngQueueCap;
 }
 
 unsigned
@@ -198,11 +215,11 @@ MemoryController::enqueueAccept(Request &req, Cycle now)
                 dirtyAllWakes();
             statistics.rngRequests++;
             statistics.rngServedFromBuffer++;
-            statistics.sumRngLatency += cfg.bufferServeLatency;
+            statistics.sumRngLatency += kBufferServeLatency;
             RngJob job{req.core, now, nextSeq++, req.token, 64.0,
                        ServePath::Buffer};
             pendingBufferServes.push_back(job);
-            pendingBufferServeDone.push_back(now + cfg.bufferServeLatency);
+            pendingBufferServeDone.push_back(now + kBufferServeLatency);
             return true;
         }
         if (stagingBits >= 64.0) {
@@ -210,14 +227,14 @@ MemoryController::enqueueAccept(Request &req, Cycle now)
             stagingBits -= 64.0;
             statistics.rngRequests++;
             statistics.rngServedFromStaging++;
-            statistics.sumRngLatency += cfg.bufferServeLatency;
+            statistics.sumRngLatency += kBufferServeLatency;
             RngJob job{req.core, now, nextSeq++, req.token, 64.0,
                        ServePath::Staging};
             pendingBufferServes.push_back(job);
-            pendingBufferServeDone.push_back(now + cfg.bufferServeLatency);
+            pendingBufferServeDone.push_back(now + kBufferServeLatency);
             return true;
         }
-        if (rngJobs.size() >= cfg.rngQueueCap)
+        if (rngJobs.size() >= kRngQueueCap)
             return false;
         // Channels read only whether jobs wait and, under RNG-aware
         // arbitration with mixed priorities, the front job and the top
@@ -299,7 +316,7 @@ MemoryController::topJobPriority() const
 unsigned
 MemoryController::fillGate() const
 {
-    if (cfg.fill != FillMode::Engine || !buf)
+    if (fillMode != FillMode::Engine || !buf)
         return 0;
     return (buf->full() ? 1u : 0u) |
            (buf->levelBits() < 0.5 * buf->capacityBits() ? 2u : 0u);
@@ -359,7 +376,7 @@ MemoryController::fillMember(unsigned ch) const
 bool
 MemoryController::fillSetShared() const
 {
-    return cfg.fill == FillMode::Engine && buf &&
+    return fillMode == FillMode::Engine && buf &&
            cfg.fillChannelLimit != 0;
 }
 
@@ -386,7 +403,7 @@ MemoryController::fillReady(unsigned ch, Cycle now) const
 bool
 MemoryController::fillStartAllowed(unsigned ch, Cycle now) const
 {
-    if (cfg.fillPlacement == FillPlacement::FirstIdle)
+    if (placement == FillPlacement::FirstIdle)
         return true;
     // Round-robin: the first fill-ready channel at or after the rotation
     // pointer claims the session this cycle; later ones defer. The probe
@@ -414,7 +431,7 @@ MemoryController::manageEngine(unsigned ch, Cycle now)
     const bool want_demand =
         !rngJobs.empty() && choiceNow[ch] == QueueChoice::Rng;
     const bool fill_capable =
-        cfg.fill == FillMode::Engine && buf && !buf->full();
+        fillMode == FillMode::Engine && buf && !buf->full();
 
     if (eng.idle()) {
         cs.lowUtilSession = false;
@@ -439,12 +456,11 @@ MemoryController::manageEngine(unsigned ch, Cycle now)
             }
             if (cs.predictedLong && fillStartAllowed(ch, now)) {
                 eng.start(now, trng::RngEngine::SessionKind::Fill);
-                if (cfg.fillPlacement == FillPlacement::RoundRobin)
+                if (placement == FillPlacement::RoundRobin)
                     fillPreferredCh =
                         (ch + 1) % static_cast<unsigned>(chans.size());
             }
-        } else if (cfg.lowUtilThreshold > 0 &&
-                   occ < cfg.lowUtilThreshold &&
+        } else if (lowUtilBound > 0 && occ < lowUtilBound &&
                    now >= cs.lowUtilNextAllowed &&
                    buf->levelBits() < 0.5 * buf->capacityBits()) {
             // Low-utilization extension: short generation bursts while
@@ -453,7 +469,7 @@ MemoryController::manageEngine(unsigned ch, Cycle now)
             // rate-limited so the few queued requests are stalled only
             // briefly between bursts (Section 5.1.2: "the predictor
             // stalls only a small number of requests").
-            cs.lowUtilNextAllowed = now + 6 * cfg.periodThreshold;
+            cs.lowUtilNextAllowed = now + 6 * periodThreshold;
             const bool fill_now =
                 cs.predictor ? cs.predictor->peekLong(cs.lastAddr) : false;
             if (fill_now) {
@@ -536,13 +552,13 @@ MemoryController::serveChannel(unsigned ch, Cycle now)
     // are waiting again.
     const bool reads_waiting = !cs.readQ->empty();
     if (!cs.writeDraining &&
-        (cs.writeQ->size() >= cfg.writeDrainHigh ||
+        (cs.writeQ->size() >= kWriteDrainHigh ||
          (!reads_waiting && !cs.writeQ->empty()))) {
         cs.writeDraining = true;
     }
     if (cs.writeDraining &&
         (cs.writeQ->empty() ||
-         (cs.writeQ->size() <= cfg.writeDrainLow && reads_waiting))) {
+         (cs.writeQ->size() <= kWriteDrainLow && reads_waiting))) {
         cs.writeDraining = false;
     }
 
@@ -759,7 +775,7 @@ MemoryController::tick(Cycle now)
     //    one more round per round-latency of continued idleness. Like
     //    DR-STRaNGe's engine fill, the oracle uses one selected channel
     //    at a time (the lowest-numbered idle one).
-    if (cfg.fill == FillMode::GreedyOracle && buf) {
+    if (fillMode == FillMode::GreedyOracle && buf) {
         bool selected = false;
         for (unsigned ch = 0; ch < chans.size(); ++ch) {
             ChannelState &cs = perChan[ch];
@@ -771,8 +787,8 @@ MemoryController::tick(Cycle now)
             } else if (!selected) {
                 selected = true;
                 cs.greedyIdleCredit++;
-                if (cs.greedyIdleCredit >= cfg.periodThreshold &&
-                    (cs.greedyIdleCredit - cfg.periodThreshold) %
+                if (cs.greedyIdleCredit >= periodThreshold &&
+                    (cs.greedyIdleCredit - periodThreshold) %
                             fillMech.roundLatency ==
                         0 &&
                     !buf->full())
@@ -846,7 +862,7 @@ MemoryController::manageEngineEventCycle(unsigned ch, Cycle now,
     const bool want_demand =
         !rngJobs.empty() && choice == QueueChoice::Rng;
     const bool fill_capable =
-        cfg.fill == FillMode::Engine && buf && !buf->full();
+        fillMode == FillMode::Engine && buf && !buf->full();
 
     if (eng.idle()) {
         if (cs.lowUtilSession || cs.demandSession)
@@ -866,7 +882,7 @@ MemoryController::manageEngineEventCycle(unsigned ch, Cycle now,
         // limiter whenever it fires; its earliest firing cycle is the
         // rate limiter itself (every other condition is static over a
         // quiescent span).
-        if (cfg.lowUtilThreshold > 0 && occ < cfg.lowUtilThreshold) {
+        if (lowUtilBound > 0 && occ < lowUtilBound) {
             if (buf->levelBits() >= 0.5 * buf->capacityBits())
                 return kNoEvent;
             return std::max(now, cs.lowUtilNextAllowed);
@@ -939,12 +955,12 @@ MemoryController::serveChannelEventCycle(unsigned ch, Cycle now,
 
     const bool reads_waiting = !cs.readQ->empty();
     if (!cs.writeDraining &&
-        (cs.writeQ->size() >= cfg.writeDrainHigh ||
+        (cs.writeQ->size() >= kWriteDrainHigh ||
          (!reads_waiting && !cs.writeQ->empty())))
         return now; // Write drain starts this cycle.
     if (cs.writeDraining &&
         (cs.writeQ->empty() ||
-         (cs.writeQ->size() <= cfg.writeDrainLow && reads_waiting)))
+         (cs.writeQ->size() <= kWriteDrainLow && reads_waiting)))
         return now; // Write drain stops this cycle.
     if (cs.writeDraining)
         return nextIssueCycle(*cs.writeQ, ch, now);
@@ -974,7 +990,7 @@ MemoryController::greedyNextEventCycle(Cycle now) const
                 // Credit at the tick of cycle T is credit + (T - now) + 1;
                 // a deposit fires when it reaches periodThreshold plus a
                 // multiple of the fill round latency.
-                const Cycle thr = cfg.periodThreshold;
+                const Cycle thr = periodThreshold;
                 const Cycle rl = fillMech.roundLatency;
                 const Cycle c1 = cs.greedyIdleCredit + 1;
                 Cycle v = thr;
@@ -1293,7 +1309,7 @@ MemoryController::nextEventCycle(Cycle now)
             return now;
     }
 
-    if (cfg.fill == FillMode::GreedyOracle && buf)
+    if (fillMode == FillMode::GreedyOracle && buf)
         ev = std::min(ev, greedyNextEventCycle(now));
 
     return ev;
@@ -1355,7 +1371,7 @@ MemoryController::fastForward(Cycle from, Cycle to)
             perChan[p.ch].producing = isProducer(*engines[p.ch]);
     }
 
-    if (cfg.fill == FillMode::GreedyOracle && buf) {
+    if (fillMode == FillMode::GreedyOracle && buf) {
         for (unsigned ch = 0; ch < chans.size(); ++ch) {
             ChannelState &cs = perChan[ch];
             const bool eligible = occupancy(cs) == 0 &&

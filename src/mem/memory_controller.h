@@ -55,7 +55,7 @@ enum class FillMode : std::uint8_t
 
 /**
  * Parse a fill-mode name ("none"/"greedy-oracle"/"engine") as used by
- * SimConfig::fillPolicy and the config text format.
+ * McConfig::fillPolicy and the config text format.
  * @throws std::out_of_range on an unknown name.
  */
 FillMode fillModeFromName(const std::string &name);
@@ -73,55 +73,70 @@ enum class FillPlacement : std::uint8_t
 
 /**
  * Parse a fill-placement name ("first-idle"/"round-robin") as used by
- * SimConfig::fillPlacement and the config text format.
+ * McConfig::fillPlacement and the config text format.
  * @throws std::out_of_range on an unknown name.
  */
 FillPlacement fillPlacementFromName(const std::string &name);
 
-/** Registered fill-placement names, sorted. */
-std::vector<std::string> fillPlacementNames();
+/**
+ * Controller sizing and scheduler tuning, fixed at the values the paper
+ * evaluates (no configuration varies them).
+ */
+inline constexpr unsigned kReadQueueCap = 32;  ///< Per channel.
+inline constexpr unsigned kWriteQueueCap = 32; ///< Per channel.
+inline constexpr unsigned kRngQueueCap = 32;   ///< Shared RNG job queue.
+/** Write drain starts at this write-queue occupancy... */
+inline constexpr unsigned kWriteDrainHigh = 28;
+/** ...and stops at this one once reads wait again. */
+inline constexpr unsigned kWriteDrainLow = 8;
+/** FR-FCFS-Cap: max consecutive row hits served per bank. */
+inline constexpr unsigned kColumnCap = 16;
+/** BLISS: an application with this many consecutive requests served
+ *  is blacklisted... */
+inline constexpr unsigned kBlissThreshold = 4;
+/** ...and the period at which the blacklist is cleared. */
+inline constexpr Cycle kBlissClearingInterval = 10000;
+/** Latency of an RNG request served from the buffer or staging. */
+inline constexpr Cycle kBufferServeLatency = 2;
+/** Idleness-predictor table entries per channel. */
+inline constexpr unsigned kPredictorEntries = 256;
 
-/** Full memory controller configuration. */
+/**
+ * The memory system's configuration: every knob the controller, its
+ * channels and the TRNG engines read, each declared once and set from
+ * outside through one config-text key (sim/config_text.h).
+ * sim::SimConfig derives from it and adds the run-level knobs. A
+ * default-constructed McConfig selects the full DR-STRaNGe design (the
+ * "drstrange" row of sim::kPaperDesigns).
+ *
+ * The member functions derive the values the controller acts on; the
+ * controller computes each once, at construction.
+ */
 struct McConfig
 {
+    // --- Policy knobs ------------------------------------------------
     /** Intra-queue scheduler (mem::SchedulerRegistry key). */
     std::string scheduler = "fr-fcfs-cap";
-    unsigned columnCap = 16;
-    unsigned blissThreshold = 4;
-    Cycle blissClearingInterval = 10000;
-
-    unsigned readQueueCap = 32;
-    unsigned writeQueueCap = 32;
-    unsigned rngQueueCap = 32;
-    unsigned writeDrainHigh = 28;
-    unsigned writeDrainLow = 8;
-
     /** true: separate RNG queue + RngAwarePolicy arbitration.
      *  false: RNG-oblivious — jobs preempt all channels on arrival. */
-    bool rngAwareQueueing = false;
-    Cycle stallLimit = 100;
-
-    unsigned bufferEntries = 0;      ///< 64-bit entries; 0 disables.
-    /** Partition the buffer per application (Section 6 side/covert-
-     *  channel countermeasure); 0/1 = one shared buffer. */
-    unsigned bufferPartitions = 0;
-    Cycle bufferServeLatency = 2;    ///< Buffer-hit service latency.
-
-    FillMode fill = FillMode::None;
-    /** Optional distinct TRNG mechanism for buffer filling (hybrid
-     *  design, Section 8.7 future work); demand generation always uses
-     *  the mechanism passed to the controller. */
-    std::optional<trng::TrngMechanism> fillMechanism;
+    bool rngAwareQueueing = true;
+    /** Random number buffer on/off (bufferEntries sizes it when on). */
+    bool buffering = true;
+    /** Buffer-fill policy when buffering: "none", "greedy-oracle", or
+     *  "engine" (see FillMode). */
+    std::string fillPolicy = "engine";
     /** Idleness predictor gating engine fill (strange::PredictorRegistry
      *  key; "none" = simple buffering, every quiet period assumed long). */
     std::string predictor = "simple";
-    unsigned predictorEntries = 256;
-    Cycle periodThreshold = 40;
-    /** Read+write queue occupancy below which a channel counts as
-     *  low-utilization (0 = idle-only fill). */
-    unsigned lowUtilThreshold = 4;
-    /** Precharge power-down after this many idle cycles (0 = off). */
-    Cycle powerDownThreshold = 0;
+    /** Also fill during low-utilization (not just idle) periods. */
+    bool lowUtilFill = true;
+    /** Address-interleaving policy (dram::MappingRegistry key). */
+    std::string addressMapping = "row-bank-col-ch";
+    /** Cross-channel placement of engine buffer-fill sessions:
+     *  "first-idle" or "round-robin" (see FillPlacement). */
+    std::string fillPlacement = "first-idle";
+    /** Per-channel timing model (mem::BackendRegistry key). */
+    std::string backend = "ddr4";
 
     // --- Modelling-refinement ablation knobs (bench/ablation_design) --
     /** RNG-aware designs park channels in RNG mode between demand
@@ -133,26 +148,65 @@ struct McConfig
     /** Max concurrent buffer-fill channels (0 = unlimited; the paper's
      *  Section 5.1.1 selects one channel at a time). */
     unsigned fillChannelLimit = 1;
-    /** Cross-channel placement of engine fill sessions. */
-    FillPlacement fillPlacement = FillPlacement::FirstIdle;
 
-    /** Address-interleaving policy (dram::MappingRegistry key). */
-    std::string addressMapping = "row-bank-col-ch";
+    // --- Mechanisms and hardware parameters --------------------------
+    /** Demand-generation TRNG mechanism. */
+    trng::TrngMechanism mechanism = trng::TrngMechanism::dRange();
+    /** Optional distinct buffer-fill mechanism (hybrid TRNG design,
+     *  Section 8.7); empty = same mechanism for demand and fill. */
+    std::optional<trng::TrngMechanism> fillMechanism;
+    dram::DramTimings timings{};
+    dram::DramGeometry geometry{};
 
-    /** Per-channel timing model (mem::BackendRegistry key). */
-    std::string backend = "ddr4";
-    /** Data-completion latency of a read under "fixed-latency". */
+    unsigned bufferEntries = 16; ///< Buffered 64-bit numbers.
+    /** Per-application buffer partitions (Section 6 side/covert-channel
+     *  countermeasure); 0/1 = one shared buffer. */
+    unsigned bufferPartitions = 0;
+    /** Read+write queue occupancy below which a channel counts as
+     *  low-utilization (when lowUtilFill). */
+    unsigned lowUtilThreshold = 4;
+    /** Precharge power-down after this many idle cycles (0 = off). */
+    Cycle powerDownThreshold = 0;
+
+    /** "fixed-latency" backend parameters (ignored by "ddr4"): read and
+     *  write data-completion latencies and the column-to-column gap. */
     Cycle backendReadLatency = 20;
-    /** Data-completion latency of a write under "fixed-latency". */
     Cycle backendWriteLatency = 20;
-    /** Column-to-column gap under "fixed-latency". */
     Cycle backendGap = 4;
+
+    std::uint64_t seed = 1; ///< Master seed for traces and entropy.
 
     /** Deterministic fault injection + health-monitor mitigation (a
      *  default-constructed config is inert). */
     fault::FaultConfig fault;
 
-    strange::RlIdlenessPredictor::Config rlConfig{};
+    // --- Derived values ----------------------------------------------
+    /** The buffer's 64-bit entries (0 = no buffer: buffering off). */
+    unsigned
+    bufferCapacity() const
+    {
+        return buffering ? bufferEntries : 0;
+    }
+    /** Fill policy in effect (None without a buffer).
+     *  @throws std::out_of_range on an unknown fillPolicy. */
+    FillMode fillMode() const;
+    /** @throws std::out_of_range on an unknown fillPlacement. */
+    FillPlacement placement() const;
+    /** Low-utilization occupancy bound (0 = idle-only fill). */
+    unsigned
+    lowUtilBound() const
+    {
+        return lowUtilFill ? lowUtilThreshold : 0;
+    }
+    /**
+     * Minimum idle-period length that counts as "long": a fill session
+     * cannot abort once a round starts, so it must cover a whole session
+     * of the fill mechanism. For D-RaNGe this is the paper's 40-cycle
+     * PeriodThreshold; QUAC-TRNG's long rounds need more room.
+     */
+    Cycle periodThreshold() const;
+    /** RL predictor settings (seeded from seed under predictor "rl"). */
+    strange::RlIdlenessPredictor::Config rlConfig() const;
 };
 
 /** Aggregate controller statistics. */
@@ -193,11 +247,9 @@ class MemoryController
     using CompletionCallback = std::function<void(
         CoreId, std::uint64_t token, ReqType, ServePath)>;
 
-    MemoryController(const McConfig &config,
-                     const dram::DramTimings &timings,
-                     const dram::DramGeometry &geometry,
-                     const trng::TrngMechanism &mechanism,
-                     unsigned num_cores);
+    /** A controller over @p config with @p ports request ports (one
+     *  per core, plus any service port). */
+    MemoryController(const McConfig &config, unsigned ports);
     ~MemoryController(); // Out-of-line: fault::FaultPlane is incomplete.
 
     void setCompletionCallback(CompletionCallback cb);
@@ -563,10 +615,14 @@ class MemoryController
     bool joinPending = false;
 
     McConfig cfg;
+    // Values derived from cfg once (see McConfig's member functions).
+    FillMode fillMode;
+    FillPlacement placement;
+    unsigned lowUtilBound;
+    Cycle periodThreshold;
     std::unique_ptr<const dram::AddressMapping> mapper;
     trng::TrngMechanism mech;     ///< Demand-generation mechanism.
     trng::TrngMechanism fillMech; ///< Fill mechanism (== mech unless hybrid).
-    unsigned numCores;
 
     std::vector<std::unique_ptr<MemoryBackend>> chans;
     std::vector<std::unique_ptr<trng::RngEngine>> engines;

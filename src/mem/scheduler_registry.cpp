@@ -14,12 +14,12 @@ SchedulerRegistry::SchedulerRegistry() : Registry("scheduler")
     });
     add("fr-fcfs-cap", [](const SchedulerContext &ctx) {
         return std::make_unique<FrFcfsScheduler>(
-            ctx.channels, ctx.banksPerChannel, ctx.cfg.columnCap);
+            ctx.channels, ctx.banksPerChannel, kColumnCap);
     });
     add("bliss", [](const SchedulerContext &ctx) {
         return std::make_unique<BlissScheduler>(
-            ctx.channels, ctx.cores, ctx.cfg.blissThreshold,
-            ctx.cfg.blissClearingInterval);
+            ctx.channels, ctx.cores, kBlissThreshold,
+            kBlissClearingInterval);
     });
 }
 

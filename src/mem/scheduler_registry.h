@@ -27,7 +27,7 @@ struct SchedulerContext
     unsigned channels = 0;
     unsigned banksPerChannel = 0;
     unsigned cores = 0;
-    const McConfig &cfg; ///< Numeric tuning knobs (caps, thresholds).
+    const McConfig &cfg; ///< The controller's configuration.
 };
 
 /** Factory producing a scheduler for one memory controller instance. */

@@ -30,19 +30,19 @@ drStrangeArea(const mem::McConfig &cfg, unsigned channels)
     double bits = 0.0;
 
     // Random number buffer: 64-bit entries.
-    bits += static_cast<double>(cfg.bufferEntries) * 64.0;
+    bits += static_cast<double>(cfg.bufferCapacity()) * 64.0;
 
     // RNG request queue.
     if (cfg.rngAwareQueueing)
-        bits += static_cast<double>(cfg.rngQueueCap) * kRngQueueEntryBits;
+        bits += static_cast<double>(mem::kRngQueueCap) * kRngQueueEntryBits;
 
     // Idleness predictor: each registry entry prices its own storage
     // (custom predictors without a storage model count as 0 bits).
-    if (cfg.fill == mem::FillMode::Engine) {
+    if (cfg.fillMode() == mem::FillMode::Engine) {
         strange::PredictorAreaContext actx;
         actx.channels = channels;
-        actx.tableEntries = cfg.predictorEntries;
-        actx.rlConfig = cfg.rlConfig;
+        actx.tableEntries = mem::kPredictorEntries;
+        actx.rlConfig = cfg.rlConfig();
         bits += strange::PredictorRegistry::instance().storageBits(
             cfg.predictor, actx);
     }

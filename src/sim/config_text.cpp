@@ -355,6 +355,12 @@ applyToken(SimConfig &cfg, const std::string &key,
     } else if (key == "fill-placement") {
         mem::fillPlacementFromName(value); // validate
         cfg.fillPlacement = value;
+    } else if (key == "parking") {
+        cfg.enableParking = parseBool(value);
+    } else if (key == "fill-abort") {
+        cfg.enableFillAbort = parseBool(value);
+    } else if (key == "fill-channels") {
+        cfg.fillChannelLimit = parseUnsigned(value);
     } else if (key == "mechanism") {
         if (auto m = trng::TrngMechanism::byName(value))
             cfg.mechanism = *m;
@@ -451,6 +457,9 @@ serializeConfig(const SimConfig &cfg)
     o << " low-util=" << (cfg.lowUtilFill ? 1 : 0);
     o << " mapping=" << cfg.addressMapping;
     o << " fill-placement=" << cfg.fillPlacement;
+    o << " parking=" << (cfg.enableParking ? 1 : 0);
+    o << " fill-abort=" << (cfg.enableFillAbort ? 1 : 0);
+    o << " fill-channels=" << cfg.fillChannelLimit;
     serializeMechanism(o, "mechanism", cfg.mechanism);
     if (cfg.fillMechanism)
         serializeMechanism(o, "fill-mechanism", *cfg.fillMechanism);

@@ -12,17 +12,27 @@
  *
  * Keys (in serialization order):
  *   scheduler, rng-aware, buffering, fill, predictor, low-util,
- *   mechanism.name, mechanism.bits, mechanism.round, mechanism.in,
- *   mechanism.out, fill-mechanism=- or fill-mechanism.name, .bits,
- *   .round, .in, .out, buffer-entries, buffer-partitions,
- *   low-util-threshold, powerdown, budget, max-cycles, seed,
- *   priorities, timings.<field> (tck, trcd, tcl, tcwl, trp, tras, trc,
- *   tbl, tccd, trtp, twr, twtr, trrd, tfaw, trfc, trefi, txp),
- *   geometry.<field> (channels, ranks, banks, rows, rowbytes)
+ *   mapping, fill-placement, parking, fill-abort, fill-channels,
+ *   mechanism.<field> (name, bits, round, in, out),
+ *   fill-mechanism=- or fill-mechanism.<field> (as mechanism.*),
+ *   buffer-entries, buffer-partitions, low-util-threshold, powerdown,
+ *   budget, max-cycles, seed, priorities,
+ *   timings.<field> (tck, trcd, tcl, tcwl, trp, tras, trc, tbl, tccd,
+ *   trtp, twr, twtr, trrd, tfaw, trfc, trefi, txp, trtrs),
+ *   geometry.<field> (channels, ranks, banks, rows, rowbytes),
+ *   service.<field> (enabled, arrival, offered-mbps, clients, burst,
+ *   period, slo, duration, shed, shed-limit),
+ *   fault.<field> (models, seed, bitflip-rate, cells, weak-cells,
+ *   weak-severity, drift-interval, stuck-rows, spares,
+ *   blacklist-threshold, retry-limit, monitor, outage-period,
+ *   outage-duration, outage-scope),
+ *   backend.<field> (kind, read-latency, write-latency, gap),
+ *   trace.<field> (record, replay)
  *
  * Parsing accepts two extra conveniences:
  *   design=KEY        apply a sim::DesignRegistry preset (policy knobs)
- *   mechanism=NAME    load a whole built-in mechanism by
+ *   [fill-]mechanism=NAME
+ *                     load a whole built-in mechanism by
  *                     trng::TrngMechanism::byName() name ("drange",
  *                     "quac"); unknown names are an error — custom
  *                     mechanisms are spelled out via the

@@ -152,4 +152,21 @@ verifyLockstep(const System &fast_forwarded, const System &stepped)
         "DS_LOCKSTEP mismatch: fingerprints differ in length");
 }
 
+std::unique_ptr<System>
+runSystem(const SimConfig &cfg, const TraceFactory &make_traces)
+{
+    auto sys = std::make_unique<System>(cfg, make_traces());
+    const bool lockstep = lockstepEnabled();
+    if (lockstep)
+        sys->setFastForward(true);
+    sys->run();
+    if (lockstep) {
+        System ref(cfg, make_traces());
+        ref.setFastForward(false);
+        ref.run();
+        verifyLockstep(*sys, ref);
+    }
+    return sys;
+}
+
 } // namespace dstrange::sim

@@ -76,34 +76,6 @@ Runner::aloneConfig(const SimConfig &from, const std::string &design)
 
 namespace {
 
-/**
- * Build-and-run helper shared by the alone and workload paths. Under
- * DS_LOCKSTEP the system is forced onto the fast-forward path and a
- * second, freshly-traced system replays the run ticking every bus
- * cycle; every statistic of the two must be bit-identical. (Returned
- * by pointer: System is immovable — its completion callback captures
- * `this`.)
- */
-std::unique_ptr<System>
-runSystem(const SimConfig &cfg,
-          const std::function<
-              std::vector<std::unique_ptr<cpu::TraceSource>>()>
-              &make_traces)
-{
-    auto sys = std::make_unique<System>(cfg, make_traces());
-    const bool lockstep = lockstepEnabled();
-    if (lockstep)
-        sys->setFastForward(true);
-    sys->run();
-    if (lockstep) {
-        System ref(cfg, make_traces());
-        ref.setFastForward(false);
-        ref.run();
-        verifyLockstep(*sys, ref);
-    }
-    return sys;
-}
-
 /** The alone baseline a finished single-core run yields. */
 AloneResult
 aloneResultOf(const System &sys)

@@ -32,9 +32,7 @@ System::System(const SimConfig &config,
 
     // The service layer issues on one extra controller port past the
     // last core, so its requests arbitrate like any application's.
-    controller = std::make_unique<mem::MemoryController>(
-        mcConfigFor(cfg), cfg.timings, cfg.geometry, cfg.mechanism,
-        n_ports);
+    controller = std::make_unique<mem::MemoryController>(cfg, n_ports);
     setFastForward(envFlag("DS_FAST_FORWARD", true));
 
     if (!replay) {

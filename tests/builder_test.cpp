@@ -29,15 +29,37 @@ using namespace dstrange::sim;
 namespace {
 
 /**
- * The hand-written per-design McConfig expansion that predates the
- * policy knobs, frozen as reference data and keyed by registry key.
- * Every preset built on the policy knobs must keep reproducing it
- * exactly.
+ * The controller values the hand-written per-design expansion produced
+ * before the policy knobs existed (fields named as the controller
+ * configuration then named them).
  */
-mem::McConfig
+struct LegacyMcConfig
+{
+    std::string scheduler;
+    bool rngAwareQueueing = false;
+    unsigned bufferEntries = 0;
+    unsigned bufferPartitions = 0;
+    mem::FillMode fill = mem::FillMode::None;
+    std::optional<trng::TrngMechanism> fillMechanism;
+    std::string predictor = "simple";
+    Cycle periodThreshold = 40;
+    unsigned lowUtilThreshold = 0;
+    Cycle powerDownThreshold = 0;
+    bool enableParking = true;
+    bool enableFillAbort = true;
+    unsigned fillChannelLimit = 1;
+    strange::RlIdlenessPredictor::Config rlConfig{};
+};
+
+/**
+ * The legacy expansion, frozen as reference data and keyed by registry
+ * key. Every preset built on the policy knobs must keep deriving
+ * exactly these values.
+ */
+LegacyMcConfig
 legacyMcConfigFor(const std::string &design, const SimConfig &cfg)
 {
-    mem::McConfig mc;
+    LegacyMcConfig mc;
     mc.scheduler = "fr-fcfs-cap";
     mc.rngAwareQueueing = false;
     mc.bufferEntries = 0;
@@ -100,24 +122,18 @@ legacyMcConfigFor(const std::string &design, const SimConfig &cfg)
     return mc;
 }
 
+/** @p a's derived controller values equal the legacy expansion @p b. */
 void
-expectSameMcConfig(const mem::McConfig &a, const mem::McConfig &b)
+expectSameMcConfig(const mem::McConfig &a, const LegacyMcConfig &b)
 {
     EXPECT_EQ(a.scheduler, b.scheduler);
-    EXPECT_EQ(a.columnCap, b.columnCap);
-    EXPECT_EQ(a.blissThreshold, b.blissThreshold);
-    EXPECT_EQ(a.blissClearingInterval, b.blissClearingInterval);
-    EXPECT_EQ(a.readQueueCap, b.readQueueCap);
-    EXPECT_EQ(a.writeQueueCap, b.writeQueueCap);
-    EXPECT_EQ(a.rngQueueCap, b.rngQueueCap);
-    EXPECT_EQ(a.writeDrainHigh, b.writeDrainHigh);
-    EXPECT_EQ(a.writeDrainLow, b.writeDrainLow);
     EXPECT_EQ(a.rngAwareQueueing, b.rngAwareQueueing);
-    EXPECT_EQ(a.stallLimit, b.stallLimit);
-    EXPECT_EQ(a.bufferEntries, b.bufferEntries);
-    EXPECT_EQ(a.bufferPartitions, b.bufferPartitions);
-    EXPECT_EQ(a.bufferServeLatency, b.bufferServeLatency);
-    EXPECT_EQ(a.fill, b.fill);
+    EXPECT_EQ(a.bufferCapacity(), b.bufferEntries);
+    // Partitions only shape a buffer that exists.
+    if (a.bufferCapacity() > 0) {
+        EXPECT_EQ(a.bufferPartitions, b.bufferPartitions);
+    }
+    EXPECT_EQ(a.fillMode(), b.fill);
     EXPECT_EQ(a.fillMechanism.has_value(), b.fillMechanism.has_value());
     if (a.fillMechanism && b.fillMechanism) {
         EXPECT_EQ(a.fillMechanism->name, b.fillMechanism->name);
@@ -127,15 +143,14 @@ expectSameMcConfig(const mem::McConfig &a, const mem::McConfig &b)
                   b.fillMechanism->roundLatency);
     }
     EXPECT_EQ(a.predictor, b.predictor);
-    EXPECT_EQ(a.predictorEntries, b.predictorEntries);
-    EXPECT_EQ(a.periodThreshold, b.periodThreshold);
-    EXPECT_EQ(a.lowUtilThreshold, b.lowUtilThreshold);
+    EXPECT_EQ(a.periodThreshold(), b.periodThreshold);
+    EXPECT_EQ(a.lowUtilBound(), b.lowUtilThreshold);
     EXPECT_EQ(a.powerDownThreshold, b.powerDownThreshold);
     EXPECT_EQ(a.enableParking, b.enableParking);
     EXPECT_EQ(a.enableFillAbort, b.enableFillAbort);
     EXPECT_EQ(a.fillChannelLimit, b.fillChannelLimit);
-    EXPECT_EQ(a.rlConfig.seed, b.rlConfig.seed);
-    EXPECT_EQ(a.rlConfig.stateBits, b.rlConfig.stateBits);
+    EXPECT_EQ(a.rlConfig().seed, b.rlConfig.seed);
+    EXPECT_EQ(a.rlConfig().stateBits, b.rlConfig.stateBits);
 }
 
 workloads::WorkloadSpec
@@ -189,8 +204,7 @@ TEST(PresetEquivalence, McConfigMatchesLegacyExpansionForAllDesigns)
 
         SimConfig preset = base;
         DesignRegistry::instance().apply(d.key, preset);
-        expectSameMcConfig(mcConfigFor(preset),
-                           legacyMcConfigFor(d.key, base));
+        expectSameMcConfig(preset, legacyMcConfigFor(d.key, base));
     }
 }
 
@@ -204,8 +218,7 @@ TEST(PresetEquivalence, McConfigMatchesLegacyExpansionWithHybridFill)
 
         SimConfig preset = base;
         DesignRegistry::instance().apply(d, preset);
-        expectSameMcConfig(mcConfigFor(preset),
-                           legacyMcConfigFor(d, base));
+        expectSameMcConfig(preset, legacyMcConfigFor(d, base));
     }
 }
 
@@ -234,8 +247,9 @@ TEST(PresetEquivalence, RunnerMetricsIdenticalAcrossEnumKeyAndBuilder)
 
 /**
  * End-to-end: a System built from a preset must behave cycle-for-cycle
- * like a hand-driven MemoryController configured with the frozen legacy
- * expansion (the strongest "same seed, same metrics" guarantee).
+ * like a hand-driven MemoryController whose derived values match the
+ * frozen legacy expansion (the strongest "same seed, same metrics"
+ * guarantee).
  */
 TEST(PresetEquivalence, SystemMatchesHandDrivenLegacyController)
 {
@@ -261,11 +275,11 @@ TEST(PresetEquivalence, SystemMatchesHandDrivenLegacyController)
         System sys(preset, std::move(sys_traces));
         sys.run();
 
-        // Hand-driven legacy path (the pre-refactor expansion).
+        // Hand-driven path over a configuration that derives the
+        // pre-refactor expansion.
+        expectSameMcConfig(preset, legacyMcConfigFor(d, base));
         auto traces = make_traces();
-        mem::MemoryController mc(legacyMcConfigFor(d, base),
-                                 base.timings, base.geometry,
-                                 base.mechanism, 2);
+        mem::MemoryController mc(preset, 2);
         std::vector<std::unique_ptr<cpu::Core>> cores;
         cpu::Core::Config core_cfg;
         core_cfg.instrBudget = base.instrBudget;
@@ -369,14 +383,13 @@ allRegistries()
         "sched", "fr-fcfs-cap", [](const std::string &k) {
             const SimConfig cfg;
             mem::SchedulerRegistry::instance().make(
-                k, mem::SchedulerContext{4, 8, 2, mcConfigFor(cfg)});
+                k, mem::SchedulerContext{4, 8, 2, cfg});
         }));
     faces.push_back(faceOf<mem::BackendRegistry>(
         "backend", "fixed-latency", [](const std::string &k) {
             const SimConfig cfg;
-            const mem::McConfig mc = mcConfigFor(cfg);
             mem::BackendRegistry::instance().make(
-                k, mem::BackendContext{cfg.timings, cfg.geometry, mc});
+                k, mem::BackendContext{cfg.timings, cfg.geometry, cfg});
         }));
     faces.push_back(faceOf<dram::MappingRegistry>(
         "mapping", dram::MappingRegistry::kDefault,
@@ -468,7 +481,7 @@ TEST(Registries, UnknownKeysThrowWithKnownKeysListed)
     try {
         mem::SchedulerRegistry::instance().make(
             "no-such-sched",
-            mem::SchedulerContext{4, 8, 2, mcConfigFor(cfg)});
+            mem::SchedulerContext{4, 8, 2, cfg});
         FAIL() << "expected std::out_of_range";
     } catch (const std::out_of_range &e) {
         EXPECT_NE(std::string(e.what()).find("fr-fcfs-cap"),
@@ -777,10 +790,19 @@ TEST(ConfigText, SerializeParseRoundTripsCustomConfig)
     cfg.priorities = {2, 1, 1};
     cfg.timings.tRCD = 13;
     cfg.geometry.channels = 2;
+    cfg.enableParking = false;
+    cfg.enableFillAbort = false;
+    cfg.fillChannelLimit = 3;
 
     const std::string text = serializeConfig(cfg);
     const SimConfig back = parseConfig(text);
     EXPECT_EQ(serializeConfig(back), text);
+    EXPECT_NE(text.find(" parking=0 fill-abort=0 fill-channels=3 "),
+              std::string::npos)
+        << text;
+    EXPECT_FALSE(back.enableParking);
+    EXPECT_FALSE(back.enableFillAbort);
+    EXPECT_EQ(back.fillChannelLimit, 3u);
     EXPECT_EQ(back.fillPolicy, "greedy-oracle");
     EXPECT_EQ(back.mechanism.name, "QUAC-TRNG");
     ASSERT_TRUE(back.fillMechanism.has_value());

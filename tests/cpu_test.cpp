@@ -56,9 +56,11 @@ class CoreTest : public ::testing::Test
     build(std::vector<TraceOp> ops, TraceOp filler,
           std::uint64_t budget = 10000)
     {
-        mc = std::make_unique<mem::MemoryController>(
-            mem::McConfig{}, timings, geom,
-            trng::TrngMechanism::dRange(), 1);
+        // The RNG-oblivious, bufferless controller.
+        mem::McConfig mc_cfg;
+        mc_cfg.rngAwareQueueing = false;
+        mc_cfg.buffering = false;
+        mc = std::make_unique<mem::MemoryController>(mc_cfg, 1);
         trace = std::make_unique<ScriptedTrace>(std::move(ops), filler);
         Core::Config cfg;
         cfg.instrBudget = budget;
@@ -78,8 +80,6 @@ class CoreTest : public ::testing::Test
         }
     }
 
-    dram::DramTimings timings;
-    dram::DramGeometry geom;
     std::unique_ptr<mem::MemoryController> mc;
     std::unique_ptr<ScriptedTrace> trace;
     std::unique_ptr<Core> core;

@@ -12,7 +12,9 @@
  * exposes: the nine design presets x scheduler / predictor overrides x
  * multi-rank geometries x address mappings x both memory backends x
  * the open-loop service layer x fault-injection knobs x mechanisms,
- * buffer shapes, priorities and power-down.
+ * buffer shapes, priorities and power-down x the fill refinements
+ * (parking, fill aborts, fill-channel limits, round-robin placement,
+ * low-utilization overrides, hybrid fill mechanisms).
  *
  * Reproducing a failure: every mismatch prints the master seed, the
  * config index, and the canonical config text (sim/config_text.h),
@@ -174,6 +176,24 @@ drawScenario(std::uint64_t seed)
         for (unsigned i = 0; i < n_cores; ++i)
             cfg.priorities.push_back(static_cast<int>(d.below(3)));
     }
+
+    // Fill refinements, drawn last so every draw above keeps the value
+    // a given seed has always produced.
+    if (d.chance(1, 4))
+        cfg.enableParking = false;
+    if (d.chance(1, 4))
+        cfg.enableFillAbort = false;
+    if (d.chance(1, 4))
+        cfg.fillChannelLimit = d.pick<unsigned>({0, 2});
+    if (d.chance(1, 4))
+        cfg.fillPlacement = "round-robin";
+    if (d.chance(1, 4)) {
+        cfg.lowUtilFill = d.chance(1, 2);
+        cfg.lowUtilThreshold = d.pick<unsigned>({1, 8, 16});
+    }
+    if (d.chance(1, 4))
+        cfg.fillMechanism = *trng::TrngMechanism::byName(
+            d.chance(1, 2) ? "quac" : "drange");
     return s;
 }
 

@@ -20,6 +20,7 @@
 
 #include "common/json_writer.h"
 #include "dram/dram_channel.h"
+#include "sim/config_text.h"
 #include "sim/design_registry.h"
 #include "sim/runner.h"
 #include "strange/buffer_set.h"
@@ -484,36 +485,21 @@ namespace {
 double
 serveRateWith(unsigned fill_channel_limit, bool parking, bool abort_in)
 {
-    sim::SimConfig cfg;
-    cfg.instrBudget = 30000;
-    sim::DesignRegistry::instance().apply("drstrange", cfg);
+    const sim::SimConfig cfg = sim::parseConfig(
+        "budget=30000 max-cycles=10000000 design=drstrange fill-channels=" +
+        std::to_string(fill_channel_limit) +
+        " parking=" + (parking ? "1" : "0") +
+        " fill-abort=" + (abort_in ? "1" : "0"));
 
-    mem::McConfig mc_cfg = sim::mcConfigFor(cfg);
-    mc_cfg.fillChannelLimit = fill_channel_limit;
-    mc_cfg.enableParking = parking;
-    mc_cfg.enableFillAbort = abort_in;
-
-    workloads::SyntheticTrace app(workloads::appByName("ycsb2"),
-                                  cfg.geometry, 0, cfg.seed);
-    workloads::RngBenchmark rng(5120.0, cfg.geometry, cfg.seed + 1);
-
-    mem::MemoryController mc(mc_cfg, cfg.timings, cfg.geometry,
-                             cfg.mechanism, 2);
-    cpu::Core::Config core_cfg;
-    core_cfg.instrBudget = cfg.instrBudget;
-    cpu::Core c0(0, core_cfg, app, mc), c1(1, core_cfg, rng, mc);
-    mc.setCompletionCallback(
-        [&](CoreId core, std::uint64_t token, mem::ReqType,
-            mem::ServePath) { (core == 0 ? c0 : c1).onCompletion(token); });
-    Cycle now = 0;
-    while ((!c0.finished() || !c1.finished()) && now < 10'000'000) {
-        mc.tick(now);
-        c0.tickBusCycle(now);
-        c1.tickBusCycle(now);
-        ++now;
-    }
-    EXPECT_TRUE(c0.finished() && c1.finished());
-    return mc.stats().bufferServeRate();
+    std::vector<std::unique_ptr<cpu::TraceSource>> traces;
+    traces.push_back(std::make_unique<workloads::SyntheticTrace>(
+        workloads::appByName("ycsb2"), cfg.geometry, 0, cfg.seed));
+    traces.push_back(std::make_unique<workloads::RngBenchmark>(
+        5120.0, cfg.geometry, cfg.seed + 1));
+    sim::System sys(cfg, std::move(traces));
+    sys.run();
+    EXPECT_TRUE(sys.allFinished());
+    return sys.mc().stats().bufferServeRate();
 }
 
 } // namespace

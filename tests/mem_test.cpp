@@ -294,14 +294,24 @@ TEST_F(RngAwarePolicyTest, NoteServedResetsStallCounters)
 // MemoryController end-to-end behaviour.
 // ---------------------------------------------------------------------
 
+/** The RNG-oblivious, bufferless controller (McConfig{} is the full
+ *  DR-STRaNGe design). */
+McConfig
+obliviousConfig()
+{
+    McConfig cfg;
+    cfg.rngAwareQueueing = false;
+    cfg.buffering = false;
+    return cfg;
+}
+
 class MemoryControllerTest : public ::testing::Test
 {
   protected:
     void
     build(McConfig cfg)
     {
-        mc = std::make_unique<MemoryController>(
-            cfg, timings, geom, trng::TrngMechanism::dRange(), 2);
+        mc = std::make_unique<MemoryController>(cfg, 2);
         mc->setCompletionCallback(
             [this](CoreId core, std::uint64_t token, ReqType type,
                    ServePath) { completions.push_back({core, token, type}); });
@@ -322,7 +332,6 @@ class MemoryControllerTest : public ::testing::Test
     };
 
     dram::DramTimings timings;
-    dram::DramGeometry geom;
     std::unique_ptr<MemoryController> mc;
     std::vector<Completion> completions;
     Cycle now = 0;
@@ -330,7 +339,7 @@ class MemoryControllerTest : public ::testing::Test
 
 TEST_F(MemoryControllerTest, ReadCompletesWithPlausibleLatency)
 {
-    build(McConfig{});
+    build(obliviousConfig());
     Request req;
     req.type = ReqType::Read;
     req.addr = 0x4000;
@@ -349,7 +358,7 @@ TEST_F(MemoryControllerTest, ReadCompletesWithPlausibleLatency)
 
 TEST_F(MemoryControllerTest, WritesArePostedAndDrained)
 {
-    build(McConfig{});
+    build(obliviousConfig());
     for (unsigned i = 0; i < 4; ++i) {
         Request req;
         req.type = ReqType::Write;
@@ -367,7 +376,7 @@ TEST_F(MemoryControllerTest, WritesArePostedAndDrained)
 
 TEST_F(MemoryControllerTest, RngObliviousGeneratesOnDemand)
 {
-    build(McConfig{}); // no buffer, oblivious
+    build(obliviousConfig());
     Request req;
     req.type = ReqType::Rng;
     req.core = 1;
@@ -383,7 +392,7 @@ TEST_F(MemoryControllerTest, RngObliviousGeneratesOnDemand)
 
 TEST_F(MemoryControllerTest, RngObliviousStallsRegularReadsDuringRng)
 {
-    build(McConfig{});
+    build(obliviousConfig());
     Request rng;
     rng.type = ReqType::Rng;
     rng.core = 1;
@@ -407,7 +416,7 @@ TEST_F(MemoryControllerTest, BufferServesWhenFilled)
     McConfig cfg;
     cfg.rngAwareQueueing = true;
     cfg.bufferEntries = 16;
-    cfg.fill = FillMode::Engine;
+    cfg.fillPolicy = "engine";
     cfg.predictor = "none"; // fill on every idle cycle
     build(cfg);
 
@@ -421,7 +430,7 @@ TEST_F(MemoryControllerTest, BufferServesWhenFilled)
     req.core = 1;
     req.token = 9;
     ASSERT_TRUE(mc->enqueue(req, now));
-    tickN(cfg.bufferServeLatency + 1);
+    tickN(kBufferServeLatency + 1);
     ASSERT_EQ(completions.size(), 1u);
     EXPECT_EQ(mc->stats().rngServedFromBuffer, 1u);
     EXPECT_DOUBLE_EQ(mc->stats().bufferServeRate(), 1.0);
@@ -432,7 +441,7 @@ TEST_F(MemoryControllerTest, BufferFillStopsWhenFull)
     McConfig cfg;
     cfg.rngAwareQueueing = true;
     cfg.bufferEntries = 4;
-    cfg.fill = FillMode::Engine;
+    cfg.fillPolicy = "engine";
     cfg.predictor = "none";
     build(cfg);
     tickN(5000);
@@ -448,7 +457,7 @@ TEST_F(MemoryControllerTest, GreedyOracleFillsWithoutEngineCost)
     McConfig cfg;
     cfg.rngAwareQueueing = true;
     cfg.bufferEntries = 16;
-    cfg.fill = FillMode::GreedyOracle;
+    cfg.fillPolicy = "greedy-oracle";
     build(cfg);
     tickN(3000);
     EXPECT_GT(mc->buffer()->levelBits(), 0.0);
@@ -457,9 +466,9 @@ TEST_F(MemoryControllerTest, GreedyOracleFillsWithoutEngineCost)
 
 TEST_F(MemoryControllerTest, StagingServesQuacLeftovers)
 {
-    McConfig cfg; // oblivious, no buffer
-    mc = std::make_unique<MemoryController>(
-        cfg, timings, geom, trng::TrngMechanism::quacTrng(), 2);
+    McConfig cfg = obliviousConfig();
+    cfg.mechanism = trng::TrngMechanism::quacTrng();
+    mc = std::make_unique<MemoryController>(cfg, 2);
     std::vector<Completion> done;
     mc->setCompletionCallback(
         [&](CoreId core, std::uint64_t token, ReqType type, ServePath) {
@@ -480,7 +489,7 @@ TEST_F(MemoryControllerTest, StagingServesQuacLeftovers)
     // The next request is served from staging, quickly.
     req.token = 1;
     ASSERT_TRUE(mc->enqueue(req, now));
-    for (Cycle i = 0; i < cfg.bufferServeLatency + 2; ++i)
+    for (Cycle i = 0; i < kBufferServeLatency + 2; ++i)
         mc->tick(now++);
     EXPECT_EQ(done.size(), 2u);
     EXPECT_EQ(mc->stats().rngServedFromStaging, 1u);
@@ -488,30 +497,26 @@ TEST_F(MemoryControllerTest, StagingServesQuacLeftovers)
 
 TEST_F(MemoryControllerTest, RngQueueCapacityBackpressure)
 {
-    McConfig cfg;
-    cfg.rngQueueCap = 2;
-    build(cfg);
+    build(obliviousConfig());
     Request req;
     req.type = ReqType::Rng;
     req.core = 1;
-    // Do not tick: jobs accumulate.
-    req.token = 0;
-    EXPECT_TRUE(mc->enqueue(req, now));
-    req.token = 1;
-    EXPECT_TRUE(mc->enqueue(req, now));
-    req.token = 2;
+    // Do not tick: jobs accumulate up to the queue's capacity.
+    for (std::uint64_t token = 0; token < kRngQueueCap; ++token) {
+        req.token = token;
+        EXPECT_TRUE(mc->enqueue(req, now));
+    }
+    req.token = kRngQueueCap;
     EXPECT_FALSE(mc->enqueue(req, now));
 }
 
 TEST_F(MemoryControllerTest, AcceptsRngPredictsEnqueueOutcome)
 {
-    McConfig cfg;
-    cfg.rngQueueCap = 2;
-    build(cfg);
+    build(obliviousConfig());
     Request req;
     req.type = ReqType::Rng;
     req.core = 1;
-    for (std::uint64_t token = 0; token < 2; ++token) {
+    for (std::uint64_t token = 0; token < kRngQueueCap; ++token) {
         EXPECT_TRUE(mc->acceptsRng(req.core));
         req.token = token;
         EXPECT_TRUE(mc->enqueue(req, now));
@@ -523,30 +528,29 @@ TEST_F(MemoryControllerTest, AcceptsRngPredictsEnqueueOutcome)
         tickN(1);
     }
     EXPECT_TRUE(mc->acceptsRng(req.core));
-    req.token = 2;
+    req.token = kRngQueueCap;
     EXPECT_TRUE(mc->enqueue(req, now));
 }
 
 TEST_F(MemoryControllerTest, ReadQueueFullRejectsRequests)
 {
-    McConfig cfg;
-    cfg.readQueueCap = 2;
-    build(cfg);
+    build(obliviousConfig());
     Request req;
     req.type = ReqType::Read;
     req.core = 0;
     // All to channel 0 (line addresses multiple of 4).
-    req.addr = 0;
-    EXPECT_TRUE(mc->enqueue(req, now));
-    req.addr = 4 * 64;
-    EXPECT_TRUE(mc->enqueue(req, now));
-    req.addr = 8 * 64;
+    for (unsigned i = 0; i < kReadQueueCap; ++i) {
+        req.addr = Addr(4) * i * 64;
+        EXPECT_TRUE(mc->enqueue(req, now));
+    }
+    req.addr = Addr(4) * kReadQueueCap * 64;
     EXPECT_FALSE(mc->enqueue(req, now));
+    EXPECT_EQ(mc->readQueueSize(0), kReadQueueCap);
 }
 
 TEST_F(MemoryControllerTest, IdlePeriodsAreRecorded)
 {
-    build(McConfig{});
+    build(obliviousConfig());
     tickN(100);
     Request req;
     req.type = ReqType::Read;
@@ -560,13 +564,13 @@ TEST_F(MemoryControllerTest, IdlePeriodsAreRecorded)
 
 TEST_F(MemoryControllerTest, PredictorStatsExposedOnlyWithPredictor)
 {
-    build(McConfig{});
+    build(obliviousConfig());
     EXPECT_FALSE(mc->predictorStats().has_value());
 
     McConfig cfg;
     cfg.rngAwareQueueing = true;
     cfg.bufferEntries = 16;
-    cfg.fill = FillMode::Engine;
+    cfg.fillPolicy = "engine";
     cfg.predictor = "simple";
     build(cfg);
     EXPECT_TRUE(mc->predictorStats().has_value());
@@ -574,14 +578,11 @@ TEST_F(MemoryControllerTest, PredictorStatsExposedOnlyWithPredictor)
 
 TEST_F(MemoryControllerTest, WriteDrainRespectsWatermarks)
 {
-    McConfig cfg;
-    cfg.writeDrainHigh = 6;
-    cfg.writeDrainLow = 2;
-    build(cfg);
+    build(obliviousConfig());
 
     // Interleave reads and writes to one channel; reads must keep
     // flowing while writes sit below the high watermark.
-    for (unsigned i = 0; i < 5; ++i) {
+    for (unsigned i = 0; i + 1 < kWriteDrainHigh; ++i) {
         Request wr;
         wr.type = ReqType::Write;
         wr.addr = (4 * i) * 64 * 4; // channel 0, streaming
@@ -601,22 +602,33 @@ TEST_F(MemoryControllerTest, WriteDrainRespectsWatermarks)
     ASSERT_EQ(completions.size(), 1u);
     EXPECT_EQ(completions[0].type, ReqType::Read);
 
-    // Push past the high watermark: drain kicks in and empties.
-    for (unsigned i = 5; i < 8; ++i) {
+    // With no read waiting, the writes drain opportunistically.
+    tickN(600);
+    EXPECT_EQ(mc->writeQueueSize(0), 0u);
+
+    // At the high watermark the drain starts even though a read waits,
+    // and it stops at the low watermark to serve that read.
+    for (unsigned i = 0; i < kWriteDrainHigh; ++i) {
         Request wr;
         wr.type = ReqType::Write;
         wr.addr = (4 * i) * 64 * 4;
         wr.core = 0;
-        wr.token = 100 + i;
+        wr.token = 200 + i;
         ASSERT_TRUE(mc->enqueue(wr, now));
     }
+    rd.token = 2;
+    ASSERT_TRUE(mc->enqueue(rd, now));
+    for (Cycle i = 0; i < 2000 && mc->readQueueSize(0) > 0; ++i)
+        mc->tick(now++);
+    ASSERT_EQ(mc->readQueueSize(0), 0u);
+    EXPECT_EQ(mc->writeQueueSize(0), kWriteDrainLow);
     tickN(600);
     EXPECT_EQ(mc->writeQueueSize(0), 0u);
 }
 
 TEST_F(MemoryControllerTest, RequestsRouteToDecodedChannel)
 {
-    build(McConfig{});
+    build(obliviousConfig());
     // Line-interleaved mapping: line i -> channel i % 4.
     for (unsigned i = 0; i < 8; ++i) {
         Request rd;
@@ -632,7 +644,7 @@ TEST_F(MemoryControllerTest, RequestsRouteToDecodedChannel)
 
 TEST_F(MemoryControllerTest, MultipleRngJobsCompleteInOrder)
 {
-    build(McConfig{});
+    build(obliviousConfig());
     for (unsigned i = 0; i < 4; ++i) {
         Request req;
         req.type = ReqType::Rng;
@@ -648,7 +660,7 @@ TEST_F(MemoryControllerTest, MultipleRngJobsCompleteInOrder)
 
 TEST_F(MemoryControllerTest, RowHitsCompleteFasterThanConflicts)
 {
-    build(McConfig{});
+    build(obliviousConfig());
     // Two reads to the same row (hit after activation) vs two reads to
     // conflicting rows in one bank.
     auto run_pair = [&](Addr a, Addr b) {

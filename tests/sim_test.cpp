@@ -28,41 +28,38 @@ TEST(SimConfigPresets, DesignsMapToExpectedMcConfigs)
     SimConfig cfg;
 
     DesignRegistry::instance().apply("oblivious", cfg);
-    auto mc = mcConfigFor(cfg);
-    EXPECT_FALSE(mc.rngAwareQueueing);
-    EXPECT_EQ(mc.bufferEntries, 0u);
-    EXPECT_EQ(mc.scheduler, "fr-fcfs-cap");
+    EXPECT_FALSE(cfg.rngAwareQueueing);
+    EXPECT_EQ(cfg.bufferCapacity(), 0u);
+    EXPECT_EQ(cfg.scheduler, "fr-fcfs-cap");
 
     DesignRegistry::instance().apply("drstrange", cfg);
-    mc = mcConfigFor(cfg);
-    EXPECT_TRUE(mc.rngAwareQueueing);
-    EXPECT_EQ(mc.bufferEntries, 16u);
-    EXPECT_EQ(mc.fill, mem::FillMode::Engine);
-    EXPECT_EQ(mc.predictor, "simple");
-    EXPECT_EQ(mc.lowUtilThreshold, 4u);
+    EXPECT_TRUE(cfg.rngAwareQueueing);
+    EXPECT_EQ(cfg.bufferCapacity(), 16u);
+    EXPECT_EQ(cfg.fillMode(), mem::FillMode::Engine);
+    EXPECT_EQ(cfg.predictor, "simple");
+    EXPECT_EQ(cfg.lowUtilBound(), 4u);
 
     DesignRegistry::instance().apply("drstrange-nolowutil", cfg);
-    EXPECT_EQ(mcConfigFor(cfg).lowUtilThreshold, 0u);
+    EXPECT_EQ(cfg.lowUtilBound(), 0u);
 
     DesignRegistry::instance().apply("drstrange-nopred", cfg);
-    EXPECT_EQ(mcConfigFor(cfg).predictor, "none");
+    EXPECT_EQ(cfg.predictor, "none");
 
     DesignRegistry::instance().apply("drstrange-rl", cfg);
-    EXPECT_EQ(mcConfigFor(cfg).predictor, "rl");
+    EXPECT_EQ(cfg.predictor, "rl");
 
     DesignRegistry::instance().apply("greedy", cfg);
-    EXPECT_EQ(mcConfigFor(cfg).fill, mem::FillMode::GreedyOracle);
+    EXPECT_EQ(cfg.fillMode(), mem::FillMode::GreedyOracle);
 
     DesignRegistry::instance().apply("rng-aware", cfg);
-    mc = mcConfigFor(cfg);
-    EXPECT_TRUE(mc.rngAwareQueueing);
-    EXPECT_EQ(mc.bufferEntries, 0u);
+    EXPECT_TRUE(cfg.rngAwareQueueing);
+    EXPECT_EQ(cfg.bufferCapacity(), 0u);
 
     DesignRegistry::instance().apply("bliss", cfg);
-    EXPECT_EQ(mcConfigFor(cfg).scheduler, "bliss");
+    EXPECT_EQ(cfg.scheduler, "bliss");
 
     DesignRegistry::instance().apply("frfcfs", cfg);
-    EXPECT_EQ(mcConfigFor(cfg).scheduler, "fr-fcfs");
+    EXPECT_EQ(cfg.scheduler, "fr-fcfs");
 }
 
 namespace {
@@ -207,13 +204,13 @@ TEST(AreaModel, MatchesPaperCalibrationPoints)
 {
     SimConfig cfg;
     DesignRegistry::instance().apply("drstrange", cfg);
-    const AreaEstimate base = drStrangeArea(mcConfigFor(cfg), 4);
+    const AreaEstimate base = drStrangeArea(cfg, 4);
     // Paper: 0.0022 mm^2 at 22 nm for the base configuration.
     EXPECT_NEAR(base.mm2, 0.0022, 0.0022 * 0.25);
     EXPECT_NEAR(base.fractionOfCascadeLakeCore(), 0.0000048, 2e-6);
 
     DesignRegistry::instance().apply("drstrange-rl", cfg);
-    const AreaEstimate rl = drStrangeArea(mcConfigFor(cfg), 4);
+    const AreaEstimate rl = drStrangeArea(cfg, 4);
     // Paper: 0.012 mm^2 with the 8 KB Q-table.
     EXPECT_NEAR(rl.mm2, 0.012, 0.012 * 0.25);
     EXPECT_GT(rl.storageBits, 64.0 * 1024.0); // 8 KB+
@@ -224,9 +221,9 @@ TEST(AreaModel, AreaGrowsWithBufferSize)
     SimConfig cfg;
     DesignRegistry::instance().apply("drstrange", cfg);
     cfg.bufferEntries = 16;
-    const double small = drStrangeArea(mcConfigFor(cfg), 4).mm2;
+    const double small = drStrangeArea(cfg, 4).mm2;
     cfg.bufferEntries = 64;
-    const double large = drStrangeArea(mcConfigFor(cfg), 4).mm2;
+    const double large = drStrangeArea(cfg, 4).mm2;
     EXPECT_GT(large, small);
 }
 
