@@ -612,6 +612,34 @@ TEST(FastForwardGolden, HorizonCountersAndFingerprints)
         {"mix/powerdown", "design=oblivious powerdown=20" + dual, mix.apps,
          mix.rngThroughputMbps, 61559, 45957, 394507, 61356,
          308875, 316577, 0x277a9c056bf8cb8full},
+        // Outage windows: a channel-scope outage under power-down (the
+        // channel's own power-down entry and horizon never see the
+        // outage), a rank-scope outage on two ranks, an outage over the
+        // fixed-latency row, and a two-rank fixed-latency cell whose
+        // read latency exceeds write latency + gap (the fixed row
+        // fences a write only `gap` cycles after a read).
+        {"mix/outage-powerdown",
+         "design=drstrange powerdown=20 fault.models=outage "
+         "fault.outage-period=20000 fault.outage-duration=3000" + dual,
+         mix.apps, mix.rngThroughputMbps, 80858, 30431, 474819, 45735,
+         60142, 73009, 0x936d69085d46d625ull},
+        {"mix/outage-rank-2rank",
+         "design=drstrange geometry.ranks=2 mapping=row-bank-col-rank-ch "
+         "fault.models=outage fault.outage-period=20000 "
+         "fault.outage-duration=3000 fault.outage-scope=rank" + dual,
+         mix.apps, mix.rngThroughputMbps, 85723, 25276, 162100, 284230,
+         341873, 352955, 0x09072bbf1e5d58c8ull},
+        {"mix/fixed-latency-outage",
+         "design=drstrange backend.kind=fixed-latency fault.models=outage "
+         "fault.outage-period=20000 fault.outage-duration=3000" + dual,
+         mix.apps, mix.rngThroughputMbps, 77590, 24935, 408695, 36617,
+         46204, 56825, 0xf9dcbd8de4e6b1cdull},
+        {"mix/fixed-latency-2rank",
+         "design=drstrange backend.kind=fixed-latency geometry.ranks=2 "
+         "mapping=row-bank-col-rank-ch backend.read-latency=30 "
+         "backend.write-latency=12 backend.gap=6" + dual,
+         mix.apps, mix.rngThroughputMbps, 77301, 24173, 176832, 36015,
+         44838, 55492, 0xaf2be83579c5f406ull},
     };
     for (const HorizonGolden &g : grid) {
         const sim::SimConfig cfg =
