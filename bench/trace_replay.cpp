@@ -22,7 +22,7 @@ int
 main()
 {
     bench::banner("Request-trace capture/replay",
-                  "MemoryBackend seam study (replay bit-identity)");
+                  "controller-boundary study (replay bit-identity)");
 
     const std::vector<std::string> schedulers = {"fr-fcfs",
                                                  "fr-fcfs-cap", "bliss"};

@@ -38,6 +38,9 @@
  * token (no whitespace, no '='). Flags are applied in order, so
  * `--design drstrange --set predictor=rl` overrides the preset's
  * predictor while `--set predictor=rl --design drstrange` does not.
+ *
+ * The run goes through sim::runSystem(), so with DS_LOCKSTEP=1 it is
+ * repeated cycle by cycle and every statistic must match bit for bit.
  */
 
 #include <cctype>
@@ -50,14 +53,15 @@
 #include <utility>
 
 #include "common/json_writer.h"
+#include "dram/dram_timings.h"
 #include "dram/mapping_registry.h"
 #include "drstrange.h"
-#include "mem/backend_registry.h"
 #include "mem/scheduler_registry.h"
 #include "fault/fault_plane.h"
 #include "fault/fault_registry.h"
 #include "service/arrival_process.h"
 #include "service/shed_policy.h"
+#include "sim/lockstep.h"
 #include "strange/predictor_registry.h"
 #include "workloads/trace_file.h"
 
@@ -173,7 +177,8 @@ listRegistries()
               strange::PredictorRegistry::instance().keys());
     printKeys("mappings", dram::MappingRegistry::instance().keys());
     printKeys("arrivals", service::ArrivalRegistry::instance().keys());
-    printKeys("backends", mem::BackendRegistry::instance().keys());
+    printKeys("backends", {dram::kChannelModels.begin(),
+                           dram::kChannelModels.end()});
     printKeys("fault-models", fault::FaultRegistry::instance().keys());
     printKeys("shed-policies", service::ShedRegistry::instance().keys());
 }
@@ -327,15 +332,12 @@ main(int argc, char **argv)
     else if (!replay_mode && apps.empty() && trace_files.empty())
         apps = {"soplex"};
 
-    // Build the system directly so trace-file cores can join.
+    // Check every request source once up front: runSystem() builds
+    // them per run (twice under DS_LOCKSTEP).
     const std::string design_label = designLabelFor(cfg);
-    std::vector<std::unique_ptr<cpu::TraceSource>> traces;
-    CoreId core = 0;
     for (const std::string &app : apps) {
         try {
-            traces.push_back(std::make_unique<workloads::SyntheticTrace>(
-                workloads::appByName(app), cfg.geometry, core++,
-                cfg.seed));
+            workloads::appByName(app);
         } catch (const std::out_of_range &) {
             std::cerr << "unknown application: " << app << "\n";
             return 1;
@@ -343,22 +345,29 @@ main(int argc, char **argv)
     }
     for (const std::string &path : trace_files) {
         try {
-            traces.push_back(
-                std::make_unique<workloads::TraceFileSource>(path));
+            static_cast<void>(workloads::TraceFileSource(path));
         } catch (const std::exception &e) {
             std::cerr << "trace load failed: " << e.what() << "\n";
             return 1;
         }
     }
-    core = static_cast<CoreId>(traces.size());
     const bool has_rng = rng_mbps > 0.0;
-    if (has_rng) {
-        traces.push_back(std::make_unique<workloads::RngBenchmark>(
-            rng_mbps, cfg.geometry, cfg.seed + core));
-    }
-
-    sim::System sys(cfg, std::move(traces));
-    sys.run();
+    const auto make_traces = [&] {
+        std::vector<std::unique_ptr<cpu::TraceSource>> traces;
+        for (const std::string &app : apps)
+            traces.push_back(std::make_unique<workloads::SyntheticTrace>(
+                workloads::appByName(app), cfg.geometry,
+                static_cast<CoreId>(traces.size()), cfg.seed));
+        for (const std::string &path : trace_files)
+            traces.push_back(
+                std::make_unique<workloads::TraceFileSource>(path));
+        if (has_rng)
+            traces.push_back(std::make_unique<workloads::RngBenchmark>(
+                rng_mbps, cfg.geometry, cfg.seed + traces.size()));
+        return traces;
+    };
+    const std::unique_ptr<sim::System> run = sim::runSystem(cfg, make_traces);
+    const sim::System &sys = *run;
 
     double energy_nj = 0.0;
     for (unsigned ch = 0; ch < sys.mc().numChannels(); ++ch) {

@@ -1,11 +1,10 @@
 /**
  * @file
  * The string-keyed, thread-safe table behind every extensible policy
- * axis: schedulers, memory backends, idleness predictors, design
- * presets, address mappings, fault models, arrival processes and shed
- * policies. Each of those registries derives from Registry<Entry>,
- * registers its built-ins in its constructor, and adds only what is
- * specific to it.
+ * axis: schedulers, idleness predictors, design presets, address
+ * mappings, fault models, arrival processes and shed policies. Each of
+ * those registries derives from Registry<Entry>, registers its
+ * built-ins in its constructor, and adds only what is specific to it.
  *
  * The contract, owned here once:
  *  - Keys travel through the whitespace-tokenized key=value config text

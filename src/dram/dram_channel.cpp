@@ -1,115 +1,73 @@
 #include "dram/dram_channel.h"
 
-#include <algorithm>
 #include <cassert>
 
 namespace dstrange::dram {
 
-DramChannel::DramChannel(const DramTimings &timings,
+namespace {
+
+constexpr auto kAct = static_cast<unsigned>(DramCmd::Act);
+constexpr auto kPre = static_cast<unsigned>(DramCmd::Pre);
+constexpr auto kRd = static_cast<unsigned>(DramCmd::Rd);
+constexpr auto kWr = static_cast<unsigned>(DramCmd::Wr);
+
+} // namespace
+
+DramChannel::DramChannel(const TimingTable &table,
                          const DramGeometry &geometry)
-    : t(timings), banksEach(geometry.banksPerRank)
+    : tt(table), banksEach(geometry.banksPerRank),
+      banks(geometry.banksPerChannel()), ranks(geometry.ranksPerChannel)
 {
     assert(geometry.ranksPerChannel > 0 && geometry.banksPerRank > 0);
-    ranks.resize(geometry.ranksPerChannel);
     for (RankState &r : ranks)
-        r.nextRefreshAt = timings.tREFI;
-    banks.reserve(static_cast<std::size_t>(banksEach) * ranks.size());
-    for (std::size_t i = 0; i < ranks.size() * banksEach; ++i)
-        banks.emplace_back(t);
-}
-
-bool
-DramChannel::rankCanAct(const RankState &r, Cycle now) const
-{
-    if (r.anyActIssued && now < r.lastActAt + t.tRRD)
-        return false;
-    if (r.actWindowCount == r.actWindow.size()) {
-        // The oldest of the last four ACTs fences tFAW.
-        const Cycle oldest = r.actWindow[r.actWindowPos];
-        if (now < oldest + t.tFAW)
-            return false;
-    }
-    return true;
-}
-
-Cycle
-DramChannel::rankTurnaround(unsigned rankIdx) const
-{
-    // Bursts from different ranks need tRTRS of bus settling between
-    // them; with one rank (or before any burst) this never applies.
-    return (lastBurstRank >= 0 &&
-            static_cast<unsigned>(lastBurstRank) != rankIdx)
-               ? t.tRTRS
-               : 0;
+        r.nextRefreshAt = tt.tREFI > 0 ? tt.tREFI : kNoEvent;
 }
 
 bool
 DramChannel::canIssue(DramCmd cmd, unsigned bankIdx, Cycle now) const
 {
     assert(bankIdx < banks.size());
-    if (now < cmdBusFreeAt)
+    if (cmd == DramCmd::Ref)
+        return false; // Refresh is issued internally by tickRefresh().
+    // ACT needs a closed bank; PRE, RD and WR need an open one.
+    if ((banks[bankIdx].row == kNoOpenRow) != (cmd == DramCmd::Act) ||
+        now < earliestIssueCycle(cmd, bankIdx))
         return false;
     const unsigned rankIdx = rankOf(bankIdx);
-    const RankState &r = ranks[rankIdx];
-    if (refreshBusy(now) || rngBusy(now) || r.pd)
+    if (refreshing(now) || rngBusy(now) || ranks[rankIdx].pd)
         return false;
-
-    const Bank &b = banks[bankIdx];
-    switch (cmd) {
-      case DramCmd::Act:
-        return !b.isOpen() && b.canIssue(cmd, now) && rankCanAct(r, now);
-      case DramCmd::Pre:
-        return b.isOpen() && b.canIssue(cmd, now);
-      case DramCmd::Rd:
-        if (!b.isOpen() || !b.canIssue(cmd, now) || now < nextRdAt)
-            return false;
-        return now + t.tCL >= dataBusFreeAt + rankTurnaround(rankIdx);
-      case DramCmd::Wr:
-        if (!b.isOpen() || !b.canIssue(cmd, now) || now < nextWrAt)
-            return false;
-        return now + t.tCWL >= dataBusFreeAt + rankTurnaround(rankIdx);
-      case DramCmd::Ref:
-        return false; // Refresh is issued internally by tickRefresh().
-    }
-    return false;
+    return !blackedOut(now) ||
+           (blackoutRank >= 0 &&
+            rankIdx != static_cast<unsigned>(blackoutRank));
 }
 
-Cycle
-DramChannel::earliestIssueCycle(DramCmd cmd, unsigned bankIdx) const
+void
+DramChannel::applyGaps(DramCmd cmd, unsigned bankIdx, Cycle now)
 {
-    assert(bankIdx < banks.size());
+    const auto from = static_cast<unsigned>(cmd);
     const unsigned rankIdx = rankOf(bankIdx);
-    const RankState &r = ranks[rankIdx];
-    const Bank &b = banks[bankIdx];
-    Cycle earliest = std::max(cmdBusFreeAt, b.earliestIssue(cmd));
-    switch (cmd) {
-      case DramCmd::Act:
-        if (r.anyActIssued)
-            earliest = std::max(earliest, r.lastActAt + t.tRRD);
-        if (r.actWindowCount == r.actWindow.size())
-            earliest =
-                std::max(earliest, r.actWindow[r.actWindowPos] + t.tFAW);
-        break;
-      case DramCmd::Rd: {
-        earliest = std::max(earliest, nextRdAt);
-        // canIssue: now + tCL >= dataBusFreeAt + rank turnaround.
-        const Cycle busFree = dataBusFreeAt + rankTurnaround(rankIdx);
-        if (busFree > t.tCL)
-            earliest = std::max(earliest, busFree - t.tCL);
-        break;
-      }
-      case DramCmd::Wr: {
-        earliest = std::max(earliest, nextWrAt);
-        const Cycle busFree = dataBusFreeAt + rankTurnaround(rankIdx);
-        if (busFree > t.tCWL)
-            earliest = std::max(earliest, busFree - t.tCWL);
-        break;
-      }
-      case DramCmd::Pre:
-      case DramCmd::Ref:
-        break;
+    Fences &bank = banks[bankIdx].next;
+    for (unsigned to = 0; to < 4; ++to) {
+        // An ACT starts a fresh row cycle in its bank.
+        const Cycle b = now + tt.bank[from][to];
+        bank[to] = cmd == DramCmd::Act ? b : std::max(bank[to], b);
+        for (unsigned ri = 0; ri < ranks.size(); ++ri) {
+            const TimingTable::Gaps &g = ri == rankIdx ? tt.rank : tt.channel;
+            ranks[ri].next[to] =
+                std::max(ranks[ri].next[to], now + g[from][to]);
+        }
     }
-    return earliest;
+}
+
+void
+DramChannel::precharge(unsigned bankIdx, Cycle now)
+{
+    applyGaps(DramCmd::Pre, bankIdx, now);
+    banks[bankIdx].row = kNoOpenRow;
+    counters.nPre++;
+    RankState &r = ranks[rankOf(bankIdx)];
+    assert(r.nOpenBanks > 0);
+    r.nOpenBanks--;
 }
 
 Cycle
@@ -118,55 +76,44 @@ DramChannel::issue(DramCmd cmd, unsigned bankIdx, Cycle now, std::int64_t row)
     assert(canIssue(cmd, bankIdx, now));
     const unsigned rankIdx = rankOf(bankIdx);
     RankState &r = ranks[rankIdx];
-    Bank &b = banks[bankIdx];
     cmdBusFreeAt = now + 1;
     r.lastActivityAt = now;
     if (onCommand)
         onCommand(cmd, bankIdx, now, row);
-
-    switch (cmd) {
-      case DramCmd::Act:
-        b.issue(cmd, now, row);
-        counters.nAct++;
-        r.nOpenBanks++;
-        r.lastActAt = now;
-        r.anyActIssued = true;
-        r.actWindow[r.actWindowPos] = now;
-        r.actWindowPos = (r.actWindowPos + 1) % r.actWindow.size();
-        r.actWindowCount = std::min<unsigned>(
-            r.actWindowCount + 1,
-            static_cast<unsigned>(r.actWindow.size()));
-        return 0;
-      case DramCmd::Pre:
-        b.issue(cmd, now);
-        counters.nPre++;
-        assert(r.nOpenBanks > 0);
-        r.nOpenBanks--;
-        return 0;
-      case DramCmd::Rd: {
-        b.issue(cmd, now);
-        counters.nRd++;
-        nextRdAt = std::max(nextRdAt, now + t.tCCD);
-        nextWrAt = std::max(nextWrAt, now + t.readToWrite());
-        const Cycle done = now + t.tCL + t.tBL;
-        dataBusFreeAt = done;
-        lastBurstRank = static_cast<int>(rankIdx);
-        return done;
-      }
-      case DramCmd::Wr: {
-        b.issue(cmd, now);
-        counters.nWr++;
-        nextWrAt = std::max(nextWrAt, now + t.tCCD);
-        nextRdAt = std::max(nextRdAt, now + t.writeToRead());
-        const Cycle done = now + t.tCWL + t.tBL;
-        dataBusFreeAt = done;
-        lastBurstRank = static_cast<int>(rankIdx);
-        return done;
-      }
-      case DramCmd::Ref:
-        assert(false && "REF is issued internally by tickRefresh()");
+    if (cmd == DramCmd::Pre) {
+        precharge(bankIdx, now);
         return 0;
     }
+
+    applyGaps(cmd, bankIdx, now);
+    switch (cmd) {
+      case DramCmd::Act:
+        assert(row != kNoOpenRow);
+        banks[bankIdx].row = row;
+        counters.nAct++;
+        r.nOpenBanks++;
+        // The oldest of the rank's last four ACTs fences the next one.
+        r.actWindow[r.actWindowPos] = now;
+        r.actWindowPos = (r.actWindowPos + 1) % r.actWindow.size();
+        if (r.actWindowCount < r.actWindow.size())
+            r.actWindowCount++;
+        if (r.actWindowCount == r.actWindow.size())
+            r.next[kAct] = std::max(r.next[kAct],
+                                    r.actWindow[r.actWindowPos] + tt.tFAW);
+        return 0;
+      case DramCmd::Rd:
+        counters.nRd++;
+        lastBurstRank = static_cast<int>(rankIdx);
+        return now + tt.readDone;
+      case DramCmd::Wr:
+        counters.nWr++;
+        lastBurstRank = static_cast<int>(rankIdx);
+        return now + tt.writeDone;
+      case DramCmd::Pre:
+      case DramCmd::Ref:
+        break;
+    }
+    assert(false && "REF is issued internally by tickRefresh()");
     return 0;
 }
 
@@ -198,16 +145,12 @@ DramChannel::tickRefresh(Cycle now)
 
         // Close the rank's open banks, one precharge per cycle
         // (command bus).
+        const unsigned first = ri * banksEach;
         if (r.nOpenBanks > 0) {
-            if (now < cmdBusFreeAt)
-                return;
-            for (unsigned i = 0; i < banksEach; ++i) {
-                const unsigned bi = ri * banksEach + i;
-                Bank &b = banks[bi];
-                if (b.isOpen() && b.canIssue(DramCmd::Pre, now)) {
-                    b.issue(DramCmd::Pre, now);
-                    counters.nPre++;
-                    r.nOpenBanks--;
+            for (unsigned bi = first; bi < first + banksEach; ++bi) {
+                if (banks[bi].row != kNoOpenRow &&
+                    now >= banks[bi].next[kPre]) {
+                    precharge(bi, now);
                     cmdBusFreeAt = now + 1;
                     if (onCommand)
                         onCommand(DramCmd::Pre, bi, now, kNoOpenRow);
@@ -219,34 +162,45 @@ DramChannel::tickRefresh(Cycle now)
 
         // All the rank's banks closed: wait for tRP fences, then
         // refresh the rank.
-        if (now < cmdBusFreeAt)
-            return;
         bool ready = true;
-        for (unsigned i = 0; i < banksEach && ready; ++i)
-            ready = banks[ri * banksEach + i].canIssue(DramCmd::Ref, now);
+        for (unsigned bi = first; bi < first + banksEach && ready; ++bi)
+            ready = now >= banks[bi].next[kAct];
         if (!ready)
             continue;
 
-        for (unsigned i = 0; i < banksEach; ++i)
-            banks[ri * banksEach + i].blockUntil(now + t.tRFC);
+        for (unsigned bi = first; bi < first + banksEach; ++bi)
+            banks[bi].next[kAct] =
+                std::max(banks[bi].next[kAct], now + tt.tRFC);
         counters.nRef++;
         if (onCommand)
-            onCommand(DramCmd::Ref, ri * banksEach, now, kNoOpenRow);
+            onCommand(DramCmd::Ref, first, now, kNoOpenRow);
         cmdBusFreeAt = now + 1;
-        r.refreshDoneAt = now + t.tRFC;
-        r.nextRefreshAt += t.tREFI;
+        r.refreshDoneAt = now + tt.tRFC;
+        r.nextRefreshAt += tt.tREFI;
         r.stagingRefresh = false;
         return;
     }
 }
 
 bool
-DramChannel::refreshBusy(Cycle now) const
+DramChannel::refreshing(Cycle now) const
 {
     for (const RankState &r : ranks)
         if (r.stagingRefresh || now < r.refreshDoneAt)
             return true;
     return false;
+}
+
+Cycle
+DramChannel::nextBlackoutEdge(Cycle now) const
+{
+    if (blackoutDuration == 0)
+        return kNoEvent;
+    if (now < blackoutPhase)
+        return blackoutPhase;
+    const Cycle pos = (now - blackoutPhase) % blackoutPeriod;
+    return pos < blackoutDuration ? now + (blackoutDuration - pos)
+                                  : now + (blackoutPeriod - pos);
 }
 
 bool
@@ -283,7 +237,7 @@ DramChannel::wakeRank(RankState &r, Cycle now)
         return;
     r.pd = false;
     r.lastActivityAt = now;
-    cmdBusFreeAt = std::max(cmdBusFreeAt, now + t.tXP);
+    cmdBusFreeAt = std::max(cmdBusFreeAt, now + tt.tXP);
 }
 
 void
@@ -296,23 +250,38 @@ DramChannel::requestWake(Cycle now)
 void
 DramChannel::occupyForRng(Cycle until)
 {
-    // RNG-mode accesses target reserved rows (D-RaNGe) or reserved
+    // DDR: RNG-mode accesses target reserved rows (D-RaNGe) or reserved
     // subarrays (QUAC), so application row-buffer contents survive; the
     // channel's command and data buses are simply unavailable while
-    // non-standard timing parameters are active.
+    // non-standard timing parameters are active. The fixed-latency row
+    // closes every bank instead.
+    if (tt.rngClosesRows) {
+        for (BankState &b : banks)
+            b.row = kNoOpenRow;
+        for (RankState &r : ranks)
+            r.nOpenBanks = 0;
+    }
     if (anyRankPoweredDown())
         requestWake(until > 0 ? until - 1 : 0);
     rngBusyUntil = std::max(rngBusyUntil, until);
     cmdBusFreeAt = std::max(cmdBusFreeAt, until);
-    dataBusFreeAt = std::max(dataBusFreeAt, until);
-    for (RankState &r : ranks)
+    for (unsigned ri = 0; ri < ranks.size(); ++ri) {
+        RankState &r = ranks[ri];
         r.lastActivityAt = std::max(r.lastActivityAt, until);
+        // The data bus is held until `until` too: a burst from a rank
+        // other than the last one still owes the rank turnaround.
+        if (lastBurstRank >= 0 && ri != static_cast<unsigned>(lastBurstRank)) {
+            r.next[kRd] = std::max(r.next[kRd], until + tt.afterRng[0]);
+            r.next[kWr] = std::max(r.next[kWr], until + tt.afterRng[1]);
+        }
+    }
 }
 
 Cycle
 DramChannel::nextEventCycle(Cycle now, bool engine_active) const
 {
-    Cycle ev = kNoEvent;
+    // An outage window edge flips canIssue()/refreshBusy().
+    Cycle ev = nextBlackoutEdge(now);
 
     // Refresh machinery, per rank. While a rank is inside tRFC nothing
     // happens until its refreshDoneAt; while a refresh is being staged
@@ -344,7 +313,7 @@ DramChannel::nextEventCycle(Cycle now, bool engine_active) const
         // be invalidated by intervening events (refresh, commands);
         // that only re-derives a later candidate, never skips the
         // entry.
-        if (pdThreshold > 0 && !refreshBusy(now)) {
+        if (pdThreshold > 0 && !refreshing(now)) {
             for (const RankState &r : ranks) {
                 if (r.pd || r.nOpenBanks != 0)
                     continue;
@@ -368,10 +337,10 @@ DramChannel::fastForwardState(Cycle from, Cycle to)
     // entry, and command issue. An active TRNG engine keeps
     // rngBusyUntil at least one cycle ahead throughout, so evaluating
     // the branch at `from` is exact.
-    bool refreshing = false;
+    bool inRfc = false;
     for (const RankState &r : ranks)
-        refreshing = refreshing || from < r.refreshDoneAt;
-    if (from < rngBusyUntil || refreshing || openBankCount() > 0)
+        inRfc = inRfc || from < r.refreshDoneAt;
+    if (from < rngBusyUntil || inRfc || openBankCount() > 0)
         counters.cyclesActive += span;
     else if (poweredDown())
         counters.cyclesPoweredDown += span;
@@ -384,7 +353,7 @@ DramChannel::sampleState(Cycle now)
 {
     // Power-down entry check, per rank: all of the rank's banks closed,
     // nothing in flight, and the idle threshold elapsed.
-    if (pdThreshold > 0 && !rngBusy(now) && !refreshBusy(now) &&
+    if (pdThreshold > 0 && !rngBusy(now) && !refreshing(now) &&
         now >= cmdBusFreeAt) {
         for (RankState &r : ranks) {
             if (!r.pd && r.nOpenBanks == 0 &&
@@ -395,10 +364,10 @@ DramChannel::sampleState(Cycle now)
 
     // RNG-mode occupancy and refresh are counted as active cycles: the
     // device is burning row-cycle power in both.
-    bool refreshing = false;
+    bool inRfc = false;
     for (const RankState &r : ranks)
-        refreshing = refreshing || now < r.refreshDoneAt;
-    if (rngBusy(now) || refreshing || openBankCount() > 0)
+        inRfc = inRfc || now < r.refreshDoneAt;
+    if (rngBusy(now) || inRfc || openBankCount() > 0)
         counters.cyclesActive++;
     else if (poweredDown())
         counters.cyclesPoweredDown++;

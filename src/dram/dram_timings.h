@@ -1,15 +1,34 @@
 /**
  * @file
- * DDR3-1600 timing and current parameters. All timing values are in DRAM
- * bus cycles (tCK = 1.25 ns at the 800 MHz bus clock of Table 1).
+ * DDR3-1600 timing and current parameters, and the per-scope
+ * command-to-command table every channel model is derived into. All
+ * timing values are in DRAM bus cycles (tCK = 1.25 ns at the 800 MHz bus
+ * clock of Table 1).
  */
 
 #ifndef DSTRANGE_DRAM_DRAM_TIMINGS_H
 #define DSTRANGE_DRAM_DRAM_TIMINGS_H
 
+#include <array>
+#include <cstdint>
+#include <string>
+
 #include "common/types.h"
 
 namespace dstrange::dram {
+
+/** DRAM commands issued over the channel command bus. */
+enum class DramCmd : std::uint8_t
+{
+    Act, ///< Activate a row into the row buffer.
+    Pre, ///< Precharge (close) the open row.
+    Rd,  ///< Column read burst.
+    Wr,  ///< Column write burst.
+    Ref, ///< Rank-level refresh (issued by the channel itself).
+};
+
+/** Sentinel row id meaning "no row open". */
+inline constexpr std::int64_t kNoOpenRow = -1;
 
 /**
  * JEDEC timing constraint set for one DRAM device generation. The default
@@ -62,8 +81,71 @@ struct DramTimings
     double idd5 = 215.0;  ///< Refresh.
 };
 
-/** Sanity-check the constraint set (e.g. tRC >= tRAS + tRP). */
+/**
+ * Sanity-check the constraint set: tRC >= tRAS + tRP, tRAS >= tRCD,
+ * tFAW >= tRRD, tREFI > tRFC, tCK > 0, and a read-to-write turnaround
+ * that does not go negative (tCWL <= tCL + tBL + 2).
+ */
 bool timingsAreConsistent(const DramTimings &t);
+
+/**
+ * Every inter-command constraint of one channel model, derived once.
+ * Gaps are indexed [from][to] by DramCmd (Act, Pre, Rd, Wr): a command
+ * issued at cycle n keeps command `to` off
+ *   - the same bank until n + bank[from][to],
+ *   - the same rank until n + rank[from][to] (this row also carries the
+ *     channel-wide column turnarounds and the data-bus fence),
+ *   - every other rank until n + channel[from][to] (the data-bus fence
+ *     plus the tRTRS rank turnaround).
+ * Beside the gaps the table holds the few constants that are not
+ * command-to-command: burst completion, tFAW, refresh, power-down exit,
+ * and two behaviour columns that tell the DDR model and the
+ * fixed-latency row apart.
+ */
+struct TimingTable
+{
+    using Gaps = std::array<std::array<Cycle, 4>, 4>;
+
+    Gaps bank{};
+    Gaps rank{};
+    Gaps channel{};
+    Cycle readDone = 0;  ///< RD issue to the end of its data burst.
+    Cycle writeDone = 0; ///< WR issue to the end of its data burst.
+    /** RD/WR extra wait after RNG occupancy on a rank other than the
+     *  last burst's (the bus is held until the occupancy ends). */
+    std::array<Cycle, 2> afterRng{};
+    Cycle tFAW = 0;  ///< Four-activate window (0: none).
+    Cycle tRFC = 0;
+    Cycle tREFI = 0; ///< 0: no refresh.
+    Cycle tXP = 0;
+    bool powerDown = false;     ///< Precharge power-down is modelled.
+    bool rngClosesRows = false; ///< RNG occupancy closes every row.
+
+    /**
+     * The cycle-level DDR model (backend.kind "ddr4").
+     * @throws std::invalid_argument unless timingsAreConsistent(@p t).
+     */
+    static TimingTable ddr(const DramTimings &t);
+
+    /**
+     * The analytical row (backend.kind "fixed-latency"): commands only
+     * serialize on the command bus, column commands keep @p gap apart
+     * channel-wide, data completes a fixed latency after issue, and
+     * there is no refresh and no power-down.
+     */
+    static TimingTable fixedLatency(Cycle read_latency, Cycle write_latency,
+                                    Cycle gap);
+};
+
+/** The channel models backend.kind selects, in sorted order. */
+inline constexpr std::array<const char *, 2> kChannelModels{
+    "ddr4", "fixed-latency"};
+
+/**
+ * @throws std::out_of_range "unknown backend '<kind>' (registered: ...)"
+ *         unless @p kind names one of kChannelModels.
+ */
+void requireChannelModel(const std::string &kind);
 
 } // namespace dstrange::dram
 

@@ -1,9 +1,9 @@
 /**
  * @file
- * Command and state-residency counters feeding the energy model. Shared
- * by every mem::MemoryBackend implementation (the cycle-level
- * DramChannel and the analytical backends alike), so the energy model
- * and telemetry read one structure regardless of timing model.
+ * Command and state-residency counters feeding the energy model. Every
+ * dram::DramChannel keeps one, whichever timing-table row it runs on
+ * (the DDR model or the fixed-latency row), so the energy model and
+ * telemetry read one structure regardless of timing model.
  */
 
 #ifndef DSTRANGE_DRAM_ENERGY_COUNTERS_H

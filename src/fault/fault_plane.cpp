@@ -18,6 +18,10 @@ constexpr std::uint64_t kRankSalt = 0x2545f4914f6cdd1dULL;
 constexpr std::uint64_t kRankChannelSalt = 0xff51afd7ed558ccdULL;
 constexpr std::uint64_t kRankCellSalt = 0xc4ceb9fe1a85ec53ULL;
 
+// Outage-window salts.
+constexpr std::uint64_t kPhaseSalt = 0x60642e2a34326f15ULL;
+constexpr std::uint64_t kRankPickSalt = 0x3c79ac492ba7b653ULL;
+
 bool
 listsKey(const std::string &models, const char *key)
 {
@@ -47,6 +51,20 @@ hasOutageModel(const FaultConfig &cfg)
 {
     return cfg.outagePeriod > 0 && cfg.outageDuration > 0 &&
            listsKey(cfg.models, "outage");
+}
+
+OutageWindow
+outageWindow(const FaultConfig &cfg, unsigned channel_index, unsigned ranks)
+{
+    assert(hasOutageModel(cfg) && ranks > 0);
+    OutageWindow w;
+    w.period = cfg.outagePeriod;
+    w.duration = std::min(cfg.outageDuration, cfg.outagePeriod);
+    w.phase = mix64(cfg.seed ^ kPhaseSalt ^ channel_index) % w.period;
+    if (cfg.outageScope == "rank")
+        w.rank = static_cast<int>(
+            mix64(cfg.seed ^ kRankPickSalt ^ channel_index) % ranks);
+    return w;
 }
 
 void

@@ -65,6 +65,26 @@ bool hasCellModels(const FaultConfig &cfg);
 /** Outage windows configured ("outage" listed with a nonzero window)? */
 bool hasOutageModel(const FaultConfig &cfg);
 
+/** One channel's outage windows, in dram::DramChannel::setBlackout()'s
+ *  terms. */
+struct OutageWindow
+{
+    Cycle period = 0;
+    Cycle duration = 0; ///< Clamped to the period.
+    Cycle phase = 0;    ///< First window start (a seeded stagger).
+    int rank = -1;      ///< Affected rank; -1 for the whole channel.
+};
+
+/**
+ * The outage schedule of channel @p channel_index under @p cfg. Each
+ * channel's phase and, for "rank" scope, its rank (one of @p ranks) are
+ * seeded hashes, so outages stagger across channels instead of hitting
+ * all of them at once.
+ * @pre hasOutageModel(@p cfg)
+ */
+OutageWindow outageWindow(const FaultConfig &cfg, unsigned channel_index,
+                          unsigned ranks);
+
 /**
  * The fault plane: per-channel cell pools with deterministic fault
  * classification, round auditing, and blacklist/remap mitigation.

@@ -154,10 +154,10 @@ class StuckRowModel final : public FaultModel
     }
 };
 
-/** Timed rank/channel outages live in the "faulty" decorator backend
- *  (fault/faulty_backend.h), not in audit blocks; the registry entry
- *  exists so `fault.models=outage` validates and enumerates like every
- *  other key. */
+/** Timed rank/channel outages are channel blackouts (fault::outageWindow
+ *  feeds dram::DramChannel::setBlackout), not audit-block corruption;
+ *  the registry entry exists so `fault.models=outage` validates and
+ *  enumerates like every other key. */
 class OutageModel final : public FaultModel
 {
   public:

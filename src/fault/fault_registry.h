@@ -87,7 +87,8 @@ using FaultModelFactory =
  *                audit catches them with probability rising in bias
  *   "stuck-row"  all-zeros/all-ones rows; the audit always catches them
  *   "outage"     timed rank/channel unavailability windows (applied by
- *                the "faulty" decorator MemoryBackend, not to blocks)
+ *                each dram::DramChannel as a blackout, not to blocks;
+ *                see fault::outageWindow in fault_plane.h)
  *
  * make(key, cfg) instantiates one configured model.
  */

@@ -7,8 +7,6 @@
 
 #include "dram/mapping_registry.h"
 #include "fault/fault_plane.h"
-#include "fault/faulty_backend.h"
-#include "mem/backend_registry.h"
 #include "mem/scheduler_registry.h"
 #include "strange/predictor_registry.h"
 
@@ -59,6 +57,19 @@ McConfig::periodThreshold() const
                                    m.switchOutLatency);
 }
 
+dram::TimingTable
+McConfig::timingTable() const
+{
+    dram::requireChannelModel(backend);
+    // Derived even for the fixed-latency row: tCK and the currents still
+    // feed the energy model, so the timings must be consistent.
+    const dram::TimingTable ddr = dram::TimingTable::ddr(timings);
+    if (backend == "fixed-latency")
+        return dram::TimingTable::fixedLatency(
+            backendReadLatency, backendWriteLatency, backendGap);
+    return ddr;
+}
+
 strange::RlIdlenessPredictor::Config
 McConfig::rlConfig() const
 {
@@ -80,21 +91,20 @@ MemoryController::MemoryController(const McConfig &config, unsigned ports)
                  config.geometry.banksPerChannel(), /*cap=*/0)
 {
     const dram::DramGeometry &geometry = cfg.geometry;
-    assert(timingsAreConsistent(cfg.timings));
+    const dram::TimingTable table = cfg.timingTable();
 
-    const BackendContext bctx{cfg.timings, geometry, cfg};
+    // Engines hold their channel by reference: size the vector first.
+    chans.reserve(geometry.channels);
     for (unsigned ch = 0; ch < geometry.channels; ++ch) {
-        auto backend = BackendRegistry::instance().make(cfg.backend, bctx);
-        // Outage injection decorates the timing model, so it composes
-        // with any registered backend; the engine and every controller
-        // path see the decorator's overlaid availability.
-        if (fault::hasOutageModel(cfg.fault))
-            backend = std::make_unique<fault::FaultyBackend>(
-                std::move(backend), cfg.fault, ch);
-        chans.push_back(std::move(backend));
-        chans.back()->setPowerDownPolicy(cfg.powerDownThreshold);
-        engines.push_back(std::make_unique<trng::RngEngine>(
-            mech, fillMech, *chans.back()));
+        dram::DramChannel &chan = chans.emplace_back(table, geometry);
+        chan.setPowerDownPolicy(cfg.powerDownThreshold);
+        if (fault::hasOutageModel(cfg.fault)) {
+            const fault::OutageWindow w = fault::outageWindow(
+                cfg.fault, ch, geometry.ranksPerChannel);
+            chan.setBlackout(w.period, w.duration, w.phase, w.rank);
+        }
+        engines.push_back(
+            std::make_unique<trng::RngEngine>(mech, fillMech, chan));
     }
 
     if (fault::hasCellModels(cfg.fault))
@@ -396,7 +406,7 @@ MemoryController::fillSessionActive() const
 bool
 MemoryController::fillReady(unsigned ch, Cycle now) const
 {
-    return engines[ch]->idle() && !chans[ch]->refreshBusy(now) &&
+    return engines[ch]->idle() && !chans[ch].refreshBusy(now) &&
            occupancy(perChan[ch]) == 0 && perChan[ch].idleActive;
 }
 
@@ -425,7 +435,7 @@ MemoryController::manageEngine(unsigned ch, Cycle now)
 {
     trng::RngEngine &eng = *engines[ch];
     ChannelState &cs = perChan[ch];
-    MemoryBackend &chan = *chans[ch];
+    dram::DramChannel &chan = chans[ch];
 
     const unsigned occ = occupancy(cs);
     const bool want_demand =
@@ -525,7 +535,7 @@ void
 MemoryController::serveChannel(unsigned ch, Cycle now)
 {
     ChannelState &cs = perChan[ch];
-    MemoryBackend &chan = *chans[ch];
+    dram::DramChannel &chan = chans[ch];
 
     if (engines[ch]->active() || chan.refreshBusy(now) ||
         chan.rngBusy(now)) {
@@ -625,7 +635,7 @@ MemoryController::catchUp(unsigned ch, Cycle to)
         return;
     // Residency sampling happens before the engine tick each cycle, so
     // batch it first (the engine extends the fences afterwards).
-    chans[ch]->fastForwardState(cs.synced, to);
+    chans[ch].fastForwardState(cs.synced, to);
     engines[ch]->fastForward(cs.synced, to);
     if (rngPolicy)
         rngPolicy->fastForward(ch, *cs.readQ, rngJobs, to - cs.synced);
@@ -656,8 +666,8 @@ void
 MemoryController::joinTick(unsigned ch, Cycle now)
 {
     catchUp(ch, now);
-    chans[ch]->tickRefresh(now);
-    chans[ch]->sampleState(now);
+    chans[ch].tickRefresh(now);
+    chans[ch].sampleState(now);
     if (dueNow[ch] == kPhaseEnd) {
         // endProducerPhase() already ran this cycle's phase end.
         engines[ch]->fastForward(now, now + 1);
@@ -716,8 +726,8 @@ MemoryController::tick(Cycle now)
     //    housekeeping never affects another's delivery.)
     for (const unsigned ch : dueList) {
         catchUp(ch, now);
-        chans[ch]->tickRefresh(now);
-        chans[ch]->sampleState(now);
+        chans[ch].tickRefresh(now);
+        chans[ch].sampleState(now);
         ChannelState &cs = perChan[ch];
         while (!cs.inflightDone.empty() && cs.inflightDone.front() <= now) {
             const Request &req = cs.inflightReads.front();
@@ -781,7 +791,7 @@ MemoryController::tick(Cycle now)
             ChannelState &cs = perChan[ch];
             const bool eligible = occupancy(cs) == 0 &&
                                   engines[ch]->idle() &&
-                                  !chans[ch]->refreshBusy(now);
+                                  !chans[ch].refreshBusy(now);
             if (!eligible) {
                 cs.greedyIdleCredit = 0;
             } else if (!selected) {
@@ -857,7 +867,7 @@ MemoryController::manageEngineEventCycle(unsigned ch, Cycle now,
 {
     const ChannelState &cs = perChan[ch];
     const trng::RngEngine &eng = *engines[ch];
-    const MemoryBackend &chan = *chans[ch];
+    const dram::DramChannel &chan = chans[ch];
     const unsigned occ = occupancy(cs);
     const bool want_demand =
         !rngJobs.empty() && choice == QueueChoice::Rng;
@@ -918,7 +928,7 @@ MemoryController::nextIssueCycle(const RequestQueue &queue, unsigned ch,
     // Work-conserving schedulers issue on the first cycle any request's
     // next command is legal; with nothing issuable before that, queue
     // and bank state are static and pick() stays kNoPick.
-    const MemoryBackend &chan = *chans[ch];
+    const dram::DramChannel &chan = chans[ch];
     Cycle earliest = kNoEvent;
     for (const Request &req : queue.all()) {
         const dram::DramCmd cmd = nextCommandFor(req, chan);
@@ -935,7 +945,7 @@ MemoryController::serveChannelEventCycle(unsigned ch, Cycle now,
                                          QueueChoice choice) const
 {
     const ChannelState &cs = perChan[ch];
-    const MemoryBackend &chan = *chans[ch];
+    const dram::DramChannel &chan = chans[ch];
 
     // serveChannel() early-outs before touching any state; the engine,
     // refresh, and RNG-fence edges are tracked as their own events.
@@ -980,7 +990,7 @@ MemoryController::greedyNextEventCycle(Cycle now) const
     for (unsigned ch = 0; ch < chans.size(); ++ch) {
         const ChannelState &cs = perChan[ch];
         const bool eligible = occupancy(cs) == 0 && engines[ch]->idle() &&
-                              !chans[ch]->refreshBusy(now);
+                              !chans[ch].refreshBusy(now);
         if (!eligible) {
             if (cs.greedyIdleCredit != 0)
                 return now; // The credit resets this cycle.
@@ -1158,7 +1168,7 @@ MemoryController::computeWake(unsigned ch) const
     const Cycle at = cs.synced;
     const Wake due{at, false, false};
 
-    Cycle ev = chans[ch]->nextEventCycle(at, eng.active());
+    Cycle ev = chans[ch].nextEventCycle(at, eng.active());
     if (ev <= at)
         return due;
 
@@ -1376,7 +1386,7 @@ MemoryController::fastForward(Cycle from, Cycle to)
             ChannelState &cs = perChan[ch];
             const bool eligible = occupancy(cs) == 0 &&
                                   engines[ch]->idle() &&
-                                  !chans[ch]->refreshBusy(from);
+                                  !chans[ch].refreshBusy(from);
             if (eligible) {
                 // Only the selected (first eligible) channel accrues.
                 cs.greedyIdleCredit += span;

@@ -23,10 +23,10 @@
 
 #include "common/pop_vector.h"
 #include "dram/address_mapper.h"
+#include "dram/dram_channel.h"
 #include "dram/dram_timings.h"
 #include "fault/fault_config.h"
 #include "mem/fr_fcfs.h"
-#include "mem/memory_backend.h"
 #include "mem/request.h"
 #include "mem/request_queue.h"
 #include "mem/rng_aware.h"
@@ -135,7 +135,11 @@ struct McConfig
     /** Cross-channel placement of engine buffer-fill sessions:
      *  "first-idle" or "round-robin" (see FillPlacement). */
     std::string fillPlacement = "first-idle";
-    /** Per-channel timing model (mem::BackendRegistry key). */
+    /** Per-channel timing model, one of dram::kChannelModels: "ddr4"
+     *  (the cycle-level DDR3-1600 model of Table 1; the key name is
+     *  historical and stays because "backend.kind=ddr4" is part of
+     *  config text, run fingerprints and alone-cache keys) or
+     *  "fixed-latency" (the analytical cross-check row). */
     std::string backend = "ddr4";
 
     // --- Modelling-refinement ablation knobs (bench/ablation_design) --
@@ -168,8 +172,9 @@ struct McConfig
     /** Precharge power-down after this many idle cycles (0 = off). */
     Cycle powerDownThreshold = 0;
 
-    /** "fixed-latency" backend parameters (ignored by "ddr4"): read and
-     *  write data-completion latencies and the column-to-column gap. */
+    /** "fixed-latency" parameters (ignored by "ddr4"): read and write
+     *  data-completion latencies and the channel-wide column-to-column
+     *  gap. */
     Cycle backendReadLatency = 20;
     Cycle backendWriteLatency = 20;
     Cycle backendGap = 4;
@@ -207,6 +212,12 @@ struct McConfig
     Cycle periodThreshold() const;
     /** RL predictor settings (seeded from seed under predictor "rl"). */
     strange::RlIdlenessPredictor::Config rlConfig() const;
+    /**
+     * The channels' timing table for backend.
+     * @throws std::out_of_range on an unknown backend;
+     *         std::invalid_argument on inconsistent timings.
+     */
+    dram::TimingTable timingTable() const;
 };
 
 /** Aggregate controller statistics. */
@@ -333,9 +344,9 @@ class MemoryController
 
     // --- Introspection -----------------------------------------------
     const McStats &stats() const { return statistics; }
-    const MemoryBackend &channel(unsigned i) const { return *chans[i]; }
+    const dram::DramChannel &channel(unsigned i) const { return chans[i]; }
     /** Mutable access for verification harnesses (command observers). */
-    MemoryBackend &channelMutable(unsigned i) { return *chans[i]; }
+    dram::DramChannel &channelMutable(unsigned i) { return chans[i]; }
     /** One channel's TRNG engine (telemetry/lockstep fingerprinting). */
     const trng::RngEngine &engine(unsigned i) const { return *engines[i]; }
     unsigned numChannels() const
@@ -624,7 +635,7 @@ class MemoryController
     trng::TrngMechanism mech;     ///< Demand-generation mechanism.
     trng::TrngMechanism fillMech; ///< Fill mechanism (== mech unless hybrid).
 
-    std::vector<std::unique_ptr<MemoryBackend>> chans;
+    std::vector<dram::DramChannel> chans;
     std::vector<std::unique_ptr<trng::RngEngine>> engines;
     std::vector<ChannelState> perChan;
 

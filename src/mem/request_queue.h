@@ -11,8 +11,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "dram/bank.h"
-#include "mem/memory_backend.h"
+#include "dram/dram_channel.h"
 #include "mem/request.h"
 
 namespace dstrange::mem {
@@ -65,7 +64,7 @@ class RequestQueue
  * closed bank needs ACT.
  */
 inline dram::DramCmd
-nextCommandFor(const Request &req, const MemoryBackend &chan)
+nextCommandFor(const Request &req, const dram::DramChannel &chan)
 {
     const std::int64_t open_row = chan.openRow(req.coord.bank);
     if (open_row == dram::kNoOpenRow)
@@ -78,7 +77,7 @@ nextCommandFor(const Request &req, const MemoryBackend &chan)
 
 /** true when the request's next command is its column command. */
 inline bool
-isRowHit(const Request &req, const MemoryBackend &chan)
+isRowHit(const Request &req, const dram::DramChannel &chan)
 {
     const dram::DramCmd cmd = nextCommandFor(req, chan);
     return cmd == dram::DramCmd::Rd || cmd == dram::DramCmd::Wr;

@@ -11,7 +11,7 @@
 
 #include <vector>
 
-#include "mem/memory_backend.h"
+#include "dram/dram_channel.h"
 #include "mem/request_queue.h"
 
 namespace dstrange::mem {
@@ -20,7 +20,7 @@ namespace dstrange::mem {
 struct SchedContext
 {
     const RequestQueue &queue;
-    const MemoryBackend &channel;
+    const dram::DramChannel &channel;
     unsigned channelId = 0;
     Cycle now = 0;
 };

@@ -6,9 +6,9 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "dram/dram_timings.h"
 #include "dram/mapping_registry.h"
 #include "fault/fault_registry.h"
-#include "mem/backend_registry.h"
 #include "mem/scheduler_registry.h"
 #include "service/arrival_process.h"
 #include "service/shed_policy.h"
@@ -205,7 +205,7 @@ applyBackendField(SimConfig &cfg, const std::string &field,
                   const std::string &value)
 {
     if (field == "kind") {
-        mem::BackendRegistry::instance().require(value);
+        dram::requireChannelModel(value);
         cfg.backend = value;
     } else if (field == "read-latency")
         cfg.backendReadLatency = parseU64(value);
@@ -552,6 +552,10 @@ applyConfigText(SimConfig &cfg, const std::string &text)
                                         "': " + e.what());
         }
     }
+    // Timings are checked as a whole, once every token has landed (one
+    // text may move tREFI and tRFC together); the check lives where the
+    // timing table is derived.
+    static_cast<void>(dram::TimingTable::ddr(cfg.timings));
 }
 
 SimConfig

@@ -54,7 +54,8 @@ std::string serializeConfig(const SimConfig &cfg);
 /**
  * Apply whitespace-separated key=value tokens onto @p cfg.
  * @throws std::invalid_argument on a malformed token, unknown key, or
- *         unparsable value (the message names the offending token).
+ *         unparsable value (the message names the offending token), or
+ *         when the resulting timings fail dram::timingsAreConsistent.
  */
 void applyConfigText(SimConfig &cfg, const std::string &text);
 

@@ -5,14 +5,14 @@
 namespace dstrange::trng {
 
 RngEngine::RngEngine(const TrngMechanism &mechanism,
-                     mem::MemoryBackend &channel)
+                     dram::DramChannel &channel)
     : RngEngine(mechanism, mechanism, channel)
 {
 }
 
 RngEngine::RngEngine(const TrngMechanism &demand_mechanism,
                      const TrngMechanism &fill_mechanism,
-                     mem::MemoryBackend &channel)
+                     dram::DramChannel &channel)
     : demandMech(demand_mechanism), fillMech(fill_mechanism),
       activeMech(&demandMech), chan(channel)
 {

@@ -12,7 +12,7 @@
 #include <cstdint>
 
 #include "common/types.h"
-#include "mem/memory_backend.h"
+#include "dram/dram_channel.h"
 #include "trng/trng_mechanism.h"
 
 namespace dstrange::trng {
@@ -49,12 +49,12 @@ class RngEngine
     };
 
     /** Single-mechanism engine (demand and fill share the mechanism). */
-    RngEngine(const TrngMechanism &mechanism, mem::MemoryBackend &channel);
+    RngEngine(const TrngMechanism &mechanism, dram::DramChannel &channel);
 
     /** Hybrid engine: separate demand and fill mechanisms. */
     RngEngine(const TrngMechanism &demand_mechanism,
               const TrngMechanism &fill_mechanism,
-              mem::MemoryBackend &channel);
+              dram::DramChannel &channel);
 
     /** true when the channel is fully back in Regular mode. */
     bool idle() const { return state == State::Regular; }
@@ -214,7 +214,7 @@ class RngEngine
     TrngMechanism demandMech;
     TrngMechanism fillMech;
     const TrngMechanism *activeMech;
-    mem::MemoryBackend &chan;
+    dram::DramChannel &chan;
 
     State state = State::Regular;
     Wind wind = Wind::None;

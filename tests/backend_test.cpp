@@ -1,17 +1,15 @@
 /**
  * @file
- * Tests for the mem::MemoryBackend seam: the BackendRegistry (built-in
- * keys, validation, user registration), the fixed-latency analytical
- * backend's timing behavior, and full-system runs over a non-default
- * backend (including fast-forward bit-identity).
+ * Tests for the channel models backend.kind selects: the kind list and
+ * its unknown-kind message, the fixed-latency row of dram::TimingTable
+ * driving a dram::DramChannel, and full-system runs over the
+ * fixed-latency row (including fast-forward bit-identity).
  */
 
 #include <gtest/gtest.h>
 
 #include "api/simulation_builder.h"
 #include "dram/dram_channel.h"
-#include "mem/backend_registry.h"
-#include "mem/fixed_latency_backend.h"
 #include "mem/memory_controller.h"
 #include "sim/config_text.h"
 #include "sim/lockstep.h"
@@ -20,98 +18,56 @@
 
 using namespace dstrange;
 
-namespace {
-
-mem::McConfig
-defaultMcConfig()
-{
-    return mem::McConfig{};
-}
-
-} // namespace
-
 // ---------------------------------------------------------------------
-// BackendRegistry.
+// The channel-model kinds.
 // ---------------------------------------------------------------------
 
-TEST(BackendRegistry, BuiltInKeysAreRegistered)
+TEST(BackendKind, BothKindsAreListed)
 {
-    auto &reg = mem::BackendRegistry::instance();
-    EXPECT_TRUE(reg.contains("ddr4"));
-    EXPECT_TRUE(reg.contains("fixed-latency"));
-    const auto keys = reg.keys();
-    EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
-    EXPECT_GE(keys.size(), 2u);
+    const auto &kinds = dram::kChannelModels;
+    EXPECT_TRUE(std::is_sorted(kinds.begin(), kinds.end(),
+                               [](const char *a, const char *b) {
+                                   return std::string(a) < b;
+                               }));
+    EXPECT_NO_THROW(dram::requireChannelModel("ddr4"));
+    EXPECT_NO_THROW(dram::requireChannelModel("fixed-latency"));
 }
 
-TEST(BackendRegistry, MakeInstantiatesTheRightModel)
+TEST(BackendKind, EachKindDerivesItsTable)
 {
-    const dram::DramTimings timings;
-    const dram::DramGeometry geometry;
-    const mem::McConfig cfg = defaultMcConfig();
-    const mem::BackendContext ctx{timings, geometry, cfg};
+    mem::McConfig cfg;
+    const dram::TimingTable ddr = cfg.timingTable();
+    EXPECT_EQ(ddr.readDone, cfg.timings.tCL + cfg.timings.tBL);
+    EXPECT_EQ(ddr.tREFI, cfg.timings.tREFI);
+    EXPECT_TRUE(ddr.powerDown);
 
-    auto ddr4 = mem::BackendRegistry::instance().make("ddr4", ctx);
-    EXPECT_NE(dynamic_cast<dram::DramChannel *>(ddr4.get()), nullptr);
+    cfg.backend = "fixed-latency";
+    const dram::TimingTable fixed = cfg.timingTable();
+    EXPECT_EQ(fixed.readDone, cfg.backendReadLatency);
+    EXPECT_EQ(fixed.writeDone, cfg.backendWriteLatency);
+    EXPECT_EQ(fixed.tREFI, 0u);
+    EXPECT_FALSE(fixed.powerDown);
+    EXPECT_TRUE(fixed.rngClosesRows);
 
-    auto fixed =
-        mem::BackendRegistry::instance().make("fixed-latency", ctx);
-    EXPECT_NE(dynamic_cast<mem::FixedLatencyBackend *>(fixed.get()),
-              nullptr);
-    EXPECT_EQ(fixed->numBanks(), geometry.banksPerChannel());
-    EXPECT_EQ(fixed->numRanks(), geometry.ranksPerChannel);
+    const dram::DramChannel chan(fixed, cfg.geometry);
+    EXPECT_EQ(chan.numBanks(), cfg.geometry.banksPerChannel());
+    EXPECT_EQ(chan.numRanks(), cfg.geometry.ranksPerChannel);
 }
 
-TEST(BackendRegistry, UnknownKeyThrowsWithInventory)
+TEST(BackendKind, UnknownKindThrowsWithInventory)
 {
-    const dram::DramTimings timings;
-    const dram::DramGeometry geometry;
-    const mem::McConfig cfg = defaultMcConfig();
-    const mem::BackendContext ctx{timings, geometry, cfg};
+    mem::McConfig cfg;
+    cfg.backend = "no-such-backend";
     try {
-        mem::BackendRegistry::instance().make("no-such-backend", ctx);
+        cfg.timingTable();
         FAIL() << "expected std::out_of_range";
     } catch (const std::out_of_range &e) {
         const std::string msg = e.what();
-        EXPECT_NE(msg.find("unknown backend"), std::string::npos);
-        EXPECT_NE(msg.find("ddr4"), std::string::npos);
+        EXPECT_NE(msg.find("unknown backend 'no-such-backend' (registered: "
+                           "ddr4, fixed-latency)"),
+                  std::string::npos)
+            << msg;
     }
-}
-
-TEST(BackendRegistry, RejectsInvalidAndDuplicateKeys)
-{
-    auto &reg = mem::BackendRegistry::instance();
-    const auto factory = [](const mem::BackendContext &ctx) {
-        return std::make_unique<mem::FixedLatencyBackend>(ctx.geometry,
-                                                          1, 1, 1);
-    };
-    EXPECT_THROW(reg.add("", factory), std::invalid_argument);
-    EXPECT_THROW(reg.add("Bad Key!", factory), std::invalid_argument);
-    EXPECT_THROW(reg.add("ddr4", factory), std::invalid_argument);
-}
-
-TEST(BackendRegistry, UserBackendReachesTheController)
-{
-    auto &reg = mem::BackendRegistry::instance();
-    if (!reg.contains("test-fixed")) {
-        reg.add("test-fixed", [](const mem::BackendContext &ctx) {
-            return std::make_unique<mem::FixedLatencyBackend>(
-                ctx.geometry, 5, 5, 1);
-        });
-    }
-    // A user registration is a valid config-text key at once.
-    const sim::SimulationBuilder b =
-        sim::SimulationBuilder::fromText("backend.kind=test-fixed budget=2000");
-    std::vector<std::unique_ptr<cpu::TraceSource>> traces;
-    traces.push_back(std::make_unique<workloads::SyntheticTrace>(
-        workloads::appByName("soplex"), b.config().geometry, 0,
-        b.config().seed));
-    sim::System sys = b.buildSystem(std::move(traces));
-    sys.run();
-    EXPECT_TRUE(sys.allFinished());
-    EXPECT_NE(
-        dynamic_cast<const mem::FixedLatencyBackend *>(&sys.mc().channel(0)),
-        nullptr);
 }
 
 // ---------------------------------------------------------------------
@@ -158,14 +114,15 @@ TEST(BackendConfig, ConfigTextRejectsUnknownBackend)
 }
 
 // ---------------------------------------------------------------------
-// FixedLatencyBackend timing semantics.
+// The fixed-latency row's timing semantics.
 // ---------------------------------------------------------------------
 
-TEST(FixedLatencyBackend, ActivateOpenReadClose)
+TEST(FixedLatencyRow, ActivateOpenReadClose)
 {
     const dram::DramGeometry geometry;
-    mem::FixedLatencyBackend chan(geometry, /*read=*/20, /*write=*/25,
-                                  /*gap=*/4);
+    dram::DramChannel chan(
+        dram::TimingTable::fixedLatency(/*read=*/20, /*write=*/25, /*gap=*/4),
+        geometry);
 
     // Reads need an open row; activates need a closed bank.
     EXPECT_FALSE(chan.canIssue(dram::DramCmd::Rd, 0, 10));
@@ -180,21 +137,25 @@ TEST(FixedLatencyBackend, ActivateOpenReadClose)
     const Cycle done = chan.issue(dram::DramCmd::Rd, 0, 11);
     EXPECT_EQ(done, 11 + 20);
 
-    // Column gap throttles back-to-back column commands.
+    // Column gap throttles back-to-back column commands, channel-wide.
     EXPECT_FALSE(chan.canIssue(dram::DramCmd::Rd, 0, 12));
     EXPECT_TRUE(chan.canIssue(dram::DramCmd::Rd, 0, 11 + 4));
+    chan.issue(dram::DramCmd::Act, 1, 12, 3);
+    EXPECT_FALSE(chan.canIssue(dram::DramCmd::Wr, 1, 11 + 3));
+    EXPECT_TRUE(chan.canIssue(dram::DramCmd::Wr, 1, 11 + 4));
 
     chan.issue(dram::DramCmd::Pre, 0, 20);
     EXPECT_EQ(chan.openRow(0), dram::kNoOpenRow);
-    EXPECT_EQ(chan.energyCounters().nAct, 1u);
+    EXPECT_EQ(chan.energyCounters().nAct, 2u);
     EXPECT_EQ(chan.energyCounters().nRd, 1u);
     EXPECT_EQ(chan.energyCounters().nPre, 1u);
 }
 
-TEST(FixedLatencyBackend, RngOccupancyClosesBanksAndBlocks)
+TEST(FixedLatencyRow, RngOccupancyClosesBanksAndBlocks)
 {
     const dram::DramGeometry geometry;
-    mem::FixedLatencyBackend chan(geometry, 20, 20, 4);
+    dram::DramChannel chan(dram::TimingTable::fixedLatency(20, 20, 4),
+                           geometry);
     chan.issue(dram::DramCmd::Act, 0, 0, 7);
     chan.occupyForRng(100);
     EXPECT_EQ(chan.openBankCount(), 0u);
@@ -202,6 +163,23 @@ TEST(FixedLatencyBackend, RngOccupancyClosesBanksAndBlocks)
     EXPECT_FALSE(chan.rngBusy(100));
     EXPECT_FALSE(chan.canIssue(dram::DramCmd::Act, 0, 50));
     EXPECT_TRUE(chan.canIssue(dram::DramCmd::Act, 0, 100));
+}
+
+TEST(FixedLatencyRow, NoRefreshAndNoPowerDown)
+{
+    const dram::DramGeometry geometry;
+    dram::DramChannel chan(dram::TimingTable::fixedLatency(20, 20, 4),
+                           geometry);
+    chan.setPowerDownPolicy(10);
+    EXPECT_EQ(chan.nextEventCycle(0, false), kNoEvent);
+    for (Cycle c = 0; c < 20000; ++c) {
+        chan.tickRefresh(c);
+        chan.sampleState(c);
+    }
+    EXPECT_FALSE(chan.refreshBusy(20000));
+    EXPECT_FALSE(chan.anyRankPoweredDown());
+    EXPECT_EQ(chan.energyCounters().nRef, 0u);
+    EXPECT_EQ(chan.energyCounters().cyclesPrecharged, 20000u);
 }
 
 // ---------------------------------------------------------------------
@@ -230,7 +208,7 @@ soplexTrace(const sim::SimConfig &cfg)
 
 } // namespace
 
-TEST(FixedLatencyBackend, SystemRunsToCompletion)
+TEST(FixedLatencyRow, SystemRunsToCompletion)
 {
     const sim::SimConfig cfg = fixedLatencyConfig();
     sim::System sys(cfg, soplexTrace(cfg));
@@ -239,7 +217,7 @@ TEST(FixedLatencyBackend, SystemRunsToCompletion)
     EXPECT_GT(sys.mc().stats().readsCompleted, 0u);
 }
 
-TEST(FixedLatencyBackend, FastForwardIsBitIdentical)
+TEST(FixedLatencyRow, FastForwardIsBitIdentical)
 {
     const sim::SimConfig cfg = fixedLatencyConfig();
     sim::System ff(cfg, soplexTrace(cfg));

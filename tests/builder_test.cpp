@@ -2,7 +2,7 @@
  * @file
  * Tests for the composable policy API: design presets vs. the legacy
  * per-design expansion (frozen here as reference data), the registry
- * contract over all eight registries, the SimulationBuilder facade, the
+ * contract over all seven registries, the SimulationBuilder facade, the
  * key=value config text format, and the Runner's configuration-keyed
  * alone-run cache.
  */
@@ -18,7 +18,6 @@
 
 #include "drstrange.h"
 #include "fault/fault_registry.h"
-#include "mem/backend_registry.h"
 #include "service/shed_policy.h"
 #include "workloads/rng_benchmark.h"
 #include "workloads/synthetic_trace.h"
@@ -325,7 +324,7 @@ namespace {
 
 /**
  * One registry behind a uniform face, so the shared contract
- * (common/registry.h) is checked on all eight. add() registers a
+ * (common/registry.h) is checked on all seven. add() registers a
  * trivial entry, or an empty one when @p empty is set; the entry runs
  * @p on_make (if any) each time make() instantiates it.
  */
@@ -384,12 +383,6 @@ allRegistries()
             const SimConfig cfg;
             mem::SchedulerRegistry::instance().make(
                 k, mem::SchedulerContext{4, 8, 2, cfg});
-        }));
-    faces.push_back(faceOf<mem::BackendRegistry>(
-        "backend", "fixed-latency", [](const std::string &k) {
-            const SimConfig cfg;
-            mem::BackendRegistry::instance().make(
-                k, mem::BackendContext{cfg.timings, cfg.geometry, cfg});
         }));
     faces.push_back(faceOf<dram::MappingRegistry>(
         "mapping", dram::MappingRegistry::kDefault,
@@ -879,6 +872,21 @@ TEST(ConfigText, RejectsMalformedInput)
         SCOPED_TRACE(text);
         EXPECT_THROW(applyConfigText(cfg, text), std::invalid_argument);
     }
+    // Timings the channel model cannot honour are rejected once the
+    // whole text has landed: tREFI <= tRFC, tRC < tRAS + tRP, tCK <= 0,
+    // and a write latency so far past the read burst that the
+    // read-to-write turnaround would wrap (tCWL > tCL + tBL + 2).
+    for (const char *text :
+         {"timings.trefi=10 timings.trfc=100", "timings.trc=20",
+          "timings.tck=0", "timings.tcwl=18"}) {
+        SCOPED_TRACE(text);
+        SimConfig fresh;
+        EXPECT_THROW(applyConfigText(fresh, text), std::invalid_argument);
+    }
+    // A text that repairs what its own earlier token broke is fine.
+    SimConfig repaired;
+    EXPECT_NO_THROW(applyConfigText(
+        repaired, "timings.trfc=7000 timings.trefi=9000 timings.tcwl=17"));
 }
 
 /** Every registry-backed key rejects an unknown value with the

@@ -6,7 +6,10 @@
  * drains, and the controller's memoized shortcuts). For every randomly
  * drawn configuration and workload the two runs must produce
  * bit-identical full-statistics fingerprints (the DS_LOCKSTEP
- * invariant).
+ * invariant). Every "ddr4" run, under both strategies, also carries an
+ * independent tests/timing_checker.h on each channel, which re-derives
+ * the JEDEC constraints from raw dram::DramTimings and fails the run on
+ * any violation.
  *
  * The draw space covers the full policy cross product the simulator
  * exposes: the nine design presets x scheduler / predictor overrides x
@@ -39,6 +42,7 @@
 #include "common/rng.h"
 #include "drstrange.h"
 #include "sim/lockstep.h"
+#include "timing_checker.h"
 
 using namespace dstrange;
 
@@ -214,13 +218,39 @@ makeTraces(const Scenario &s)
     return traces;
 }
 
-std::string
-runFingerprint(const Scenario &s, bool fast_forward)
+/** What one run of a scenario under one advance strategy left. */
+struct Outcome
+{
+    std::string fingerprint;
+    std::string violation;     ///< First timing violation, if any.
+    std::uint64_t checked = 0; ///< Commands the timing oracle saw.
+};
+
+Outcome
+runScenario(const Scenario &s, bool fast_forward)
 {
     sim::System sys(s.cfg, makeTraces(s));
     sys.setFastForward(fast_forward);
+    std::vector<std::unique_ptr<testutil::TimingChecker>> checkers;
+    if (s.cfg.backend == "ddr4") {
+        for (unsigned ch = 0; ch < sys.mc().numChannels(); ++ch) {
+            checkers.push_back(std::make_unique<testutil::TimingChecker>(
+                s.cfg.timings, sys.mc().channel(ch).numBanks(),
+                s.cfg.geometry.banksPerRank));
+            checkers.back()->attach(sys.mc().channelMutable(ch));
+        }
+    }
     sys.run();
-    return sim::systemFingerprint(sys);
+    Outcome run{sim::systemFingerprint(sys), "", 0};
+    for (std::size_t ch = 0; ch < checkers.size(); ++ch) {
+        run.checked += checkers[ch]->commandsChecked();
+        if (run.violation.empty() && !checkers[ch]->violations().empty())
+            run.violation = std::string(fast_forward ? "fast-forward"
+                                                     : "step-1") +
+                            " channel " + std::to_string(ch) + ": " +
+                            checkers[ch]->violations().front();
+    }
+    return run;
 }
 
 /** First differing fingerprint line, for the failure message. */
@@ -277,6 +307,7 @@ TEST(DiffTest, RandomizedTwoWayLockstep)
 
     const auto start = std::chrono::steady_clock::now();
     std::uint64_t ran = 0;
+    std::uint64_t checked = 0;
     for (std::uint64_t i = 0; i < n_configs; ++i) {
         const auto elapsed = std::chrono::duration_cast<
             std::chrono::seconds>(std::chrono::steady_clock::now() -
@@ -291,26 +322,35 @@ TEST(DiffTest, RandomizedTwoWayLockstep)
         }
 
         const Scenario s = drawScenario(mix64(master_seed + i));
-        const std::string ref = runFingerprint(s, false);
-        const std::string got = runFingerprint(s, true);
-        ASSERT_EQ(got, ref)
+        const Outcome ref = runScenario(s, false);
+        const Outcome got = runScenario(s, true);
+        for (const Outcome *r : {&ref, &got})
+            ASSERT_EQ(r->violation, "")
+                << "timing violation\n" << reproText(s, master_seed, i);
+        ASSERT_EQ(got.fingerprint, ref.fingerprint)
             << "fast-forward diverges from step-1\nfirst diff: "
-            << firstDiff(got, ref) << '\n'
+            << firstDiff(got.fingerprint, ref.fingerprint) << '\n'
             << reproText(s, master_seed, i);
+        checked += ref.checked + got.checked;
         ++ran;
     }
-    std::printf("[difftest] %llu configs, 2 runs each, bit-identical\n",
-                (unsigned long long)ran);
+    std::printf("[difftest] %llu configs, 2 runs each, bit-identical; "
+                "%llu commands timing-checked\n",
+                (unsigned long long)ran, (unsigned long long)checked);
+    EXPECT_GT(checked, 0u) << "the timing oracle saw no command";
 }
 
 /** Step-1 vs fast-forward fingerprint identity for one scenario. */
 void
 expectIdentical(const Scenario &s, const char *what)
 {
-    const std::string ref = runFingerprint(s, false);
-    const std::string got = runFingerprint(s, true);
-    ASSERT_EQ(got, ref) << what << ": fast-forward diverges\nfirst diff: "
-                        << firstDiff(got, ref);
+    const Outcome ref = runScenario(s, false);
+    const Outcome got = runScenario(s, true);
+    for (const Outcome *r : {&ref, &got})
+        ASSERT_EQ(r->violation, "") << what << ": timing violation";
+    ASSERT_EQ(got.fingerprint, ref.fingerprint)
+        << what << ": fast-forward diverges\nfirst diff: "
+        << firstDiff(got.fingerprint, ref.fingerprint);
 }
 
 /**

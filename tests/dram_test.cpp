@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "dram/bank.h"
 #include "dram/dram_channel.h"
 #include "dram/dram_timings.h"
 #include "dram/mapping_registry.h"
@@ -115,61 +114,60 @@ TEST(DefaultMapping, CoordFieldsWithinBounds)
 TEST(Bank, ActivateThenReadRespectsTrcd)
 {
     const DramTimings t;
-    Bank bank(t);
-    EXPECT_FALSE(bank.isOpen());
-    EXPECT_TRUE(bank.canIssue(DramCmd::Act, 0));
-    bank.issue(DramCmd::Act, 0, 7);
-    EXPECT_TRUE(bank.isOpen());
-    EXPECT_EQ(bank.openRow(), 7);
-    EXPECT_FALSE(bank.canIssue(DramCmd::Rd, t.tRCD - 1));
-    EXPECT_TRUE(bank.canIssue(DramCmd::Rd, t.tRCD));
+    DramChannel chan(t, DramGeometry{});
+    EXPECT_EQ(chan.openRow(0), kNoOpenRow);
+    EXPECT_TRUE(chan.canIssue(DramCmd::Act, 0, 0));
+    chan.issue(DramCmd::Act, 0, 0, 7);
+    EXPECT_EQ(chan.openRow(0), 7);
+    EXPECT_FALSE(chan.canIssue(DramCmd::Rd, 0, t.tRCD - 1));
+    EXPECT_TRUE(chan.canIssue(DramCmd::Rd, 0, t.tRCD));
 }
 
 TEST(Bank, PrechargeRespectsTras)
 {
     const DramTimings t;
-    Bank bank(t);
-    bank.issue(DramCmd::Act, 0, 1);
-    EXPECT_FALSE(bank.canIssue(DramCmd::Pre, t.tRAS - 1));
-    EXPECT_TRUE(bank.canIssue(DramCmd::Pre, t.tRAS));
-    bank.issue(DramCmd::Pre, t.tRAS);
-    EXPECT_FALSE(bank.isOpen());
+    DramChannel chan(t, DramGeometry{});
+    chan.issue(DramCmd::Act, 0, 0, 1);
+    EXPECT_FALSE(chan.canIssue(DramCmd::Pre, 0, t.tRAS - 1));
+    EXPECT_TRUE(chan.canIssue(DramCmd::Pre, 0, t.tRAS));
+    chan.issue(DramCmd::Pre, 0, t.tRAS);
+    EXPECT_EQ(chan.openRow(0), kNoOpenRow);
     // Next ACT respects both tRP (after PRE) and tRC (after ACT).
-    EXPECT_FALSE(bank.canIssue(DramCmd::Act, t.tRAS + t.tRP - 1));
-    EXPECT_TRUE(bank.canIssue(DramCmd::Act, t.tRC));
+    EXPECT_FALSE(chan.canIssue(DramCmd::Act, 0, t.tRAS + t.tRP - 1));
+    EXPECT_TRUE(chan.canIssue(DramCmd::Act, 0, t.tRC));
 }
 
 TEST(Bank, WriteRecoveryDelaysPrecharge)
 {
     const DramTimings t;
-    Bank bank(t);
-    bank.issue(DramCmd::Act, 0, 1);
+    DramChannel chan(t, DramGeometry{});
+    chan.issue(DramCmd::Act, 0, 0, 1);
     const Cycle wr_at = t.tRCD;
-    bank.issue(DramCmd::Wr, wr_at);
+    chan.issue(DramCmd::Wr, 0, wr_at);
     const Cycle pre_ready = wr_at + t.tCWL + t.tBL + t.tWR;
-    EXPECT_FALSE(bank.canIssue(DramCmd::Pre, pre_ready - 1));
-    EXPECT_TRUE(bank.canIssue(DramCmd::Pre, pre_ready));
+    EXPECT_FALSE(chan.canIssue(DramCmd::Pre, 0, pre_ready - 1));
+    EXPECT_TRUE(chan.canIssue(DramCmd::Pre, 0, pre_ready));
 }
 
 TEST(Bank, ReadToPrechargeRespectsTrtp)
 {
     const DramTimings t;
-    Bank bank(t);
-    bank.issue(DramCmd::Act, 0, 1);
+    DramChannel chan(t, DramGeometry{});
+    chan.issue(DramCmd::Act, 0, 0, 1);
     const Cycle rd_at = t.tRAS; // late read so tRAS is already satisfied
-    bank.issue(DramCmd::Rd, rd_at);
-    EXPECT_FALSE(bank.canIssue(DramCmd::Pre, rd_at + t.tRTP - 1));
-    EXPECT_TRUE(bank.canIssue(DramCmd::Pre, rd_at + t.tRTP));
+    chan.issue(DramCmd::Rd, 0, rd_at);
+    EXPECT_FALSE(chan.canIssue(DramCmd::Pre, 0, rd_at + t.tRTP - 1));
+    EXPECT_TRUE(chan.canIssue(DramCmd::Pre, 0, rd_at + t.tRTP));
 }
 
 TEST(Bank, ConsecutiveColumnCommandsRespectTccd)
 {
     const DramTimings t;
-    Bank bank(t);
-    bank.issue(DramCmd::Act, 0, 1);
-    bank.issue(DramCmd::Rd, t.tRCD);
-    EXPECT_FALSE(bank.canIssue(DramCmd::Rd, t.tRCD + t.tCCD - 1));
-    EXPECT_TRUE(bank.canIssue(DramCmd::Rd, t.tRCD + t.tCCD));
+    DramChannel chan(t, DramGeometry{});
+    chan.issue(DramCmd::Act, 0, 0, 1);
+    chan.issue(DramCmd::Rd, 0, t.tRCD);
+    EXPECT_FALSE(chan.canIssue(DramCmd::Rd, 0, t.tRCD + t.tCCD - 1));
+    EXPECT_TRUE(chan.canIssue(DramCmd::Rd, 0, t.tRCD + t.tCCD));
 }
 
 class DramChannelTest : public ::testing::Test
@@ -275,7 +273,7 @@ TEST_F(DramChannelTest, RngOccupancyBlocksIssueButKeepsRows)
     EXPECT_FALSE(chan.rngBusy(50));
     EXPECT_FALSE(chan.canIssue(DramCmd::Rd, 0, 20));
     // Application row-buffer contents survive RNG mode.
-    EXPECT_EQ(chan.bank(0).openRow(), 9);
+    EXPECT_EQ(chan.openRow(0), 9);
     EXPECT_TRUE(chan.canIssue(DramCmd::Rd, 0, 50));
 }
 
@@ -334,7 +332,7 @@ TEST(DramChannelProperty, RandomLegalTrafficKeepsInvariants)
         }
         unsigned open = 0;
         for (unsigned b = 0; b < chan.numBanks(); ++b)
-            open += chan.bank(b).isOpen();
+            open += chan.openRow(b) != kNoOpenRow;
         ASSERT_EQ(open, chan.openBankCount());
     }
 

@@ -34,7 +34,7 @@ class TimingChecker
 
     /** Attach to a channel (replaces any existing observer). */
     void
-    attach(mem::MemoryBackend &channel)
+    attach(dram::DramChannel &channel)
     {
         channel.setCommandObserver(
             [this](dram::DramCmd cmd, unsigned bank, Cycle now,
