@@ -15,8 +15,8 @@ constexpr auto kWr = static_cast<unsigned>(DramCmd::Wr);
 
 DramChannel::DramChannel(const TimingTable &table,
                          const DramGeometry &geometry)
-    : tt(table), banksEach(geometry.banksPerRank),
-      banks(geometry.banksPerChannel()), ranks(geometry.ranksPerChannel)
+    : banksEach(geometry.banksPerRank), banks(geometry.banksPerChannel()),
+      ranks(geometry.ranksPerChannel), tt(table)
 {
     assert(geometry.ranksPerChannel > 0 && geometry.banksPerRank > 0);
     for (RankState &r : ranks)

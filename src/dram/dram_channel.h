@@ -109,7 +109,7 @@ class DramChannel
     bool
     refreshBusy(Cycle now) const
     {
-        return refreshing(now) || (blackoutRank < 0 && blackedOut(now));
+        return refreshing(now) || (blackedOut(now) && blackoutRank < 0);
     }
 
     /**
@@ -257,7 +257,6 @@ class DramChannel
     /** Next cycle >= @p now at which blackedOut() changes value. */
     Cycle nextBlackoutEdge(Cycle now) const;
 
-    TimingTable tt;
     unsigned banksEach; ///< Banks per rank.
     std::vector<BankState> banks; ///< Flat rank-major bank slots.
     std::vector<RankState> ranks;
@@ -279,6 +278,7 @@ class DramChannel
 
     ChannelEnergyCounters counters;
     CommandObserver onCommand;
+    TimingTable tt; ///< Read at issue; kept off the hot state's lines.
 };
 
 } // namespace dstrange::dram
