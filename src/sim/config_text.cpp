@@ -5,6 +5,7 @@
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "dram/dram_timings.h"
 #include "dram/mapping_registry.h"
@@ -535,6 +536,9 @@ serializeConfig(const SimConfig &cfg)
 void
 applyConfigText(SimConfig &cfg, const std::string &text)
 {
+    // Work on a copy: a rejected text must not leave half its tokens (or
+    // timings that fail the check below) in a config that is used again.
+    SimConfig next = cfg;
     std::istringstream iss(text);
     std::string token;
     while (iss >> token) {
@@ -543,7 +547,7 @@ applyConfigText(SimConfig &cfg, const std::string &text)
             throw std::invalid_argument("bad config token '" + token +
                                         "': expected key=value");
         try {
-            applyToken(cfg, token.substr(0, eq), token.substr(eq + 1));
+            applyToken(next, token.substr(0, eq), token.substr(eq + 1));
         } catch (const std::invalid_argument &e) {
             throw std::invalid_argument("bad config token '" + token +
                                         "': " + e.what());
@@ -555,7 +559,8 @@ applyConfigText(SimConfig &cfg, const std::string &text)
     // Timings are checked as a whole, once every token has landed (one
     // text may move tREFI and tRFC together); the check lives where the
     // timing table is derived.
-    static_cast<void>(dram::TimingTable::ddr(cfg.timings));
+    static_cast<void>(dram::TimingTable::ddr(next.timings));
+    cfg = std::move(next);
 }
 
 SimConfig

@@ -55,7 +55,8 @@ std::string serializeConfig(const SimConfig &cfg);
  * Apply whitespace-separated key=value tokens onto @p cfg.
  * @throws std::invalid_argument on a malformed token, unknown key, or
  *         unparsable value (the message names the offending token), or
- *         when the resulting timings fail dram::timingsAreConsistent.
+ *         when the resulting timings fail dram::timingsAreConsistent. A
+ *         rejected text leaves @p cfg unchanged.
  */
 void applyConfigText(SimConfig &cfg, const std::string &text);
 

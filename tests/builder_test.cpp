@@ -883,6 +883,12 @@ TEST(ConfigText, RejectsMalformedInput)
         SimConfig fresh;
         EXPECT_THROW(applyConfigText(fresh, text), std::invalid_argument);
     }
+    // A rejected text changes nothing, so the config stays usable.
+    SimConfig kept;
+    EXPECT_THROW(applyConfigText(kept, "budget=5 timings.trfc=7000"),
+                 std::invalid_argument);
+    EXPECT_EQ(serializeConfig(kept), serializeConfig(SimConfig{}));
+    EXPECT_NO_THROW(applyConfigText(kept, "budget=5"));
     // A text that repairs what its own earlier token broke is fine.
     SimConfig repaired;
     EXPECT_NO_THROW(applyConfigText(

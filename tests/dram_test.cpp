@@ -232,6 +232,42 @@ TEST_F(DramChannelTest, ReadWriteTurnaroundEnforced)
     EXPECT_TRUE(chan.canIssue(DramCmd::Wr, 0, wr_min));
 }
 
+TEST(DramChannelTurnaround, SameBankColumnGapHonoursTccd)
+{
+    DramTimings t;
+    t.tCCD = 20; // Longer than the read-to-write turnaround.
+    DramChannel chan(t, DramGeometry{});
+    chan.issue(DramCmd::Act, 0, 0, 1);
+    chan.issue(DramCmd::Act, 1, t.tRRD, 1);
+    const Cycle rd_at = t.tRRD + t.tRCD;
+    chan.issue(DramCmd::Rd, 0, rd_at);
+    // Another bank waits only for the turnaround; the same bank for tCCD.
+    EXPECT_TRUE(chan.canIssue(DramCmd::Wr, 1, rd_at + t.readToWrite()));
+    EXPECT_FALSE(chan.canIssue(DramCmd::Wr, 0, rd_at + t.tCCD - 1));
+    EXPECT_TRUE(chan.canIssue(DramCmd::Wr, 0, rd_at + t.tCCD));
+}
+
+TEST(DramChannelTurnaround, RngOccupancyKeepsTheRankTurnaround)
+{
+    DramTimings t;
+    t.tRTRS = 20; // Longer than tCL: the turnaround outlasts the fence.
+    DramGeometry g;
+    g.ranksPerChannel = 2;
+    DramChannel chan(t, g);
+    const unsigned other = g.banksPerRank; // First bank of rank 1.
+    chan.issue(DramCmd::Act, 0, 0, 1);
+    chan.issue(DramCmd::Act, other, 1, 1);
+    chan.issue(DramCmd::Rd, 0, t.tRCD);
+    // RNG mode holds the data bus until `until`; the last burst's rank
+    // may read right after, another rank owes tRTRS after the bus frees.
+    const Cycle until = 100;
+    chan.occupyForRng(until);
+    EXPECT_TRUE(chan.canIssue(DramCmd::Rd, 0, until));
+    EXPECT_FALSE(
+        chan.canIssue(DramCmd::Rd, other, until + t.tRTRS - t.tCL - 1));
+    EXPECT_TRUE(chan.canIssue(DramCmd::Rd, other, until + t.tRTRS - t.tCL));
+}
+
 TEST_F(DramChannelTest, RefreshBecomesDueAndBlocksTraffic)
 {
     // Before tREFI nothing special happens.
