@@ -640,6 +640,12 @@ TEST(FastForwardGolden, HorizonCountersAndFingerprints)
          "backend.write-latency=12 backend.gap=6" + dual,
          mix.apps, mix.rngThroughputMbps, 77301, 24173, 176832, 36015,
          44838, 55492, 0xaf2be83579c5f406ull},
+        // The bank XOR permutation on two ranks: the rank digit sits
+        // between the permuted bank and the row that drives the XOR.
+        {"mix/permute-bank-2rank",
+         "design=drstrange geometry.ranks=2 mapping=permute-bank" + dual,
+         mix.apps, mix.rngThroughputMbps, 80583, 27383, 175299, 56032,
+         84852, 96406, 0xf262972702b499baull},
     };
     for (const HorizonGolden &g : grid) {
         const sim::SimConfig cfg =
