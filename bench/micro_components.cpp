@@ -17,8 +17,7 @@ using namespace dstrange;
 static void
 BM_AddressDecode(benchmark::State &state)
 {
-    const dram::InterleavedMapping mapper{dram::DramGeometry{},
-                                          dram::kRowBankColCh};
+    const dram::AddressMapping mapper{dram::DramGeometry{}};
     Addr addr = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(mapper.decode(addr));

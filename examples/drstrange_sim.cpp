@@ -53,8 +53,8 @@
 #include <utility>
 
 #include "common/json_writer.h"
+#include "dram/address_mapper.h"
 #include "dram/dram_timings.h"
-#include "dram/mapping_registry.h"
 #include "drstrange.h"
 #include "mem/scheduler_registry.h"
 #include "fault/fault_plane.h"
@@ -175,7 +175,7 @@ listRegistries()
     printKeys("schedulers", mem::SchedulerRegistry::instance().keys());
     printKeys("predictors",
               strange::PredictorRegistry::instance().keys());
-    printKeys("mappings", dram::MappingRegistry::instance().keys());
+    printKeys("mappings", {dram::kMappings.begin(), dram::kMappings.end()});
     printKeys("arrivals", service::ArrivalRegistry::instance().keys());
     printKeys("backends", {dram::kChannelModels.begin(),
                            dram::kChannelModels.end()});

@@ -13,7 +13,7 @@
 #include "common/latency_histogram.h"
 #include "common/stats_util.h"
 #include "common/table_printer.h"
-#include "dram/mapping_registry.h"
+#include "dram/address_mapper.h"
 #include "mem/scheduler_registry.h"
 #include "service/arrival_process.h"
 #include "service/open_loop_service.h"

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "dram/mapping_registry.h"
 #include "fault/fault_plane.h"
 #include "mem/scheduler_registry.h"
 #include "strange/predictor_registry.h"
@@ -83,8 +82,7 @@ MemoryController::MemoryController(const McConfig &config, unsigned ports)
     : cfg(config), fillMode(config.fillMode()),
       placement(config.placement()), lowUtilBound(config.lowUtilBound()),
       periodThreshold(config.periodThreshold()),
-      mapper(dram::MappingRegistry::instance().make(config.addressMapping,
-                                                    config.geometry)),
+      mapper(config.geometry, config.addressMapping),
       mech(config.mechanism),
       fillMech(config.fillMechanism.value_or(config.mechanism)),
       writeSched(config.geometry.channels,
@@ -266,7 +264,7 @@ MemoryController::enqueueAccept(Request &req, Cycle now)
         return true;
     }
 
-    req.coord = mapper->decode(req.addr);
+    req.coord = mapper.decode(req.addr);
     ChannelState &cs = perChan[req.coord.channel];
     RequestQueue &q =
         req.type == ReqType::Write ? *cs.writeQ : *cs.readQ;

@@ -130,7 +130,7 @@ struct McConfig
     std::string predictor = "simple";
     /** Also fill during low-utilization (not just idle) periods. */
     bool lowUtilFill = true;
-    /** Address-interleaving policy (dram::MappingRegistry key). */
+    /** Address-interleaving policy, one of dram::kMappings. */
     std::string addressMapping = "row-bank-col-ch";
     /** Cross-channel placement of engine buffer-fill sessions:
      *  "first-idle" or "round-robin" (see FillPlacement). */
@@ -631,7 +631,7 @@ class MemoryController
     FillPlacement placement;
     unsigned lowUtilBound;
     Cycle periodThreshold;
-    std::unique_ptr<const dram::AddressMapping> mapper;
+    dram::AddressMapping mapper;
     trng::TrngMechanism mech;     ///< Demand-generation mechanism.
     trng::TrngMechanism fillMech; ///< Fill mechanism (== mech unless hybrid).
 

@@ -8,7 +8,7 @@
 #include <utility>
 
 #include "dram/dram_timings.h"
-#include "dram/mapping_registry.h"
+#include "dram/address_mapper.h"
 #include "fault/fault_registry.h"
 #include "mem/scheduler_registry.h"
 #include "service/arrival_process.h"
@@ -351,7 +351,7 @@ applyToken(SimConfig &cfg, const std::string &key,
     } else if (key == "low-util") {
         cfg.lowUtilFill = parseBool(value);
     } else if (key == "mapping") {
-        dram::MappingRegistry::instance().require(value);
+        dram::requireMapping(value);
         cfg.addressMapping = value;
     } else if (key == "fill-placement") {
         mem::fillPlacementFromName(value); // validate

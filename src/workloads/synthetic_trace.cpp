@@ -7,7 +7,7 @@ namespace dstrange::workloads {
 SyntheticTrace::SyntheticTrace(const AppProfile &profile,
                                const dram::DramGeometry &geometry,
                                CoreId core, std::uint64_t seed)
-    : prof(profile), mapper(geometry, dram::kRowBankColCh),
+    : prof(profile), mapper(geometry),
       gen(mix64(seed) ^ mix64(core * 0x9e37u + 1) ^
           mix64(std::hash<std::string>{}(profile.name)))
 {

@@ -12,7 +12,7 @@
 
 #include "common/rng.h"
 #include "cpu/trace_source.h"
-#include "dram/mapping_registry.h"
+#include "dram/address_mapper.h"
 #include "workloads/app_profile.h"
 
 namespace dstrange::workloads {
@@ -47,7 +47,7 @@ class SyntheticTrace : public cpu::TraceSource
     Addr randomJump();
 
     AppProfile prof;
-    dram::InterleavedMapping mapper; ///< The default "row-bank-col-ch".
+    dram::AddressMapping mapper; ///< The default "row-bank-col-ch".
     Xoshiro256ss gen;
 
     std::uint64_t currentLine; ///< Line address of the last access.

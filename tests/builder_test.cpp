@@ -2,7 +2,7 @@
  * @file
  * Tests for the composable policy API: design presets vs. the legacy
  * per-design expansion (frozen here as reference data), the registry
- * contract over all seven registries, the SimulationBuilder facade, the
+ * contract over all six registries, the SimulationBuilder facade, the
  * key=value config text format, and the Runner's configuration-keyed
  * alone-run cache.
  */
@@ -324,7 +324,7 @@ namespace {
 
 /**
  * One registry behind a uniform face, so the shared contract
- * (common/registry.h) is checked on all seven. add() registers a
+ * (common/registry.h) is checked on all six. add() registers a
  * trivial entry, or an empty one when @p empty is set; the entry runs
  * @p on_make (if any) each time make() instantiates it.
  */
@@ -383,11 +383,6 @@ allRegistries()
             const SimConfig cfg;
             mem::SchedulerRegistry::instance().make(
                 k, mem::SchedulerContext{4, 8, 2, cfg});
-        }));
-    faces.push_back(faceOf<dram::MappingRegistry>(
-        "mapping", dram::MappingRegistry::kDefault,
-        [](const std::string &k) {
-            dram::MappingRegistry::instance().make(k, SimConfig{}.geometry);
         }));
     faces.push_back(faceOf<fault::FaultRegistry>(
         "fault", "stuck-row", [](const std::string &k) {

@@ -8,9 +8,9 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "dram/address_mapper.h"
 #include "dram/dram_channel.h"
 #include "dram/dram_timings.h"
-#include "dram/mapping_registry.h"
 
 using namespace dstrange;
 using namespace dstrange::dram;
@@ -29,12 +29,11 @@ geometry()
     return DramGeometry{};
 }
 
-/** The registry's default ("row-bank-col-ch") mapping at geometry(). */
-std::unique_ptr<const AddressMapping>
+/** The default ("row-bank-col-ch") mapping at geometry(). */
+AddressMapping
 defaultMapping()
 {
-    return MappingRegistry::instance().make(MappingRegistry::kDefault,
-                                            geometry());
+    return AddressMapping(geometry());
 }
 
 } // namespace
@@ -70,8 +69,8 @@ TEST(DefaultMapping, DecodeEncodeRoundTrip)
         const Addr addr =
             gen.nextBelow(geometry().capacityBytes() / kLineBytes) *
             kLineBytes;
-        const DramCoord coord = mapper->decode(addr);
-        EXPECT_EQ(mapper->encode(coord), addr);
+        const DramCoord coord = mapper.decode(addr);
+        EXPECT_EQ(mapper.encode(coord), addr);
     }
 }
 
@@ -79,7 +78,7 @@ TEST(DefaultMapping, ConsecutiveLinesInterleaveChannels)
 {
     const auto mapper = defaultMapping();
     for (unsigned i = 0; i < 16; ++i) {
-        const DramCoord coord = mapper->decode(i * kLineBytes);
+        const DramCoord coord = mapper.decode(i * kLineBytes);
         EXPECT_EQ(coord.channel, i % geometry().channels);
     }
 }
@@ -89,8 +88,8 @@ TEST(DefaultMapping, SameChannelStrideKeepsRow)
     // Lines 4 apart map to the same channel; within a row's span they
     // share the row (this is what makes streaming row-friendly).
     const auto mapper = defaultMapping();
-    const DramCoord a = mapper->decode(0);
-    const DramCoord b = mapper->decode(4 * kLineBytes);
+    const DramCoord a = mapper.decode(0);
+    const DramCoord b = mapper.decode(4 * kLineBytes);
     EXPECT_EQ(a.channel, b.channel);
     EXPECT_EQ(a.bank, b.bank);
     EXPECT_EQ(a.row, b.row);
@@ -103,7 +102,7 @@ TEST(DefaultMapping, CoordFieldsWithinBounds)
     Xoshiro256ss gen(5);
     for (int i = 0; i < 10000; ++i) {
         const Addr addr = gen.next() % geometry().capacityBytes();
-        const DramCoord c = mapper->decode(addr);
+        const DramCoord c = mapper.decode(addr);
         EXPECT_LT(c.channel, geometry().channels);
         EXPECT_LT(c.bank, geometry().banksPerRank);
         EXPECT_LT(c.row, geometry().rowsPerBank);

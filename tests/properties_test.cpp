@@ -384,16 +384,15 @@ TEST(RefreshProperty, RefreshKeepsPaceUnderRngLoad)
 // ---------------------------------------------------------------------
 // Property: multi-rank channels obey the same JEDEC constraints —
 // including the rank-scoped tRRD/tFAW, per-rank refresh, and the
-// cross-rank tRTRS bus turnaround — for every registered mapping.
+// cross-rank tRTRS bus turnaround — for every address mapping.
 // ---------------------------------------------------------------------
 
-#include "dram/mapping_registry.h"
+#include "dram/address_mapper.h"
 
 TEST(MultiRankTimingProperty, NoViolationsAcrossRanksAndMappings)
 {
     for (unsigned ranks : {2u, 4u}) {
-        for (const std::string &mapping :
-             dstrange::dram::MappingRegistry::instance().keys()) {
+        for (const std::string mapping : dstrange::dram::kMappings) {
             SimConfig cfg = tinyConfig();
             DesignRegistry::instance().apply("drstrange", cfg);
             cfg.geometry.ranksPerChannel = ranks;
@@ -435,7 +434,7 @@ TEST(MultiRankTimingProperty, NoViolationsAcrossRanksAndMappings)
 }
 
 // ---------------------------------------------------------------------
-// Property: every registered address mapping is an exact bijection
+// Property: every address mapping is an exact bijection
 // between line-aligned addresses and DRAM coordinates, over randomized
 // geometries (encode inverts decode, fields stay in bounds, and the
 // whole address space maps without collisions).
@@ -447,7 +446,6 @@ TEST(MultiRankTimingProperty, NoViolationsAcrossRanksAndMappings)
 TEST(MappingProperty, EncodeInvertsDecodeOnRandomGeometries)
 {
     std::mt19937_64 prng(0xD5u);
-    auto &registry = dstrange::dram::MappingRegistry::instance();
     for (int iter = 0; iter < 40; ++iter) {
         dstrange::dram::DramGeometry g;
         g.channels = 1 + prng() % 4;
@@ -457,25 +455,25 @@ TEST(MappingProperty, EncodeInvertsDecodeOnRandomGeometries)
         g.rowBytes = kLineBytes * (1 + prng() % 8);
         const std::uint64_t lines = g.capacityBytes() / kLineBytes;
 
-        for (const std::string &key : registry.keys()) {
-            const auto mapping = registry.make(key, g);
+        for (const std::string key : dstrange::dram::kMappings) {
+            const dstrange::dram::AddressMapping mapping(g, key);
             for (int i = 0; i < 200; ++i) {
                 const Addr addr = (prng() % lines) * kLineBytes;
                 const dstrange::dram::DramCoord c =
-                    mapping->decode(addr);
+                    mapping.decode(addr);
                 ASSERT_LT(c.channel, g.channels) << key;
                 ASSERT_LT(c.rank, g.ranksPerChannel) << key;
                 ASSERT_LT(c.bank, g.banksPerChannel()) << key;
                 ASSERT_EQ(c.rank, c.bank / g.banksPerRank) << key;
                 ASSERT_LT(c.row, g.rowsPerBank) << key;
                 ASSERT_LT(c.col, g.colsPerRow()) << key;
-                ASSERT_EQ(mapping->encode(c), addr) << key;
+                ASSERT_EQ(mapping.encode(c), addr) << key;
 
                 // Callers that fill only the flat bank slot (rank left
                 // zero) must encode to the same address.
                 dstrange::dram::DramCoord legacy = c;
                 legacy.rank = 0;
-                ASSERT_EQ(mapping->encode(legacy), addr) << key;
+                ASSERT_EQ(mapping.encode(legacy), addr) << key;
             }
         }
     }
@@ -491,16 +489,15 @@ TEST(MappingProperty, FullAddressSpaceIsBijective)
     g.rowBytes = kLineBytes * 2;
     const std::uint64_t lines = g.capacityBytes() / kLineBytes;
 
-    auto &registry = dstrange::dram::MappingRegistry::instance();
-    for (const std::string &key : registry.keys()) {
-        const auto mapping = registry.make(key, g);
+    for (const std::string key : dstrange::dram::kMappings) {
+        const dstrange::dram::AddressMapping mapping(g, key);
         std::set<std::tuple<unsigned, unsigned, unsigned, unsigned>>
             seen;
         for (std::uint64_t line = 0; line < lines; ++line) {
             const Addr addr = line * kLineBytes;
-            const dstrange::dram::DramCoord c = mapping->decode(addr);
+            const dstrange::dram::DramCoord c = mapping.decode(addr);
             seen.emplace(c.channel, c.bank, c.row, c.col);
-            ASSERT_EQ(mapping->encode(c), addr) << key;
+            ASSERT_EQ(mapping.encode(c), addr) << key;
         }
         EXPECT_EQ(seen.size(), lines) << key << ": decode collides";
     }
@@ -510,8 +507,7 @@ TEST(MappingProperty, PermuteBankRejectsNonPowerOfTwoBanks)
 {
     dstrange::dram::DramGeometry g;
     g.banksPerRank = 3;
-    EXPECT_THROW(dstrange::dram::MappingRegistry::instance().make(
-                     "permute-bank", g),
+    EXPECT_THROW(dstrange::dram::AddressMapping(g, "permute-bank"),
                  std::invalid_argument);
 }
 
@@ -519,19 +515,17 @@ TEST(MappingProperty, RankInterleavedMappingSpreadsLinesAcrossRanks)
 {
     dstrange::dram::DramGeometry g;
     g.ranksPerChannel = 2;
-    const auto mapping = dstrange::dram::MappingRegistry::instance()
-                             .make("row-bank-col-rank-ch", g);
+    const dstrange::dram::AddressMapping mapping(g, "row-bank-col-rank-ch");
     // The rank digit sits directly above the channel digit, so lines
     // one channel-stride apart land on alternating ranks.
     const Addr stride = static_cast<Addr>(g.channels) * kLineBytes;
-    EXPECT_EQ(mapping->decode(0).rank, 0u);
-    EXPECT_EQ(mapping->decode(stride).rank, 1u);
-    EXPECT_EQ(mapping->decode(2 * stride).rank, 0u);
+    EXPECT_EQ(mapping.decode(0).rank, 0u);
+    EXPECT_EQ(mapping.decode(stride).rank, 1u);
+    EXPECT_EQ(mapping.decode(2 * stride).rank, 0u);
     // The default mapping keeps them on one rank instead.
-    const auto deflt = dstrange::dram::MappingRegistry::instance().make(
-        dstrange::dram::MappingRegistry::kDefault, g);
-    EXPECT_EQ(deflt->decode(0).rank, 0u);
-    EXPECT_EQ(deflt->decode(stride).rank, 0u);
+    const dstrange::dram::AddressMapping deflt(g);
+    EXPECT_EQ(deflt.decode(0).rank, 0u);
+    EXPECT_EQ(deflt.decode(stride).rank, 0u);
 }
 
 namespace {
@@ -539,7 +533,7 @@ namespace {
 /**
  * Frozen reference for the default "row-bank-col-ch" mapping: a
  * straight-line Row:Rank:Bank:Column:Channel digit chain, written out
- * by hand rather than through the generic InterleavedMapping loop.
+ * by hand rather than through AddressMapping's generic digit loop.
  */
 dstrange::dram::DramCoord
 referenceRowBankColChDecode(const dstrange::dram::DramGeometry &g,
@@ -583,31 +577,30 @@ referenceRowBankColChEncode(const dstrange::dram::DramGeometry &g,
 TEST(MappingProperty, DefaultMatchesFrozenStraightLineReference)
 {
     std::mt19937_64 prng(0x5EEDu);
-    auto &registry = dstrange::dram::MappingRegistry::instance();
     for (unsigned channels : {1u, 3u, 4u, 6u}) {
         for (unsigned ranks : {1u, 2u, 4u}) {
             dstrange::dram::DramGeometry g;
             g.channels = channels;
             g.ranksPerChannel = ranks;
-            const auto mapping = registry.make("row-bank-col-ch", g);
+            const dstrange::dram::AddressMapping mapping(g);
             for (int i = 0; i < 3000; ++i) {
                 // Any byte address, not only line-aligned ones.
                 const Addr addr = prng() % g.capacityBytes();
                 const Addr line_addr = addr / kLineBytes * kLineBytes;
                 const dstrange::dram::DramCoord ref =
                     referenceRowBankColChDecode(g, addr);
-                ASSERT_EQ(mapping->decode(addr), ref)
+                ASSERT_EQ(mapping.decode(addr), ref)
                     << "channels=" << channels << " ranks=" << ranks
                     << " addr=" << addr;
-                ASSERT_EQ(mapping->encode(ref),
+                ASSERT_EQ(mapping.encode(ref),
                           referenceRowBankColChEncode(g, ref));
 
                 // Rank-0 legacy coords: flat bank slot, rank unset.
                 dstrange::dram::DramCoord legacy = ref;
                 legacy.rank = 0;
-                ASSERT_EQ(mapping->encode(legacy),
+                ASSERT_EQ(mapping.encode(legacy),
                           referenceRowBankColChEncode(g, legacy));
-                ASSERT_EQ(mapping->encode(legacy), line_addr);
+                ASSERT_EQ(mapping.encode(legacy), line_addr);
             }
         }
     }

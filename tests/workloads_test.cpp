@@ -9,7 +9,7 @@
 
 #include <set>
 
-#include "dram/mapping_registry.h"
+#include "dram/address_mapper.h"
 #include "workloads/app_profile.h"
 #include "workloads/mixes.h"
 #include "workloads/rng_benchmark.h"
@@ -148,11 +148,10 @@ TEST_F(SyntheticTraceTest, CoresGetDisjointRegions)
     SyntheticTrace a(appByName("mcf"), geom, 0, 7);
     SyntheticTrace b(appByName("mcf"), geom, 1, 7);
     std::set<Addr> rows_a, rows_b;
-    const auto mapper = dram::MappingRegistry::instance().make(
-        dram::MappingRegistry::kDefault, geom);
+    const dram::AddressMapping mapper(geom);
     for (int i = 0; i < 2000; ++i) {
-        rows_a.insert(mapper->decode(a.next().addr).row);
-        rows_b.insert(mapper->decode(b.next().addr).row);
+        rows_a.insert(mapper.decode(a.next().addr).row);
+        rows_b.insert(mapper.decode(b.next().addr).row);
     }
     // Some overlap is possible at region boundaries, but the bulk of
     // the row sets must be disjoint.
