@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the common utilities: deterministic RNGs, the ring
- * buffer, statistics helpers, and the table printer.
+ * Unit tests for the common utilities: deterministic RNGs, statistics
+ * helpers, and the table printer.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include <sstream>
 
 #include "common/json_writer.h"
-#include "common/ring_buffer.h"
 #include "common/rng.h"
 #include "common/stats_util.h"
 #include "common/table_printer.h"
@@ -97,65 +96,6 @@ TEST(Xoshiro, BoolProbabilityRoughlyRespected)
     for (int i = 0; i < n; ++i)
         hits += gen.nextBool(0.25);
     EXPECT_NEAR(hits / static_cast<double>(n), 0.25, 0.02);
-}
-
-TEST(RingBuffer, PushPopFifoOrder)
-{
-    RingBuffer<int> rb(4);
-    EXPECT_TRUE(rb.empty());
-    for (int i = 0; i < 4; ++i)
-        EXPECT_TRUE(rb.push(i));
-    EXPECT_TRUE(rb.full());
-    EXPECT_FALSE(rb.push(99));
-    for (int i = 0; i < 4; ++i) {
-        EXPECT_EQ(rb.front(), i);
-        rb.pop();
-    }
-    EXPECT_TRUE(rb.empty());
-}
-
-TEST(RingBuffer, WrapsAroundCorrectly)
-{
-    RingBuffer<int> rb(3);
-    rb.push(1);
-    rb.push(2);
-    rb.pop();
-    rb.push(3);
-    rb.push(4);
-    EXPECT_TRUE(rb.full());
-    EXPECT_EQ(rb.at(0), 2);
-    EXPECT_EQ(rb.at(1), 3);
-    EXPECT_EQ(rb.at(2), 4);
-}
-
-TEST(RingBuffer, WrapAroundAtFullCapacity)
-{
-    // Rotate a full buffer through every head position: pop one, push
-    // one, so the write index crosses the wrap boundary repeatedly
-    // while the buffer stays at capacity.
-    RingBuffer<int> rb(4);
-    for (int i = 0; i < 4; ++i)
-        ASSERT_TRUE(rb.push(i));
-    for (int next = 4; next < 20; ++next) {
-        ASSERT_TRUE(rb.full());
-        ASSERT_FALSE(rb.push(999)); // Full buffer rejects the push...
-        ASSERT_EQ(rb.front(), next - 4);
-        rb.pop();
-        ASSERT_TRUE(rb.push(next)); // ...but accepts after one pop.
-        for (int k = 0; k < 4; ++k)
-            ASSERT_EQ(rb.at(static_cast<std::size_t>(k)), next - 3 + k);
-    }
-    EXPECT_EQ(rb.size(), 4u);
-}
-
-TEST(RingBuffer, ClearEmptiesBuffer)
-{
-    RingBuffer<int> rb(2);
-    rb.push(5);
-    rb.clear();
-    EXPECT_TRUE(rb.empty());
-    EXPECT_TRUE(rb.push(6));
-    EXPECT_EQ(rb.front(), 6);
 }
 
 TEST(StatsUtil, MeanAndGeomean)

@@ -1,9 +1,8 @@
 /**
  * @file
- * Tests for the extension features beyond the paper's core design:
- * SHA-256 and von Neumann post-processing, the partitioned buffer set
- * (Section 6 countermeasure), hybrid TRNG engines (Section 8.7), DRAM
- * power-down, trace file I/O, and the JSON writer.
+ * Tests for the extension features beyond the paper's core design: the
+ * partitioned buffer set (Section 6 countermeasure), hybrid TRNG engines
+ * (Section 8.7), DRAM power-down, trace file I/O, and the JSON writer.
  */
 
 #include <gtest/gtest.h>
@@ -24,135 +23,13 @@
 #include "sim/design_registry.h"
 #include "sim/runner.h"
 #include "strange/buffer_set.h"
-#include "trng/entropy_source.h"
-#include "trng/bit_quality.h"
-#include "trng/postprocess.h"
 #include "trng/rng_engine.h"
-#include "trng/sha256.h"
 #include "workloads/rng_benchmark.h"
 #include "workloads/synthetic_trace.h"
 #include "workloads/trace_file.h"
 #include "cpu/core.h"
 
 using namespace dstrange;
-
-// ---------------------------------------------------------------------
-// SHA-256 (FIPS 180-4 test vectors).
-// ---------------------------------------------------------------------
-
-namespace {
-
-std::string
-hex(const std::array<std::uint8_t, 32> &digest)
-{
-    std::string out;
-    for (std::uint8_t b : digest) {
-        char buf[3];
-        std::snprintf(buf, sizeof(buf), "%02x", b);
-        out += buf;
-    }
-    return out;
-}
-
-std::vector<std::uint8_t>
-bytes(const std::string &text)
-{
-    return {text.begin(), text.end()};
-}
-
-} // namespace
-
-TEST(Sha256, EmptyStringVector)
-{
-    EXPECT_EQ(hex(trng::Sha256::hash({})),
-              "e3b0c44298fc1c149afbf4c8996fb924"
-              "27ae41e4649b934ca495991b7852b855");
-}
-
-TEST(Sha256, AbcVector)
-{
-    EXPECT_EQ(hex(trng::Sha256::hash(bytes("abc"))),
-              "ba7816bf8f01cfea414140de5dae2223"
-              "b00361a396177a9cb410ff61f20015ad");
-}
-
-TEST(Sha256, TwoBlockVector)
-{
-    EXPECT_EQ(hex(trng::Sha256::hash(bytes(
-                  "abcdbcdecdefdefgefghfghighijhijk"
-                  "ijkljklmklmnlmnomnopnopq"))),
-              "248d6a61d20638b8e5c026930c3e6039"
-              "a33ce45964ff2167f6ecedd419db06c1");
-}
-
-TEST(Sha256, IncrementalMatchesOneShot)
-{
-    const auto data = bytes("the quick brown fox jumps over the lazy dog "
-                            "again and again and again");
-    trng::Sha256 h;
-    for (std::size_t i = 0; i < data.size(); i += 7)
-        h.update(data.data() + i, std::min<std::size_t>(7, data.size() - i));
-    EXPECT_EQ(hex(h.digest()), hex(trng::Sha256::hash(data)));
-}
-
-// ---------------------------------------------------------------------
-// Post-processing.
-// ---------------------------------------------------------------------
-
-TEST(VonNeumann, RemovesBiasFromSkewedSource)
-{
-    // A source with 80% ones.
-    trng::EntropySource src(3);
-    std::vector<std::uint8_t> biased;
-    Xoshiro256ss gen(4);
-    for (int i = 0; i < (1 << 16); ++i) {
-        std::uint8_t b = 0;
-        for (int k = 0; k < 8; ++k)
-            b |= static_cast<std::uint8_t>(gen.nextBool(0.8)) << k;
-        biased.push_back(b);
-    }
-    EXPECT_FALSE(trng::monobitTest(biased).pass);
-
-    trng::VonNeumannCorrector vn;
-    const auto corrected = vn.process(biased);
-    ASSERT_GT(corrected.size(), 1000u);
-    EXPECT_TRUE(trng::monobitTest(corrected).pass);
-    // Efficiency for p=0.8: 2*p*(1-p) pairs emit 1 bit each = 0.16.
-    EXPECT_NEAR(vn.efficiency(), 0.16, 0.02);
-}
-
-TEST(VonNeumann, UnbiasedSourceYieldsQuarterRate)
-{
-    trng::EntropySource src(5);
-    trng::VonNeumannCorrector vn;
-    vn.process(src.nextBytes(1 << 15));
-    EXPECT_NEAR(vn.efficiency(), 0.25, 0.01);
-}
-
-TEST(Sha256Conditioner, CompressesTwoToOne)
-{
-    trng::EntropySource src(6);
-    trng::Sha256Conditioner cond;
-    std::vector<std::uint8_t> out;
-    cond.feed(src.nextBytes(640), out);
-    EXPECT_EQ(out.size(), 320u);
-    EXPECT_EQ(cond.pendingBytes(), 0u);
-
-    cond.feed(src.nextBytes(70), out);
-    EXPECT_EQ(out.size(), 352u);
-    EXPECT_EQ(cond.pendingBytes(), 6u);
-}
-
-TEST(Sha256Conditioner, OutputPassesQualityChecks)
-{
-    trng::EntropySource src(7);
-    trng::Sha256Conditioner cond;
-    std::vector<std::uint8_t> out;
-    cond.feed(src.nextBytes(1 << 16), out);
-    EXPECT_TRUE(trng::monobitTest(out).pass);
-    EXPECT_TRUE(trng::chiSquareByteTest(out).pass);
-    EXPECT_GT(trng::shannonEntropyPerByte(out), 7.98);
-}
 
 // ---------------------------------------------------------------------
 // BufferSet (Section 6 partitioning).

@@ -511,7 +511,7 @@ TEST(MappingProperty, PermuteBankRejectsNonPowerOfTwoBanks)
                  std::invalid_argument);
 }
 
-TEST(MappingProperty, RankInterleavedMappingSpreadsLinesAcrossRanks)
+TEST(MappingProperty, RankInterleavingSpreadsLinesAcrossRanks)
 {
     dstrange::dram::DramGeometry g;
     g.ranksPerChannel = 2;
