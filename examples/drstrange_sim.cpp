@@ -35,9 +35,14 @@
  *
  * A flag marked [key] is a fixed alias of `--set key=VALUE`: its value
  * goes through the same config-text parser and checks, and must be one
- * token (no whitespace, no '='). Flags are applied in order, so
- * `--design drstrange --set predictor=rl` overrides the preset's
- * predictor while `--set predictor=rl --design drstrange` does not.
+ * token (no whitespace, no '='). The aliases and every --set are
+ * gathered, in argv order, into one config text that is applied once,
+ * so `--design drstrange --set predictor=rl` overrides the preset's
+ * predictor while `--set predictor=rl --design drstrange` does not, and
+ * timings may move together across several --set flags. A rejected
+ * token is reported with the flag that carried it; timings rejected as
+ * a whole are reported with --set, the only flag that reaches them.
+ * --record-trace and --replay-trace set their paths after the text.
  *
  * The run goes through sim::runSystem(), so with DS_LOCKSTEP=1 it is
  * repeated cycle by cycle and every statistic must match bit for bit.
@@ -47,6 +52,7 @@
 #include <charconv>
 #include <cmath>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
@@ -134,8 +140,8 @@ splitCsv(const std::string &csv)
 }
 
 /**
- * Display name of the registered design whose policy knobs match
- * @p cfg ("custom" when overrides left no preset matching), so the
+ * Display name of the registered design whose preset leaves @p cfg
+ * unchanged ("custom" when overrides left no preset matching), so the
  * reported label stays correct however the knobs were reached
  * (--design, --set design=..., --set scheduler=...).
  */
@@ -143,17 +149,12 @@ std::string
 designLabelFor(const sim::SimConfig &cfg)
 {
     const auto &registry = sim::DesignRegistry::instance();
+    const std::string text = sim::serializeConfig(cfg);
     for (const std::string &key : registry.keys()) {
         sim::SimConfig probe = cfg;
         registry.apply(key, probe);
-        if (probe.scheduler == cfg.scheduler &&
-            probe.rngAwareQueueing == cfg.rngAwareQueueing &&
-            probe.buffering == cfg.buffering &&
-            probe.fillPolicy == cfg.fillPolicy &&
-            probe.predictor == cfg.predictor &&
-            probe.lowUtilFill == cfg.lowUtilFill) {
+        if (sim::serializeConfig(probe) == text)
             return registry.displayName(key);
-        }
     }
     return "custom";
 }
@@ -195,6 +196,20 @@ main(int argc, char **argv)
     bool rng_given = false;
     bool json = false;
     bool print_config = false;
+    // Every config flag's text in argv order, and the flag that carried
+    // each of its tokens.
+    std::string config_text;
+    std::vector<std::string> token_flags;
+    const auto gather = [&](const std::string &flag,
+                            const std::string &text) {
+        std::istringstream iss(text);
+        for (std::string token; iss >> token;) {
+            config_text += token;
+            config_text += ' ';
+            token_flags.push_back(flag);
+        }
+    };
+    std::optional<std::string> record_trace, replay_trace;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -207,8 +222,7 @@ main(int argc, char **argv)
         };
         try {
             if (const char *key = aliasedKey(arg)) {
-                sim::applyConfigText(cfg,
-                                     aliasToken(key, next_arg(arg.c_str())));
+                gather(arg, aliasToken(key, next_arg(arg.c_str())));
             } else if (arg == "--apps") {
                 apps = splitCsv(next_arg("--apps"));
             } else if (arg == "--trace") {
@@ -217,11 +231,11 @@ main(int argc, char **argv)
                 rng_mbps = parseMbps(next_arg("--rng-mbps"));
                 rng_given = true;
             } else if (arg == "--set") {
-                sim::applyConfigText(cfg, next_arg("--set"));
+                gather(arg, next_arg("--set"));
             } else if (arg == "--record-trace") {
-                cfg.traceRecord = next_arg("--record-trace");
+                record_trace = next_arg("--record-trace");
             } else if (arg == "--replay-trace") {
-                cfg.traceReplay = next_arg("--replay-trace");
+                replay_trace = next_arg("--replay-trace");
             } else if (arg == "--list") {
                 listRegistries();
                 return 0;
@@ -311,6 +325,19 @@ main(int argc, char **argv)
             return 1;
         }
     }
+    try {
+        sim::applyConfigText(cfg, config_text);
+    } catch (const sim::ConfigTokenError &e) {
+        std::cerr << token_flags[e.index] << ": " << e.what() << "\n";
+        return 1;
+    } catch (const std::exception &e) {
+        std::cerr << "--set: " << e.what() << "\n";
+        return 1;
+    }
+    if (record_trace)
+        cfg.traceRecord = *record_trace;
+    if (replay_trace)
+        cfg.traceReplay = *replay_trace;
     if (print_config) {
         std::cout << sim::serializeConfig(cfg) << "\n";
         return 0;

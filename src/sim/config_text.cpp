@@ -7,8 +7,8 @@
 #include <stdexcept>
 #include <utility>
 
-#include "dram/dram_timings.h"
 #include "dram/address_mapper.h"
+#include "dram/dram_timings.h"
 #include "fault/fault_registry.h"
 #include "mem/scheduler_registry.h"
 #include "service/arrival_process.h"
@@ -541,19 +541,17 @@ applyConfigText(SimConfig &cfg, const std::string &text)
     SimConfig next = cfg;
     std::istringstream iss(text);
     std::string token;
-    while (iss >> token) {
+    for (std::size_t index = 0; iss >> token; ++index) {
+        const std::string bad = "bad config token '" + token + "': ";
         const std::size_t eq = token.find('=');
         if (eq == std::string::npos || eq == 0)
-            throw std::invalid_argument("bad config token '" + token +
-                                        "': expected key=value");
+            throw ConfigTokenError(index, bad + "expected key=value");
         try {
             applyToken(next, token.substr(0, eq), token.substr(eq + 1));
         } catch (const std::invalid_argument &e) {
-            throw std::invalid_argument("bad config token '" + token +
-                                        "': " + e.what());
+            throw ConfigTokenError(index, bad + e.what());
         } catch (const std::out_of_range &e) {
-            throw std::invalid_argument("bad config token '" + token +
-                                        "': " + e.what());
+            throw ConfigTokenError(index, bad + e.what());
         }
     }
     // Timings are checked as a whole, once every token has landed (one

@@ -42,6 +42,8 @@
 #ifndef DSTRANGE_SIM_CONFIG_TEXT_H
 #define DSTRANGE_SIM_CONFIG_TEXT_H
 
+#include <cstddef>
+#include <stdexcept>
 #include <string>
 
 #include "sim/sim_config.h"
@@ -51,12 +53,26 @@ namespace dstrange::sim {
 /** Serialize every knob of @p cfg to canonical key=value text. */
 std::string serializeConfig(const SimConfig &cfg);
 
+/** applyConfigText()'s rejection of one token of its text. */
+class ConfigTokenError : public std::invalid_argument
+{
+  public:
+    ConfigTokenError(std::size_t token_index, const std::string &what)
+        : std::invalid_argument(what), index(token_index)
+    {
+    }
+
+    /** 0-based position of the rejected token among the text's tokens. */
+    std::size_t index;
+};
+
 /**
  * Apply whitespace-separated key=value tokens onto @p cfg.
- * @throws std::invalid_argument on a malformed token, unknown key, or
- *         unparsable value (the message names the offending token), or
- *         when the resulting timings fail dram::timingsAreConsistent. A
- *         rejected text leaves @p cfg unchanged.
+ * @throws ConfigTokenError on a malformed token, unknown key, or
+ *         unparsable value (the message names the offending token).
+ * @throws std::invalid_argument when the resulting timings fail
+ *         dram::timingsAreConsistent (checked once, over the whole text).
+ * A rejected text leaves @p cfg unchanged.
  */
 void applyConfigText(SimConfig &cfg, const std::string &text);
 

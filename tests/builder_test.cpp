@@ -888,6 +888,21 @@ TEST(ConfigText, RejectsMalformedInput)
     SimConfig repaired;
     EXPECT_NO_THROW(applyConfigText(
         repaired, "timings.trfc=7000 timings.trefi=9000 timings.tcwl=17"));
+    // A token's rejection carries its position; the whole-text timing
+    // check is no one token's fault.
+    try {
+        applyConfigText(kept, " budget=5  seed=1 buffer-entries=x");
+        ADD_FAILURE() << "bad token accepted";
+    } catch (const ConfigTokenError &e) {
+        EXPECT_EQ(e.index, 2u);
+    }
+    try {
+        applyConfigText(kept, "timings.trfc=7000");
+        ADD_FAILURE() << "inconsistent timings accepted";
+    } catch (const ConfigTokenError &) {
+        ADD_FAILURE() << "timing check blamed one token";
+    } catch (const std::invalid_argument &) {
+    }
 }
 
 /** Every registry-backed key rejects an unknown value with the
