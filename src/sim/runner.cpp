@@ -88,6 +88,38 @@ aloneResultOf(const System &sys)
     return res;
 }
 
+/** What the memory system of a finished run reports: every field of a
+ *  cell but the per-core slowdowns (live and replayed cells alike). */
+Runner::WorkloadResult
+controllerSide(const System &sys, const SimConfig &cfg,
+               const workloads::WorkloadSpec &spec, bool idle_periods)
+{
+    Runner::WorkloadResult result;
+    result.name = spec.name;
+    result.group = spec.group;
+    result.busCycles = sys.busCycles();
+    result.mcStats = sys.mc().stats();
+    if (const service::OpenLoopService *svc = sys.service())
+        result.service =
+            service::SloReport::from(svc->config(), svc->stats());
+    if (const fault::FaultPlane *fp = sys.mc().faultInjection())
+        result.fault = fp->report();
+    result.bufferServeRate = result.mcStats.bufferServeRate();
+    if (auto ps = sys.mc().predictorStats())
+        result.predictorAccuracy = ps->accuracy();
+    for (unsigned ch = 0; ch < sys.mc().numChannels(); ++ch) {
+        if (idle_periods) {
+            const auto &periods = sys.mc().idlePeriods(ch);
+            result.idlePeriods.insert(result.idlePeriods.end(),
+                                      periods.begin(), periods.end());
+        }
+        result.energyNj +=
+            channelEnergy(cfg.timings, sys.mc().channel(ch).energyCounters())
+                .total();
+    }
+    return result;
+}
+
 } // namespace
 
 AloneResult
@@ -196,30 +228,7 @@ Runner::run(const SimConfig &cfg, const workloads::WorkloadSpec &spec)
         const auto sys_ptr = runSystem(cfg, [] {
             return std::vector<std::unique_ptr<cpu::TraceSource>>();
         });
-        const System &sys = *sys_ptr;
-        WorkloadResult result;
-        result.name = spec.name;
-        result.group = spec.group;
-        result.busCycles = sys.busCycles();
-        result.mcStats = sys.mc().stats();
-        result.bufferServeRate = result.mcStats.bufferServeRate();
-        if (auto ps = sys.mc().predictorStats())
-            result.predictorAccuracy = ps->accuracy();
-        if (collectIdlePeriods) {
-            for (unsigned ch = 0; ch < sys.mc().numChannels(); ++ch) {
-                const auto &periods = sys.mc().idlePeriods(ch);
-                result.idlePeriods.insert(result.idlePeriods.end(),
-                                          periods.begin(),
-                                          periods.end());
-            }
-        }
-        for (unsigned ch = 0; ch < sys.mc().numChannels(); ++ch) {
-            result.energyNj += channelEnergy(
-                                   cfg.timings,
-                                   sys.mc().channel(ch).energyCounters())
-                                   .total();
-        }
-        return result;
+        return controllerSide(*sys_ptr, cfg, spec, collectIdlePeriods);
     }
 
     const bool has_rng = spec.rngThroughputMbps > 0.0;
@@ -241,33 +250,8 @@ Runner::run(const SimConfig &cfg, const workloads::WorkloadSpec &spec)
         return traces;
     });
     const System &sys = *sys_ptr;
-
-    WorkloadResult result;
-    result.name = spec.name;
-    result.group = spec.group;
-    result.busCycles = sys.busCycles();
-    result.mcStats = sys.mc().stats();
-    if (const service::OpenLoopService *svc = sys.service())
-        result.service =
-            service::SloReport::from(svc->config(), svc->stats());
-    if (const fault::FaultPlane *fp = sys.mc().faultInjection())
-        result.fault = fp->report();
-    result.bufferServeRate = result.mcStats.bufferServeRate();
-    if (auto ps = sys.mc().predictorStats())
-        result.predictorAccuracy = ps->accuracy();
-    if (collectIdlePeriods) {
-        for (unsigned ch = 0; ch < sys.mc().numChannels(); ++ch) {
-            const auto &periods = sys.mc().idlePeriods(ch);
-            result.idlePeriods.insert(result.idlePeriods.end(),
-                                      periods.begin(), periods.end());
-        }
-    }
-
-    for (unsigned ch = 0; ch < sys.mc().numChannels(); ++ch) {
-        result.energyNj +=
-            channelEnergy(cfg.timings, sys.mc().channel(ch).energyCounters())
-                .total();
-    }
+    WorkloadResult result =
+        controllerSide(sys, cfg, spec, collectIdlePeriods);
 
     // Both execution-time slowdown and the MCPI-based memory slowdown
     // are normalized to the RNG-oblivious single-core baseline alone

@@ -22,6 +22,9 @@
 #endif
 
 #include "api/simulation_builder.h"
+#include "common/json_writer.h"
+#include "fault/fault_plane.h"
+#include "sim/config_text.h"
 #include "sim/design_registry.h"
 #include "sim/lockstep.h"
 #include "sim/runner.h"
@@ -479,4 +482,34 @@ TEST(TraceReplay, RunnerReplayPathSkipsBaselines)
     EXPECT_EQ(replayed.busCycles, live.busCycles);
     EXPECT_EQ(replayed.energyNj, live.energyNj);
     EXPECT_EQ(replayed.bufferServeRate, live.bufferServeRate);
+}
+
+TEST(TraceReplay, RunnerReplayKeepsTheFaultReport)
+{
+    TempDir dir;
+    sim::SimConfig cfg = sim::parseConfig(
+        "design=drstrange budget=5000 fault.models=bitflip,weak-cell "
+        "fault.monitor=1 fault.seed=3");
+    const std::string path = dir.file("fault.bin");
+
+    workloads::WorkloadSpec spec;
+    spec.name = "soplex+rng";
+    spec.apps = {"soplex"};
+    spec.rngThroughputMbps = 2560.0;
+
+    cfg.traceRecord = path;
+    const auto live = sim::Runner(cfg, nullptr).run(cfg, spec);
+    cfg.traceRecord.clear();
+    cfg.traceReplay = path;
+    const auto replayed = sim::Runner(cfg, nullptr).run(cfg, spec);
+
+    const auto json = [](const fault::FaultReport &rep) {
+        JsonWriter w;
+        rep.writeJson(w);
+        return w.str();
+    };
+    ASSERT_TRUE(live.fault.has_value());
+    ASSERT_TRUE(replayed.fault.has_value());
+    EXPECT_GT(live.fault->roundsAudited + live.fault->roundsDiscarded, 0u);
+    EXPECT_EQ(json(*replayed.fault), json(*live.fault));
 }
