@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <deque>
-#include <memory>
+#include <atomic>
 #include <mutex>
 #include <thread>
 
@@ -100,8 +99,8 @@ SweepRunner::run(const std::vector<Cell> &cells)
 {
     std::vector<CellResult> results(cells.size());
 
-    // Progress reporting shared by the serial and parallel paths. The
-    // mutex both serializes callback invocations and guards the counter.
+    // Progress reporting: the mutex both serializes callback
+    // invocations and guards the counter.
     std::mutex progress_mu;
     std::size_t done = 0;
     auto report = [&](std::size_t idx) {
@@ -112,57 +111,12 @@ SweepRunner::run(const std::vector<Cell> &cells)
         progress(done, cells.size(), idx, results[idx].wallMs);
     };
 
-    const unsigned workers = static_cast<unsigned>(
-        std::min<std::size_t>(nJobs, cells.size()));
-    if (workers <= 1) {
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            results[i] = runCell(cells[i]);
-            report(i);
-        }
-        return results;
-    }
-
-    // One deque per worker, seeded round-robin. A worker drains its own
-    // deque from the front and, when empty, steals from the *back* of a
-    // victim's deque, so long-running cells late in a victim's queue
-    // migrate to idle workers. All work is enqueued up front, so a
-    // worker may exit as soon as every deque is empty.
-    struct WorkQueue
-    {
-        std::mutex mu;
-        std::deque<std::size_t> q;
-    };
-    std::vector<std::unique_ptr<WorkQueue>> queues;
-    queues.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w)
-        queues.push_back(std::make_unique<WorkQueue>());
-    for (std::size_t i = 0; i < cells.size(); ++i)
-        queues[i % workers]->q.push_back(i);
-
-    auto worker = [&](unsigned w) {
-        for (;;) {
-            std::size_t idx = 0;
-            bool found = false;
-            {
-                WorkQueue &own = *queues[w];
-                std::lock_guard<std::mutex> lock(own.mu);
-                if (!own.q.empty()) {
-                    idx = own.q.front();
-                    own.q.pop_front();
-                    found = true;
-                }
-            }
-            for (unsigned off = 1; !found && off < workers; ++off) {
-                WorkQueue &victim = *queues[(w + off) % workers];
-                std::lock_guard<std::mutex> lock(victim.mu);
-                if (!victim.q.empty()) {
-                    idx = victim.q.back();
-                    victim.q.pop_back();
-                    found = true;
-                }
-            }
-            if (!found)
-                return;
+    // Every cell is known up front, so one shared cursor hands out the
+    // next unclaimed cell to whichever worker frees up first: long
+    // cells never hold back short ones queued behind them.
+    std::atomic<std::size_t> next{0};
+    auto worker = [&] {
+        for (std::size_t idx; (idx = next.fetch_add(1)) < cells.size();) {
             // Distinct indices per cell: no synchronization needed on
             // the results slot beyond the final joins.
             results[idx] = runCell(cells[idx]);
@@ -170,11 +124,12 @@ SweepRunner::run(const std::vector<Cell> &cells)
         }
     };
 
+    const unsigned workers = static_cast<unsigned>(
+        std::min<std::size_t>(nJobs, cells.size()));
     std::vector<std::thread> pool;
-    pool.reserve(workers - 1);
     for (unsigned w = 1; w < workers; ++w)
-        pool.emplace_back(worker, w);
-    worker(0); // The calling thread is worker 0.
+        pool.emplace_back(worker);
+    worker(); // The calling thread is worker 0.
     for (std::thread &t : pool)
         t.join();
     return results;

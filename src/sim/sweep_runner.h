@@ -3,11 +3,10 @@
  * Parallel sweep executor for the paper's design x workload x knob
  * grids (Figs. 6-18). A SweepRunner owns one shared Runner — so every
  * worker thread hits the same thread-safe alone-run cache — and fans a
- * vector of cells out over a small work-stealing thread pool. Results
- * come back in the cells' original (deterministic) order regardless of
- * completion order, and each cell is a pure function of its
- * configuration and workload spec, so a parallel sweep is bit-identical
- * to a serial one.
+ * vector of cells out over a small thread pool. Results come back in
+ * the cells' original (deterministic) order regardless of completion
+ * order, and each cell is a pure function of its configuration and
+ * workload spec, so a parallel sweep is bit-identical to a serial one.
  */
 
 #ifndef DSTRANGE_SIM_SWEEP_RUNNER_H
@@ -26,7 +25,8 @@
 namespace dstrange::sim {
 
 /**
- * Work-stealing thread-pool executor over a grid of simulation cells.
+ * Thread-pool executor over a grid of simulation cells: workers claim
+ * cells in grid order from one shared cursor.
  *
  * Concurrency: `DS_JOBS` overrides the worker count; otherwise it
  * defaults to std::thread::hardware_concurrency(). With one job (or one
