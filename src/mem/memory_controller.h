@@ -131,7 +131,7 @@ struct McConfig
     /** Also fill during low-utilization (not just idle) periods. */
     bool lowUtilFill = true;
     /** Address-interleaving policy, one of dram::kMappings. */
-    std::string addressMapping = "row-bank-col-ch";
+    std::string addressMapping = dram::kDefaultMapping;
     /** Cross-channel placement of engine buffer-fill sessions:
      *  "first-idle" or "round-robin" (see FillPlacement). */
     std::string fillPlacement = "first-idle";
