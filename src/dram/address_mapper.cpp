@@ -12,7 +12,8 @@ requireMapping(const std::string &key)
     for (const char *k : kMappings) {
         if (key == k)
             return;
-        known += known.empty() ? k : std::string(", ") + k;
+        known += known.empty() ? "" : ", ";
+        known += k;
     }
     throw std::out_of_range("unknown mapping '" + key + "' (registered: " +
                             known + ")");

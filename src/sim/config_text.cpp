@@ -542,16 +542,19 @@ applyConfigText(SimConfig &cfg, const std::string &text)
     std::istringstream iss(text);
     std::string token;
     for (std::size_t index = 0; iss >> token; ++index) {
-        const std::string bad = "bad config token '" + token + "': ";
+        const auto reject = [&](const char *why) {
+            return ConfigTokenError(index, "bad config token '" + token +
+                                               "': " + why);
+        };
         const std::size_t eq = token.find('=');
         if (eq == std::string::npos || eq == 0)
-            throw ConfigTokenError(index, bad + "expected key=value");
+            throw reject("expected key=value");
         try {
             applyToken(next, token.substr(0, eq), token.substr(eq + 1));
         } catch (const std::invalid_argument &e) {
-            throw ConfigTokenError(index, bad + e.what());
+            throw reject(e.what());
         } catch (const std::out_of_range &e) {
-            throw ConfigTokenError(index, bad + e.what());
+            throw reject(e.what());
         }
     }
     // Timings are checked as a whole, once every token has landed (one
