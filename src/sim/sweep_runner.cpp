@@ -1,8 +1,8 @@
 #include "sim/sweep_runner.h"
 
 #include <algorithm>
-#include <chrono>
 #include <atomic>
+#include <chrono>
 #include <mutex>
 #include <thread>
 
