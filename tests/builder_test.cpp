@@ -13,6 +13,7 @@
 #include <atomic>
 #include <functional>
 #include <random>
+#include <sstream>
 #include <stdexcept>
 #include <thread>
 
@@ -936,6 +937,57 @@ TEST(ConfigText, UnknownRegistryValuesListRegisteredKeys)
                       std::string::npos)
                 << msg;
             EXPECT_NE(msg.find(row.builtin), std::string::npos) << msg;
+        }
+    }
+}
+
+/** The closed key lists behind config text, pinned as drstrange_sim
+ *  --list prints them and as an unknown key is rejected: every key of
+ *  the list line is accepted and round-trips, and the rejection message
+ *  is exact, so the accepted set is exactly the listed one. */
+TEST(ConfigText, ClosedKeyListsKeepListLineAndUnknownKeyMessage)
+{
+    const struct
+    {
+        const char *listLine;
+        const char *key;
+        const char *what;
+    } rows[] = {
+        {"fault-models: bitflip outage stuck-row weak-cell",
+         "fault.models", "fault model"},
+        {"arrivals: bursty closed-loop diurnal poisson", "service.arrival",
+         "arrival process"},
+        {"shed-policies: shed-none shed-priority shed-tail",
+         "service.shed", "shed policy"},
+        {"predictors: none rl simple", "predictor", "predictor"},
+    };
+    for (const auto &row : rows) {
+        SCOPED_TRACE(row.key);
+        std::istringstream line(row.listLine);
+        std::string label, value, known;
+        line >> label;
+        while (line >> value) {
+            const SimConfig cfg =
+                parseConfig(std::string(row.key) + "=" + value);
+            std::string pair = " ";
+            pair += row.key;
+            pair += "=" + value + " ";
+            EXPECT_NE(serializeConfig(cfg).find(pair), std::string::npos)
+                << value;
+            if (!known.empty())
+                known += ", ";
+            known += value;
+        }
+        const std::string token = std::string(row.key) + "=cosmic-ray";
+        try {
+            parseConfig(token);
+            FAIL() << "expected std::invalid_argument";
+        } catch (const std::invalid_argument &e) {
+            std::string expect = "bad config token '" + token + "': ";
+            expect += "unknown ";
+            expect += row.what;
+            expect += " 'cosmic-ray' (registered: " + known + ")";
+            EXPECT_EQ(std::string(e.what()), expect);
         }
     }
 }
