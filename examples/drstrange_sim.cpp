@@ -27,7 +27,7 @@
  *     --set key=value     set any config-text knob (repeatable; see
  *                         sim/config_text.h for the grammar), e.g.
  *                         geometry.ranks=2, mapping=row-bank-col-rank-ch,
- *                         fill-placement=round-robin, timings.trtrs=2,
+ *                         timings.trtrs=2,
  *                         service.enabled=1, service.arrival=bursty,
  *                         service.offered-mbps=2560, service.slo=500
  *     --print-config      print the canonical config text and exit
@@ -63,12 +63,11 @@
 #include "dram/dram_timings.h"
 #include "drstrange.h"
 #include "mem/scheduler_registry.h"
+#include "fault/fault_model.h"
 #include "fault/fault_plane.h"
-#include "fault/fault_registry.h"
 #include "service/arrival_process.h"
 #include "service/shed_policy.h"
 #include "sim/lockstep.h"
-#include "strange/predictor_registry.h"
 #include "workloads/trace_file.h"
 
 using namespace dstrange;
@@ -159,29 +158,28 @@ designLabelFor(const sim::SimConfig &cfg)
     return "custom";
 }
 
+template <typename Keys>
 void
-printKeys(const char *label, const std::vector<std::string> &keys)
+printKeys(const char *label, const Keys &keys)
 {
     std::cout << label << ":";
-    for (const std::string &k : keys)
+    for (const auto &k : keys)
         std::cout << " " << k;
     std::cout << "\n";
 }
 
-/** Enumerate every string-keyed extension point (--list). */
+/** Enumerate the keys of every policy axis (--list). */
 void
 listRegistries()
 {
     printKeys("designs", sim::DesignRegistry::instance().keys());
     printKeys("schedulers", mem::SchedulerRegistry::instance().keys());
-    printKeys("predictors",
-              strange::PredictorRegistry::instance().keys());
-    printKeys("mappings", {dram::kMappings.begin(), dram::kMappings.end()});
-    printKeys("arrivals", service::ArrivalRegistry::instance().keys());
-    printKeys("backends", {dram::kChannelModels.begin(),
-                           dram::kChannelModels.end()});
-    printKeys("fault-models", fault::FaultRegistry::instance().keys());
-    printKeys("shed-policies", service::ShedRegistry::instance().keys());
+    printKeys("predictors", strange::kPredictors);
+    printKeys("mappings", dram::kMappings);
+    printKeys("arrivals", service::kArrivals);
+    printKeys("backends", dram::kChannelModels);
+    printKeys("fault-models", fault::kFaultModels);
+    printKeys("shed-policies", service::kShedPolicies);
 }
 
 } // namespace
@@ -280,8 +278,7 @@ main(int argc, char **argv)
                        " the grammar), e.g.\n"
                        "                      geometry.ranks=2"
                        " mapping=row-bank-col-rank-ch\n"
-                       "                      fill-placement=round-robin"
-                       " timings.trtrs=2\n"
+                       "                      timings.trtrs=2\n"
                        "                      service.enabled=1"
                        " service.arrival=bursty\n"
                        "                      service.offered-mbps=2560"
@@ -302,7 +299,7 @@ main(int argc, char **argv)
                        " instead of simulating\n"
                        "                      cores (controller metrics"
                        " reproduce exactly)\n"
-                       "  --list              list every registry key"
+                       "  --list              list every policy key"
                        " (designs, schedulers,\n"
                        "                      predictors, mappings,"
                        " arrivals, backends,\n"

@@ -1,10 +1,10 @@
 /**
  * @file
- * The string-keyed, thread-safe table behind every extensible policy
- * axis: schedulers, idleness predictors, design presets, address
- * mappings, fault models, arrival processes and shed policies. Each of
- * those registries derives from Registry<Entry>, registers its
- * built-ins in its constructor, and adds only what is specific to it.
+ * The string-keyed, thread-safe table behind the two policy axes that
+ * linked code extends: schedulers and design presets. Each of those
+ * registries derives from Registry<Entry>, registers its built-ins in
+ * its constructor, and adds only what is specific to it. The closed
+ * axes are fixed key lists (common/key_list.h).
  *
  * The contract, owned here once:
  *  - Keys travel through the whitespace-tokenized key=value config text
@@ -24,11 +24,14 @@
 #include <cctype>
 #include <map>
 #include <mutex>
+#include <ranges>
 #include <shared_mutex>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "common/key_list.h"
 
 namespace dstrange {
 
@@ -154,14 +157,7 @@ class Registry
     [[noreturn]] void
     throwUnknown(const std::string &key) const
     {
-        std::string known;
-        for (const auto &[k, entry] : entries) {
-            if (!known.empty())
-                known += ", ";
-            known += k;
-        }
-        throw std::out_of_range("unknown " + what + " '" + key +
-                                "' (registered: " + known + ")");
+        throwUnknownKey(what.c_str(), key, std::views::keys(entries));
     }
 
     const std::string what;

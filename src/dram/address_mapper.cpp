@@ -3,20 +3,14 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "common/key_list.h"
+
 namespace dstrange::dram {
 
 void
 requireMapping(const std::string &key)
 {
-    std::string known;
-    for (const char *k : kMappings) {
-        if (key == k)
-            return;
-        known += known.empty() ? "" : ", ";
-        known += k;
-    }
-    throw std::out_of_range("unknown mapping '" + key + "' (registered: " +
-                            known + ")");
+    keyIndex("mapping", kMappings, key);
 }
 
 AddressMapping::AddressMapping(const DramGeometry &geometry,

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "common/key_list.h"
+
 namespace dstrange::dram {
 
 namespace {
@@ -96,14 +98,7 @@ TimingTable::fixedLatency(Cycle read_latency, Cycle write_latency,
 void
 requireChannelModel(const std::string &kind)
 {
-    std::string known;
-    for (const char *k : kChannelModels) {
-        if (kind == k)
-            return;
-        known += known.empty() ? k : std::string(", ") + k;
-    }
-    throw std::out_of_range("unknown backend '" + kind + "' (registered: " +
-                            known + ")");
+    keyIndex("backend", kChannelModels, kind);
 }
 
 } // namespace dstrange::dram

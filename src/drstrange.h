@@ -27,7 +27,8 @@
 #include "sim/runner.h"
 #include "sim/sweep_runner.h"
 #include "sim/system.h"
-#include "strange/predictor_registry.h"
+#include "strange/rl_predictor.h"
+#include "strange/simple_predictor.h"
 #include "trng/bit_quality.h"
 #include "trng/trng_mechanism.h"
 #include "workloads/app_profile.h"

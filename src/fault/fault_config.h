@@ -19,7 +19,7 @@ namespace dstrange::fault {
 
 /**
  * Knobs of the seeded fault-injection layer. `models` is the master
- * switch: a comma-separated list of fault::FaultRegistry keys (empty =
+ * switch: a comma-separated list of fault::kFaultModels keys (empty =
  * no injection, the default — a default-constructed config is inert and
  * bit-identical to the pre-fault simulator). Every injected fault is a
  * pure hash of (seed, channel, cell, per-cell use count), so runs are
@@ -28,8 +28,9 @@ namespace dstrange::fault {
  */
 struct FaultConfig
 {
-    /** CSV of FaultRegistry keys ("bitflip", "weak-cell", "stuck-row",
-     *  "outage"); empty = fault injection off. */
+    /** CSV of kFaultModels keys ("bitflip", "outage", "stuck-row",
+     *  "weak-cell"), applied in list order; empty = fault injection
+     *  off. */
     std::string models;
     /** Fault-stream seed, independent of the simulation seed so fault
      *  environments can be varied against a fixed workload. */

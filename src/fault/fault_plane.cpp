@@ -13,7 +13,7 @@ namespace dstrange::fault {
 namespace {
 
 // Cell-ranking salts, independent of the block-synthesis hash streams
-// in fault_registry.cpp so classification never correlates with data.
+// in fault_model.cpp so classification never correlates with data.
 constexpr std::uint64_t kRankSalt = 0x2545f4914f6cdd1dULL;
 constexpr std::uint64_t kRankChannelSalt = 0xff51afd7ed558ccdULL;
 constexpr std::uint64_t kRankCellSalt = 0xc4ceb9fe1a85ec53ULL;
@@ -23,40 +23,32 @@ constexpr std::uint64_t kPhaseSalt = 0x60642e2a34326f15ULL;
 constexpr std::uint64_t kRankPickSalt = 0x3c79ac492ba7b653ULL;
 
 bool
-listsKey(const std::string &models, const char *key)
+lists(const std::vector<FaultKind> &models, FaultKind kind)
 {
-    std::istringstream iss(models);
-    std::string item;
-    while (std::getline(iss, item, ','))
-        if (item == key)
-            return true;
-    return false;
+    return std::find(models.begin(), models.end(), kind) != models.end();
 }
 
 } // namespace
 
 bool
-hasCellModels(const FaultConfig &cfg)
+hasCellModels(const std::vector<FaultKind> &models)
 {
-    std::istringstream iss(cfg.models);
-    std::string item;
-    while (std::getline(iss, item, ','))
-        if (!item.empty() && item != "outage")
-            return true;
-    return false;
+    return std::any_of(models.begin(), models.end(), [](FaultKind k) {
+        return k != FaultKind::Outage;
+    });
 }
 
 bool
-hasOutageModel(const FaultConfig &cfg)
+hasOutageModel(const FaultConfig &cfg, const std::vector<FaultKind> &models)
 {
     return cfg.outagePeriod > 0 && cfg.outageDuration > 0 &&
-           listsKey(cfg.models, "outage");
+           lists(models, FaultKind::Outage);
 }
 
 OutageWindow
 outageWindow(const FaultConfig &cfg, unsigned channel_index, unsigned ranks)
 {
-    assert(hasOutageModel(cfg) && ranks > 0);
+    assert(cfg.outagePeriod > 0 && ranks > 0);
     OutageWindow w;
     w.period = cfg.outagePeriod;
     w.duration = std::min(cfg.outageDuration, cfg.outagePeriod);
@@ -106,16 +98,10 @@ FaultReport::fromJson(const JsonValue &v)
 }
 
 FaultPlane::FaultPlane(const FaultConfig &config, unsigned n_channels)
-    : cfg(config), models(makeModels(config))
+    : cfg(config), models(parseFaultModels(config.models))
 {
-    bool want_stuck = false;
-    bool want_weak = false;
-    for (const auto &m : models) {
-        if (m->name() == "stuck-row")
-            want_stuck = true;
-        else if (m->name() == "weak-cell")
-            want_weak = true;
-    }
+    const bool want_stuck = lists(models, FaultKind::StuckRow);
+    const bool want_weak = lists(models, FaultKind::WeakCell);
     counters.models = cfg.models;
     counters.monitor = cfg.monitor;
 
@@ -160,8 +146,6 @@ FaultPlane::FaultPlane(const FaultConfig &config, unsigned n_channels)
     }
 }
 
-FaultPlane::~FaultPlane() = default;
-
 FaultPlane::Audit
 FaultPlane::evalRound(unsigned channel, const Cell &cell,
                       std::uint64_t use) const
@@ -183,8 +167,8 @@ FaultPlane::evalRound(unsigned channel, const Cell &cell,
 
     AuditBlock block = healthyBlock(ctx);
     Audit a;
-    for (const auto &m : models)
-        a.flips += m->corrupt(block, ctx);
+    for (const FaultKind kind : models)
+        a.flips += corrupt(kind, cfg, block, ctx);
     a.pass = trng::monobitTest(block).pass && trng::runsTest(block).pass;
     return a;
 }

@@ -22,14 +22,13 @@
 #define DSTRANGE_FAULT_FAULT_PLANE_H
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/json_reader.h"
 #include "common/json_writer.h"
 #include "fault/fault_config.h"
-#include "fault/fault_registry.h"
+#include "fault/fault_model.h"
 
 namespace dstrange::fault {
 
@@ -59,11 +58,14 @@ struct FaultReport
     static FaultReport fromJson(const JsonValue &v);
 };
 
-/** Any model listed that corrupts audit blocks (i.e. not "outage")? */
-bool hasCellModels(const FaultConfig &cfg);
+/** Any of @p models (parseFaultModels) that corrupts audit blocks
+ *  (i.e. not "outage")? */
+bool hasCellModels(const std::vector<FaultKind> &models);
 
-/** Outage windows configured ("outage" listed with a nonzero window)? */
-bool hasOutageModel(const FaultConfig &cfg);
+/** Outage windows configured: "outage" among @p models
+ *  (parseFaultModels of @p cfg.models) with a nonzero window? */
+bool hasOutageModel(const FaultConfig &cfg,
+                    const std::vector<FaultKind> &models);
 
 /** One channel's outage windows, in dram::DramChannel::setBlackout()'s
  *  terms. */
@@ -80,7 +82,7 @@ struct OutageWindow
  * channel's phase and, for "rank" scope, its rank (one of @p ranks) are
  * seeded hashes, so outages stagger across channels instead of hitting
  * all of them at once.
- * @pre hasOutageModel(@p cfg)
+ * @pre hasOutageModel(@p cfg, ...)
  */
 OutageWindow outageWindow(const FaultConfig &cfg, unsigned channel_index,
                           unsigned ranks);
@@ -88,13 +90,14 @@ OutageWindow outageWindow(const FaultConfig &cfg, unsigned channel_index,
 /**
  * The fault plane: per-channel cell pools with deterministic fault
  * classification, round auditing, and blacklist/remap mitigation.
- * Constructed by the memory controller when hasCellModels(cfg).
+ * Constructed by the memory controller when hasCellModels() holds.
  */
 class FaultPlane
 {
   public:
+    /** @throws std::out_of_range for a key of @p cfg.models that
+     *          kFaultModels does not list. */
     FaultPlane(const FaultConfig &cfg, unsigned channels);
-    ~FaultPlane();
 
     /**
      * Account one completed TRNG round on @p channel during a normal
@@ -172,7 +175,7 @@ class FaultPlane
     void blacklistCell(ChannelState &st, std::size_t index);
 
     FaultConfig cfg;
-    std::vector<std::unique_ptr<FaultModel>> models;
+    std::vector<FaultKind> models; ///< In list order.
     std::vector<ChannelState> channels;
     FaultReport counters;
 };

@@ -7,7 +7,6 @@
 
 #include "fault/fault_plane.h"
 #include "mem/scheduler_registry.h"
-#include "strange/predictor_registry.h"
 
 namespace dstrange::mem {
 
@@ -25,27 +24,10 @@ fillModeFromName(const std::string &name)
         "' (known: none, greedy-oracle, engine)");
 }
 
-FillPlacement
-fillPlacementFromName(const std::string &name)
-{
-    if (name == "first-idle")
-        return FillPlacement::FirstIdle;
-    if (name == "round-robin")
-        return FillPlacement::RoundRobin;
-    throw std::out_of_range("unknown fill placement '" + name +
-                            "' (known: first-idle, round-robin)");
-}
-
 FillMode
 McConfig::fillMode() const
 {
     return buffering ? fillModeFromName(fillPolicy) : FillMode::None;
-}
-
-FillPlacement
-McConfig::placement() const
-{
-    return fillPlacementFromName(fillPlacement);
 }
 
 Cycle
@@ -73,14 +55,14 @@ strange::RlIdlenessPredictor::Config
 McConfig::rlConfig() const
 {
     strange::RlIdlenessPredictor::Config rl;
-    if (predictor == "rl")
+    if (predictorKind() == strange::PredictorKind::Rl)
         rl.seed = seed * 7919 + 17;
     return rl;
 }
 
 MemoryController::MemoryController(const McConfig &config, unsigned ports)
     : cfg(config), fillMode(config.fillMode()),
-      placement(config.placement()), lowUtilBound(config.lowUtilBound()),
+      lowUtilBound(config.lowUtilBound()),
       periodThreshold(config.periodThreshold()),
       mapper(config.geometry, config.addressMapping),
       mech(config.mechanism),
@@ -91,12 +73,14 @@ MemoryController::MemoryController(const McConfig &config, unsigned ports)
     const dram::DramGeometry &geometry = cfg.geometry;
     const dram::TimingTable table = cfg.timingTable();
 
+    const std::vector<fault::FaultKind> faults =
+        fault::parseFaultModels(cfg.fault.models);
     // Engines hold their channel by reference: size the vector first.
     chans.reserve(geometry.channels);
     for (unsigned ch = 0; ch < geometry.channels; ++ch) {
         dram::DramChannel &chan = chans.emplace_back(table, geometry);
         chan.setPowerDownPolicy(cfg.powerDownThreshold);
-        if (fault::hasOutageModel(cfg.fault)) {
+        if (fault::hasOutageModel(cfg.fault, faults)) {
             const fault::OutageWindow w = fault::outageWindow(
                 cfg.fault, ch, geometry.ranksPerChannel);
             chan.setBlackout(w.period, w.duration, w.phase, w.rank);
@@ -105,7 +89,7 @@ MemoryController::MemoryController(const McConfig &config, unsigned ports)
             std::make_unique<trng::RngEngine>(mech, fillMech, chan));
     }
 
-    if (fault::hasCellModels(cfg.fault))
+    if (fault::hasCellModels(faults))
         faultPlane = std::make_unique<fault::FaultPlane>(
             cfg.fault, geometry.channels);
 
@@ -118,18 +102,25 @@ MemoryController::MemoryController(const McConfig &config, unsigned ports)
         // much; pre-sizing keeps the per-cycle loop allocation-free.
         cs.inflightReads.reserve(kReadQueueCap + 8);
         cs.inflightDone.reserve(kReadQueueCap + 8);
-        if (fillMode == FillMode::Engine) {
-            strange::PredictorContext pctx;
-            pctx.channel = ch;
-            pctx.tableEntries = kPredictorEntries;
-            pctx.periodThreshold = periodThreshold;
-            pctx.rlConfig = cfg.rlConfig();
-            cs.predictor = strange::PredictorRegistry::instance().make(
-                cfg.predictor, pctx);
-        }
         // Channels start empty, i.e. idle from cycle 0; the first fill
         // prediction is made lazily by manageEngine().
         cs.idleActive = true;
+    }
+    predictors.resize(geometry.channels);
+    if (fillMode == FillMode::Engine) {
+        const strange::PredictorKind kind = cfg.predictorKind();
+        for (unsigned ch = 0; ch < geometry.channels; ++ch) {
+            if (kind == strange::PredictorKind::Simple) {
+                predictors[ch].emplace<strange::SimpleIdlenessPredictor>(
+                    strange::SimpleIdlenessPredictor::Config{
+                        kPredictorEntries, periodThreshold});
+            } else if (kind == strange::PredictorKind::Rl) {
+                strange::RlIdlenessPredictor::Config rl = cfg.rlConfig();
+                rl.periodThreshold = periodThreshold;
+                rl.seed += ch; // Independent exploration per channel.
+                predictors[ch].emplace<strange::RlIdlenessPredictor>(rl);
+            }
+        }
     }
 
     const SchedulerContext sctx{geometry.channels,
@@ -306,8 +297,8 @@ MemoryController::updateIdleState(unsigned ch, Cycle now)
         const Cycle len = now - cs.idleStart;
         if (len > 0 && cs.idleLengths.size() < kMaxIdleSamples)
             cs.idleLengths.push_back(static_cast<std::uint32_t>(len));
-        if (cs.predictor)
-            cs.predictor->periodEnded(cs.lastAddr, len);
+        std::visit([&](auto &p) { p.periodEnded(cs.lastAddr, len); },
+                   predictors[ch]);
     }
 
 }
@@ -401,33 +392,6 @@ MemoryController::fillSessionActive() const
     return false;
 }
 
-bool
-MemoryController::fillReady(unsigned ch, Cycle now) const
-{
-    return engines[ch]->idle() && !chans[ch].refreshBusy(now) &&
-           occupancy(perChan[ch]) == 0 && perChan[ch].idleActive;
-}
-
-bool
-MemoryController::fillStartAllowed(unsigned ch, Cycle now) const
-{
-    if (placement == FillPlacement::FirstIdle)
-        return true;
-    // Round-robin: the first fill-ready channel at or after the rotation
-    // pointer claims the session this cycle; later ones defer. The probe
-    // is side-effect-free (no predictor queries), so deferring never
-    // perturbs the peer channel's prediction state.
-    const unsigned n = static_cast<unsigned>(chans.size());
-    for (unsigned d = 0; d < n; ++d) {
-        const unsigned c = (fillPreferredCh + d) % n;
-        if (c == ch)
-            return true;
-        if (fillReady(c, now))
-            return false;
-    }
-    return true;
-}
-
 void
 MemoryController::manageEngine(unsigned ch, Cycle now)
 {
@@ -457,17 +421,13 @@ MemoryController::manageEngine(unsigned ch, Cycle now)
             // Predict once per idle period; sessions may restart within
             // the same period while the prediction holds.
             if (!cs.predictionCached) {
-                cs.predictedLong =
-                    cs.predictor ? cs.predictor->predictLong(cs.lastAddr)
-                                 : true; // Simple buffering (5.1.1).
+                cs.predictedLong = std::visit(
+                    [&](auto &p) { return p.predictLong(cs.lastAddr); },
+                    predictors[ch]);
                 cs.predictionCached = true;
             }
-            if (cs.predictedLong && fillStartAllowed(ch, now)) {
+            if (cs.predictedLong)
                 eng.start(now, trng::RngEngine::SessionKind::Fill);
-                if (placement == FillPlacement::RoundRobin)
-                    fillPreferredCh =
-                        (ch + 1) % static_cast<unsigned>(chans.size());
-            }
         } else if (lowUtilBound > 0 && occ < lowUtilBound &&
                    now >= cs.lowUtilNextAllowed &&
                    buf->levelBits() < 0.5 * buf->capacityBits()) {
@@ -478,8 +438,9 @@ MemoryController::manageEngine(unsigned ch, Cycle now)
             // briefly between bursts (Section 5.1.2: "the predictor
             // stalls only a small number of requests").
             cs.lowUtilNextAllowed = now + 6 * periodThreshold;
-            const bool fill_now =
-                cs.predictor ? cs.predictor->peekLong(cs.lastAddr) : false;
+            const bool fill_now = std::visit(
+                [&](const auto &p) { return p.peekLong(cs.lastAddr); },
+                predictors[ch]);
             if (fill_now) {
                 eng.start(now, trng::RngEngine::SessionKind::Fill);
                 cs.lowUtilSession = true;
@@ -1400,11 +1361,14 @@ MemoryController::predictorStats() const
 {
     strange::PredictorStats agg;
     bool any = false;
-    for (const ChannelState &cs : perChan) {
-        if (!cs.predictor)
+    for (const Predictor &p : predictors) {
+        if (std::holds_alternative<strange::NoIdlenessPredictor>(p))
             continue;
         any = true;
-        const strange::PredictorStats &s = cs.predictor->stats();
+        const strange::PredictorStats &s =
+            std::visit([](const auto &q) -> const strange::PredictorStats & {
+                return q.stats();
+            }, p);
         agg.predictions += s.predictions;
         agg.correct += s.correct;
         agg.falsePositives += s.falsePositives;

@@ -19,6 +19,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "common/pop_vector.h"
@@ -59,24 +60,6 @@ enum class FillMode : std::uint8_t
  * @throws std::out_of_range on an unknown name.
  */
 FillMode fillModeFromName(const std::string &name);
-
-/** Where an engine buffer-fill session is placed across channels. */
-enum class FillPlacement : std::uint8_t
-{
-    /** The lowest-numbered eligible channel starts the session (the
-     *  historical behaviour: manageEngine's channel-index order). */
-    FirstIdle,
-    /** Rotate the preferred start channel after every fill session so
-     *  fill wear (and rank/channel occupancy) spreads evenly. */
-    RoundRobin,
-};
-
-/**
- * Parse a fill-placement name ("first-idle"/"round-robin") as used by
- * McConfig::fillPlacement and the config text format.
- * @throws std::out_of_range on an unknown name.
- */
-FillPlacement fillPlacementFromName(const std::string &name);
 
 /**
  * Controller sizing and scheduler tuning, fixed at the values the paper
@@ -125,16 +108,14 @@ struct McConfig
     /** Buffer-fill policy when buffering: "none", "greedy-oracle", or
      *  "engine" (see FillMode). */
     std::string fillPolicy = "engine";
-    /** Idleness predictor gating engine fill (strange::PredictorRegistry
-     *  key; "none" = simple buffering, every quiet period assumed long). */
+    /** Idleness predictor gating engine fill, one of
+     *  strange::kPredictors ("none" = simple buffering, every quiet
+     *  period assumed long). */
     std::string predictor = "simple";
     /** Also fill during low-utilization (not just idle) periods. */
     bool lowUtilFill = true;
     /** Address-interleaving policy, one of dram::kMappings. */
     std::string addressMapping = dram::kDefaultMapping;
-    /** Cross-channel placement of engine buffer-fill sessions:
-     *  "first-idle" or "round-robin" (see FillPlacement). */
-    std::string fillPlacement = "first-idle";
     /** Per-channel timing model, one of dram::kChannelModels: "ddr4"
      *  (the cycle-level DDR3-1600 model of Table 1; the key name is
      *  historical and stays because "backend.kind=ddr4" is part of
@@ -195,8 +176,6 @@ struct McConfig
     /** Fill policy in effect (None without a buffer).
      *  @throws std::out_of_range on an unknown fillPolicy. */
     FillMode fillMode() const;
-    /** @throws std::out_of_range on an unknown fillPlacement. */
-    FillPlacement placement() const;
     /** Low-utilization occupancy bound (0 = idle-only fill). */
     unsigned
     lowUtilBound() const
@@ -210,7 +189,14 @@ struct McConfig
      * PeriodThreshold; QUAC-TRNG's long rounds need more room.
      */
     Cycle periodThreshold() const;
-    /** RL predictor settings (seeded from seed under predictor "rl"). */
+    /** @throws std::out_of_range on an unknown predictor. */
+    strange::PredictorKind
+    predictorKind() const
+    {
+        return strange::predictorKind(predictor);
+    }
+    /** RL predictor settings (seeded from seed under predictor "rl").
+     *  @throws std::out_of_range on an unknown predictor. */
     strange::RlIdlenessPredictor::Config rlConfig() const;
     /**
      * The channels' timing table for backend.
@@ -487,8 +473,6 @@ class MemoryController
 
         Addr lastAddr = 0;
 
-        std::unique_ptr<strange::IdlenessPredictor> predictor;
-
         // Wake cache (fast path). Valid while !wakeDirty: every input
         // of the channel's per-cycle phases is unchanged since the
         // computation, so the phases do only bookkeeping before the
@@ -596,12 +580,6 @@ class MemoryController
      *  uses one selected channel at a time (Section 5.1.1: "selects a
      *  channel for RNG"); demand generation still uses all channels. */
     bool fillSessionActive() const;
-    /** Side-effect-free idle-fill readiness of @p ch (no predictor
-     *  consultation; used only for cross-channel placement ordering). */
-    bool fillReady(unsigned ch, Cycle now) const;
-    /** true when the placement policy lets @p ch start a fill session
-     *  this cycle (always true under FillPlacement::FirstIdle). */
-    bool fillStartAllowed(unsigned ch, Cycle now) const;
     void routeBits(double bits, Cycle now);
     /** choose() for @p ch this cycle (advances its stall counters). */
     QueueChoice chooseQueue(unsigned ch);
@@ -628,7 +606,6 @@ class MemoryController
     McConfig cfg;
     // Values derived from cfg once (see McConfig's member functions).
     FillMode fillMode;
-    FillPlacement placement;
     unsigned lowUtilBound;
     Cycle periodThreshold;
     dram::AddressMapping mapper;
@@ -638,6 +615,13 @@ class MemoryController
     std::vector<dram::DramChannel> chans;
     std::vector<std::unique_ptr<trng::RngEngine>> engines;
     std::vector<ChannelState> perChan;
+    /** One channel's idleness predictor, in strange::kPredictors order. */
+    using Predictor = std::variant<strange::NoIdlenessPredictor,
+                                   strange::RlIdlenessPredictor,
+                                   strange::SimpleIdlenessPredictor>;
+    /** Per channel; NoIdlenessPredictor under predictor "none" and
+     *  whenever the fill mode is not Engine. */
+    std::vector<Predictor> predictors;
 
     std::unique_ptr<Scheduler> readSched;
     FrFcfsScheduler writeSched; ///< Plain FR-FCFS for write drains.
@@ -663,10 +647,6 @@ class MemoryController
     TraceSink traceSink;
     std::uint64_t nextSeq = 0;
     McStats statistics;
-
-    /** Rotation cursor for FillPlacement::RoundRobin (unused under
-     *  FirstIdle, so the default placement stays bit-identical). */
-    unsigned fillPreferredCh = 0;
 
     /** Scratch for collectProducers (avoids per-horizon allocation). */
     mutable std::vector<Producer> producerScratch;

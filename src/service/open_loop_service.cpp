@@ -6,36 +6,44 @@
 
 namespace dstrange::service {
 
-OpenLoopService::OpenLoopService(const ServiceConfig &config, CoreId port,
-                                 mem::MemoryController &controller,
-                                 std::uint64_t seed)
-    : cfg(config), portId(port), mc(controller)
+namespace {
+
+ArrivalParams
+arrivalParams(const ServiceConfig &cfg, std::uint64_t seed)
 {
     ArrivalParams params;
-    params.meanGapCycles = meanGapCycles(cfg.offeredMbps);
+    params.meanGapCycles = OpenLoopService::meanGapCycles(cfg.offeredMbps);
     params.clients = cfg.clients;
     params.burstFactor = cfg.burstFactor;
     params.periodCycles = cfg.periodCycles;
     params.seed = mix64(seed ^ 0x5e21c0deull);
-    arrival = ArrivalRegistry::instance().make(cfg.arrival, params);
+    return params;
+}
 
-    ShedContext sctx;
-    sctx.seed = mix64(seed ^ 0x5ed9a7c3ull); // Distinct salt: shedding
-                                             // never correlates with
-                                             // arrival randomness.
-    sctx.limit = cfg.shedLimit;
-    if (sctx.limit == 0) {
-        // Auto limit: the arrivals that fit inside one SLO window at
-        // the offered rate — a deeper backlog guarantees the newcomer
-        // misses the SLO, so shedding it loses no goodput.
-        const double per_window =
-            static_cast<double>(cfg.sloTargetCycles) /
-            meanGapCycles(cfg.offeredMbps);
-        sctx.limit = std::max<std::uint64_t>(
-            1, static_cast<std::uint64_t>(per_window));
-    }
-    resolvedShedLimit = sctx.limit;
-    shedPolicy = ShedRegistry::instance().make(cfg.shed, sctx);
+std::uint64_t
+shedLimitOf(const ServiceConfig &cfg)
+{
+    if (cfg.shedLimit != 0)
+        return cfg.shedLimit;
+    // Auto limit: the arrivals that fit inside one SLO window at the
+    // offered rate — a deeper backlog guarantees the newcomer misses
+    // the SLO, so shedding it loses no goodput.
+    const double per_window = static_cast<double>(cfg.sloTargetCycles) /
+                              OpenLoopService::meanGapCycles(cfg.offeredMbps);
+    return std::max<std::uint64_t>(1, static_cast<std::uint64_t>(per_window));
+}
+
+} // namespace
+
+OpenLoopService::OpenLoopService(const ServiceConfig &config, CoreId port,
+                                 mem::MemoryController &controller,
+                                 std::uint64_t seed)
+    : cfg(config), portId(port), mc(controller),
+      arrival(cfg.arrival, arrivalParams(cfg, seed)),
+      resolvedShedLimit(shedLimitOf(cfg)),
+      // Distinct salt: shedding never correlates with arrival randomness.
+      shedPolicy(cfg.shed, {mix64(seed ^ 0x5ed9a7c3ull), resolvedShedLimit})
+{
 }
 
 void
@@ -49,14 +57,14 @@ OpenLoopService::tick(Cycle now)
             doneGenerating = true;
         } else {
             for (;;) {
-                const Cycle a = arrival->peek();
+                const Cycle a = arrival.peek();
                 if (a == kNoEvent || a > now)
                     break;
                 if (a >= cfg.durationCycles) {
                     doneGenerating = true;
                     break;
                 }
-                arrival->pop();
+                arrival.pop();
                 statistics.offered++;
                 // Admission control: a shed arrival is counted offered
                 // but never queued (its closed-loop slot, if any, is
@@ -64,11 +72,11 @@ OpenLoopService::tick(Cycle now)
                 // seeded policy, the arrival ordinal, and the backlog
                 // depth — all deterministic at generation ticks, which
                 // are span-ending events already.
-                if (shedPolicy->admit(arrivalIndex++, backlog.size())) {
+                if (shedPolicy.admit(arrivalIndex++, backlog.size())) {
                     backlog.push_back(a);
                 } else {
                     statistics.shed++;
-                    arrival->onCompletion(now);
+                    arrival.onCompletion(now);
                 }
             }
         }
@@ -111,7 +119,7 @@ OpenLoopService::nextEventCycle(Cycle now) const
     // doneGenerating, which the stop condition reads — so the horizon
     // never extends past it even when the next arrival (or kNoEvent,
     // e.g. closed-loop with all clients in flight) lies beyond.
-    const Cycle horizon = std::min(arrival->peek(), cfg.durationCycles);
+    const Cycle horizon = std::min(arrival.peek(), cfg.durationCycles);
     return horizon <= now ? now : horizon;
 }
 
@@ -148,7 +156,7 @@ OpenLoopService::onCompletion(std::uint64_t token, Cycle now,
         statistics.servedEngine++;
         break;
     }
-    arrival->onCompletion(now);
+    arrival.onCompletion(now);
 }
 
 bool

@@ -14,7 +14,6 @@
 #define DSTRANGE_SERVICE_OPEN_LOOP_SERVICE_H
 
 #include <deque>
-#include <memory>
 #include <unordered_map>
 
 #include "common/latency_histogram.h"
@@ -99,10 +98,10 @@ class OpenLoopService
     ServiceConfig cfg;
     CoreId portId;
     mem::MemoryController &mc;
-    std::unique_ptr<ArrivalProcess> arrival;
+    ArrivalProcess arrival;
+    std::uint64_t resolvedShedLimit;
     /** Admission control applied as each arrival is generated. */
-    std::unique_ptr<ShedPolicy> shedPolicy;
-    std::uint64_t resolvedShedLimit = 0;
+    ShedPolicy shedPolicy;
     std::uint64_t arrivalIndex = 0; ///< Generated-arrival ordinal.
     /** Logical arrival cycles awaiting controller admission. */
     std::deque<Cycle> backlog;

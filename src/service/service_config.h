@@ -26,8 +26,8 @@ struct ServiceConfig
 {
     /** Attach the service layer to the system. */
     bool enabled = false;
-    /** Arrival-process key (service::ArrivalRegistry): "poisson",
-     *  "bursty", "diurnal", or "closed-loop". */
+    /** Arrival process, one of service::kArrivals: "bursty",
+     *  "closed-loop", "diurnal", or "poisson". */
     std::string arrival = "poisson";
     /** Offered RNG load in Mb/s across all clients (one request = one
      *  64-bit number, so 5120 Mb/s is one request per 10 bus cycles). */
@@ -48,9 +48,9 @@ struct ServiceConfig
     /** Arrival-generation window in bus cycles; the run then drains
      *  the backlog (until maxBusCycles). */
     Cycle durationCycles = 100000;
-    /** Admission-control policy (service::ShedRegistry key):
+    /** Admission-control policy, one of service::kShedPolicies:
      *  "shed-none" (default, bit-identical to an unshedded run),
-     *  "shed-tail", or "shed-priority". */
+     *  "shed-priority", or "shed-tail". */
     std::string shed = "shed-none";
     /** Backlog bound consulted by the shedding policies; 0 = auto
      *  (the arrivals that fit inside one SLO window at the configured

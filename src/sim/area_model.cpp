@@ -1,7 +1,5 @@
 #include "sim/area_model.h"
 
-#include "strange/predictor_registry.h"
-
 namespace dstrange::sim {
 
 namespace {
@@ -36,15 +34,26 @@ drStrangeArea(const mem::McConfig &cfg, unsigned channels)
     if (cfg.rngAwareQueueing)
         bits += static_cast<double>(mem::kRngQueueCap) * kRngQueueEntryBits;
 
-    // Idleness predictor: each registry entry prices its own storage
-    // (custom predictors without a storage model count as 0 bits).
+    // Idleness predictor storage.
     if (cfg.fillMode() == mem::FillMode::Engine) {
-        strange::PredictorAreaContext actx;
-        actx.channels = channels;
-        actx.tableEntries = mem::kPredictorEntries;
-        actx.rlConfig = cfg.rlConfig();
-        bits += strange::PredictorRegistry::instance().storageBits(
-            cfg.predictor, actx);
+        switch (cfg.predictorKind()) {
+          case strange::PredictorKind::None:
+            break;
+          case strange::PredictorKind::Rl:
+            // Q table: 2 actions x 2^stateBits states x 4-byte Q values,
+            // plus the 10-bit history register per channel.
+            bits += 2.0 * static_cast<double>(1u << cfg.rlConfig().stateBits) *
+                        32.0 +
+                    channels * 10.0;
+            break;
+          case strange::PredictorKind::Simple:
+            // 2-bit counters per entry, one table per channel, plus the
+            // last-address register and idle-length counter per channel.
+            bits += static_cast<double>(mem::kPredictorEntries) * 2.0 *
+                        channels +
+                    channels * (48.0 + 16.0);
+            break;
+        }
     }
     return sramMacroArea(bits);
 }

@@ -9,12 +9,11 @@
 
 #include "dram/address_mapper.h"
 #include "dram/dram_timings.h"
-#include "fault/fault_registry.h"
+#include "fault/fault_model.h"
 #include "mem/scheduler_registry.h"
 #include "service/arrival_process.h"
 #include "service/shed_policy.h"
 #include "sim/design_registry.h"
-#include "strange/predictor_registry.h"
 
 namespace dstrange::sim {
 
@@ -255,7 +254,7 @@ applyServiceField(service::ServiceConfig &s, const std::string &field,
     if (field == "enabled")
         s.enabled = parseBool(value);
     else if (field == "arrival") {
-        service::ArrivalRegistry::instance().require(value);
+        service::requireArrival(value);
         s.arrival = value;
     } else if (field == "offered-mbps")
         s.offeredMbps = parseDouble(value);
@@ -270,7 +269,7 @@ applyServiceField(service::ServiceConfig &s, const std::string &field,
     else if (field == "duration")
         s.durationCycles = parseU64(value);
     else if (field == "shed") {
-        service::ShedRegistry::instance().require(value);
+        service::requireShedPolicy(value);
         s.shed = value;
     } else if (field == "shed-limit")
         s.shedLimit = parseU64(value);
@@ -286,11 +285,7 @@ applyFaultField(fault::FaultConfig &f, const std::string &field,
     if (field == "models") {
         // "-" is the canonical empty sentinel (matching priorities=-).
         const std::string models = value == "-" ? "" : value;
-        std::istringstream iss(models);
-        std::string key;
-        while (std::getline(iss, key, ','))
-            if (!key.empty())
-                fault::FaultRegistry::instance().require(key);
+        fault::parseFaultModels(models); // validate
         f.models = models;
     } else if (field == "seed")
         f.seed = parseU64(value);
@@ -346,16 +341,13 @@ applyToken(SimConfig &cfg, const std::string &key,
         mem::fillModeFromName(value); // validate
         cfg.fillPolicy = value;
     } else if (key == "predictor") {
-        strange::PredictorRegistry::instance().require(value);
+        strange::predictorKind(value); // validate
         cfg.predictor = value;
     } else if (key == "low-util") {
         cfg.lowUtilFill = parseBool(value);
     } else if (key == "mapping") {
         dram::requireMapping(value);
         cfg.addressMapping = value;
-    } else if (key == "fill-placement") {
-        mem::fillPlacementFromName(value); // validate
-        cfg.fillPlacement = value;
     } else if (key == "parking") {
         cfg.enableParking = parseBool(value);
     } else if (key == "fill-abort") {
@@ -457,7 +449,6 @@ serializeConfig(const SimConfig &cfg)
     o << " predictor=" << cfg.predictor;
     o << " low-util=" << (cfg.lowUtilFill ? 1 : 0);
     o << " mapping=" << cfg.addressMapping;
-    o << " fill-placement=" << cfg.fillPlacement;
     o << " parking=" << (cfg.enableParking ? 1 : 0);
     o << " fill-abort=" << (cfg.enableFillAbort ? 1 : 0);
     o << " fill-channels=" << cfg.fillChannelLimit;
@@ -557,10 +548,13 @@ applyConfigText(SimConfig &cfg, const std::string &text)
             throw reject(e.what());
         }
     }
-    // Timings are checked as a whole, once every token has landed (one
-    // text may move tREFI and tRFC together); the check lives where the
-    // timing table is derived.
+    // Timings and the mapping are checked as a whole, once every token
+    // has landed (one text may move tREFI and tRFC together, or the
+    // mapping and the bank count); each check lives where the checked
+    // value is used.
     static_cast<void>(dram::TimingTable::ddr(next.timings));
+    static_cast<void>(
+        dram::AddressMapping(next.geometry, next.addressMapping));
     cfg = std::move(next);
 }
 

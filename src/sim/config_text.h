@@ -12,7 +12,7 @@
  *
  * Keys (in serialization order):
  *   scheduler, rng-aware, buffering, fill, predictor, low-util,
- *   mapping, fill-placement, parking, fill-abort, fill-channels,
+ *   mapping, parking, fill-abort, fill-channels,
  *   mechanism.<field> (name, bits, round, in, out),
  *   fill-mechanism=- or fill-mechanism.<field> (as mechanism.*),
  *   buffer-entries, buffer-partitions, low-util-threshold, powerdown,
@@ -71,7 +71,8 @@ class ConfigTokenError : public std::invalid_argument
  * @throws ConfigTokenError on a malformed token, unknown key, or
  *         unparsable value (the message names the offending token).
  * @throws std::invalid_argument when the resulting timings fail
- *         dram::timingsAreConsistent (checked once, over the whole text).
+ *         dram::timingsAreConsistent, or the geometry cannot take the
+ *         mapping (checked once, over the whole text).
  * A rejected text leaves @p cfg unchanged.
  */
 void applyConfigText(SimConfig &cfg, const std::string &text);

@@ -7,9 +7,8 @@
  * run-level knobs declared here. The paper's nine named system designs
  * are presets over this policy space (sim::kPaperDesigns, applied through
  * sim::DesignRegistry); nothing in the construction path switches on a
- * design, so new policies registered in mem::SchedulerRegistry /
- * strange::PredictorRegistry or sim::DesignRegistry compose with every
- * existing sweep.
+ * design, so new policies registered in mem::SchedulerRegistry or
+ * sim::DesignRegistry compose with every existing sweep.
  */
 
 #ifndef DSTRANGE_SIM_SIM_CONFIG_H

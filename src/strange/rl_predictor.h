@@ -36,9 +36,9 @@ class RlIdlenessPredictor : public IdlenessPredictor
 
     explicit RlIdlenessPredictor(const Config &config);
 
-    bool predictLong(Addr last_addr) override;
-    bool peekLong(Addr last_addr) const override;
-    void periodEnded(Addr last_addr, Cycle idle_length) override;
+    bool predictLong(Addr last_addr);
+    bool peekLong(Addr last_addr) const;
+    void periodEnded(Addr last_addr, Cycle idle_length);
 
     /** Q-value inspection for tests. */
     double qValue(unsigned state, bool generate) const;

@@ -32,9 +32,9 @@ class SimpleIdlenessPredictor : public IdlenessPredictor
 
     explicit SimpleIdlenessPredictor(const Config &config);
 
-    bool predictLong(Addr last_addr) override;
-    bool peekLong(Addr last_addr) const override;
-    void periodEnded(Addr last_addr, Cycle idle_length) override;
+    bool predictLong(Addr last_addr);
+    bool peekLong(Addr last_addr) const;
+    void periodEnded(Addr last_addr, Cycle idle_length);
 
     /** Direct counter inspection for tests. */
     unsigned counterValue(Addr last_addr) const;

@@ -2,7 +2,7 @@
  * @file
  * Tests for the composable policy API: design presets vs. the legacy
  * per-design expansion (frozen here as reference data), the registry
- * contract over all six registries, the SimulationBuilder facade, the
+ * contract over both open registries, the SimulationBuilder facade, the
  * key=value config text format, and the Runner's configuration-keyed
  * alone-run cache.
  */
@@ -18,8 +18,6 @@
 #include <thread>
 
 #include "drstrange.h"
-#include "fault/fault_registry.h"
-#include "service/shed_policy.h"
 #include "workloads/rng_benchmark.h"
 #include "workloads/synthetic_trace.h"
 
@@ -325,7 +323,7 @@ namespace {
 
 /**
  * One registry behind a uniform face, so the shared contract
- * (common/registry.h) is checked on all six. add() registers a
+ * (common/registry.h) is checked on both. add() registers a
  * trivial entry, or an empty one when @p empty is set; the entry runs
  * @p on_make (if any) each time make() instantiates it.
  */
@@ -341,87 +339,33 @@ struct RegistryFace
     std::function<std::vector<std::string>()> keys;
 };
 
-template <typename Entry>
-Entry entryOf(const Registry<Entry> &);
-
-/** add() for registries whose entry is the factory itself. */
-template <typename Reg>
-void
-addFactory(const std::string &key, bool empty,
-           std::function<void()> on_make)
-{
-    using Factory = decltype(entryOf(Reg::instance()));
-    Factory factory;
-    if (!empty) {
-        factory = [on_make](const auto &) {
-            if (on_make)
-                on_make();
-            return typename Factory::result_type{};
-        };
-    }
-    Reg::instance().add(key, std::move(factory));
-}
-
-template <typename Reg>
-RegistryFace
-faceOf(const char *tag, const char *builtin,
-       std::function<void(const std::string &)> make)
-{
-    return {tag,
-            builtin,
-            addFactory<Reg>,
-            std::move(make),
-            [](const std::string &k) { return Reg::instance().contains(k); },
-            [] { return Reg::instance().keys(); }};
-}
-
 std::vector<RegistryFace>
 allRegistries()
 {
     std::vector<RegistryFace> faces;
-    faces.push_back(faceOf<mem::SchedulerRegistry>(
-        "sched", "fr-fcfs-cap", [](const std::string &k) {
-            const SimConfig cfg;
-            mem::SchedulerRegistry::instance().make(
-                k, mem::SchedulerContext{4, 8, 2, cfg});
-        }));
-    faces.push_back(faceOf<fault::FaultRegistry>(
-        "fault", "stuck-row", [](const std::string &k) {
-            fault::FaultRegistry::instance().make(k, fault::FaultConfig{});
-        }));
-    faces.push_back(faceOf<service::ArrivalRegistry>(
-        "arrival", "poisson", [](const std::string &k) {
-            service::ArrivalRegistry::instance().make(
-                k, service::ArrivalParams{});
-        }));
-    faces.push_back(faceOf<service::ShedRegistry>(
-        "shed", "shed-tail", [](const std::string &k) {
-            service::ShedRegistry::instance().make(
-                k, service::ShedContext{1, 8});
-        }));
     faces.push_back(
-        {"pred", "simple",
+        {"sched", "fr-fcfs-cap",
          [](const std::string &k, bool empty,
             std::function<void()> on_make) {
-             strange::PredictorFactory factory;
+             mem::SchedulerFactory factory;
              if (!empty) {
-                 factory = [on_make](const strange::PredictorContext &) {
+                 factory = [on_make](const mem::SchedulerContext &) {
                      if (on_make)
                          on_make();
-                     return std::unique_ptr<strange::IdlenessPredictor>();
+                     return std::unique_ptr<mem::Scheduler>();
                  };
              }
-             strange::PredictorRegistry::instance().add(
-                 k, std::move(factory), [](const auto &) { return 1.0; });
+             mem::SchedulerRegistry::instance().add(k, std::move(factory));
          },
          [](const std::string &k) {
-             strange::PredictorRegistry::instance().make(
-                 k, strange::PredictorContext{});
+             const SimConfig cfg;
+             mem::SchedulerRegistry::instance().make(
+                 k, mem::SchedulerContext{4, 8, 2, cfg});
          },
          [](const std::string &k) {
-             return strange::PredictorRegistry::instance().contains(k);
+             return mem::SchedulerRegistry::instance().contains(k);
          },
-         [] { return strange::PredictorRegistry::instance().keys(); }});
+         [] { return mem::SchedulerRegistry::instance().keys(); }});
     faces.push_back(
         {"design", "drstrange",
          [](const std::string &k, bool empty,
@@ -476,9 +420,6 @@ TEST(Registries, UnknownKeysThrowWithKnownKeysListed)
         EXPECT_NE(std::string(e.what()).find("fr-fcfs-cap"),
                   std::string::npos);
     }
-    EXPECT_THROW(strange::PredictorRegistry::instance().make(
-                     "no-such-pred", strange::PredictorContext{}),
-                 std::out_of_range);
     EXPECT_THROW(DesignRegistry::instance().apply("no-such-design", cfg),
                  std::out_of_range);
 }
@@ -503,13 +444,6 @@ TEST(Registries, DuplicateRegistrationThrows)
                      "fr-fcfs",
                      [](const mem::SchedulerContext &)
                          -> std::unique_ptr<mem::Scheduler> {
-                         return nullptr;
-                     }),
-                 std::invalid_argument);
-    EXPECT_THROW(strange::PredictorRegistry::instance().add(
-                     "simple",
-                     [](const strange::PredictorContext &)
-                         -> std::unique_ptr<strange::IdlenessPredictor> {
                          return nullptr;
                      }),
                  std::invalid_argument);
@@ -614,22 +548,11 @@ TEST(Registries, BuiltinsArePresent)
     for (const char *k : {"fr-fcfs", "fr-fcfs-cap", "bliss"})
         EXPECT_NE(std::find(sched.begin(), sched.end(), k), sched.end());
 
-    const auto pred = strange::PredictorRegistry::instance().keys();
-    for (const char *k : {"none", "simple", "rl"})
-        EXPECT_NE(std::find(pred.begin(), pred.end(), k), pred.end());
-
     for (const DesignPreset &d : kPaperDesigns) {
         EXPECT_TRUE(DesignRegistry::instance().contains(d.key));
         EXPECT_EQ(DesignRegistry::instance().displayName(d.key),
                   d.displayName);
     }
-}
-
-TEST(Registries, NonePredictorFactoryReturnsNull)
-{
-    EXPECT_EQ(strange::PredictorRegistry::instance().make(
-                  "none", strange::PredictorContext{}),
-              nullptr);
 }
 
 TEST(Registries, UnknownSchedulerSurfacesAtSystemConstruction)

@@ -16,8 +16,8 @@
  * multi-rank geometries x address mappings x both memory backends x
  * the open-loop service layer x fault-injection knobs x mechanisms,
  * buffer shapes, priorities and power-down x the fill refinements
- * (parking, fill aborts, fill-channel limits, round-robin placement,
- * low-utilization overrides, hybrid fill mechanisms).
+ * (parking, fill aborts, fill-channel limits, low-utilization
+ * overrides, hybrid fill mechanisms).
  *
  * Reproducing a failure: every mismatch prints the master seed, the
  * config index, and the canonical config text (sim/config_text.h),
@@ -189,8 +189,6 @@ drawScenario(std::uint64_t seed)
         cfg.enableFillAbort = false;
     if (d.chance(1, 4))
         cfg.fillChannelLimit = d.pick<unsigned>({0, 2});
-    if (d.chance(1, 4))
-        cfg.fillPlacement = "round-robin";
     if (d.chance(1, 4)) {
         cfg.lowUtilFill = d.chance(1, 2);
         cfg.lowUtilThreshold = d.pick<unsigned>({1, 8, 16});

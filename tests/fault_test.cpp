@@ -1,12 +1,12 @@
 /**
  * @file
  * Tests for the deterministic fault-injection subsystem: golden seeded
- * fault streams per FaultRegistry key (pure-function corruption of the
+ * fault streams per fault-model key (pure-function corruption of the
  * synthetic audit blocks), FaultPlane determinism and its side-effect
  * free peek protocol, a cross-commit golden of every FaultReport
  * counter, health-monitor blacklist convergence onto spares,
  * fault.* / service.shed config-text and builder wiring with eager
- * registry validation, shed-policy admission behaviour, DS_LOCKSTEP
+ * key validation, shed-policy admission behaviour, DS_LOCKSTEP
  * bit-identity across all nine design presets with faults active, and
  * FaultReport / WorkloadResult JSON round trips.
  */
@@ -21,7 +21,7 @@
 
 #include "drstrange.h"
 #include "fault/fault_plane.h"
-#include "fault/fault_registry.h"
+#include "fault/fault_model.h"
 #include "service/shed_policy.h"
 #include "sim/lockstep.h"
 
@@ -65,25 +65,30 @@ serviceSpec()
 }
 
 // ---------------------------------------------------------------------
-// Registry and golden seeded fault streams.
+// Key list and golden seeded fault streams.
 // ---------------------------------------------------------------------
 
 TEST(FaultRegistry, BuiltinsRegistered)
 {
-    auto &reg = fault::FaultRegistry::instance();
-    for (const char *key :
-         {"bitflip", "weak-cell", "stuck-row", "outage"})
-        EXPECT_TRUE(reg.contains(key)) << key;
-    const auto keys = reg.keys();
-    EXPECT_GE(keys.size(), 4u);
-    EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
+    // Models parse in list order, duplicates and all (they compose in
+    // that order); empty items are skipped.
+    using fault::FaultKind;
+    const std::vector<FaultKind> expect = {
+        FaultKind::WeakCell, FaultKind::Bitflip, FaultKind::StuckRow,
+        FaultKind::Outage, FaultKind::Bitflip};
+    EXPECT_EQ(fault::parseFaultModels(
+                  "weak-cell,bitflip,,stuck-row,outage,bitflip"),
+              expect);
+    EXPECT_TRUE(fault::parseFaultModels("").empty());
+    for (std::size_t i = 0; i < fault::kFaultModels.size(); ++i)
+        EXPECT_EQ(fault::parseFaultModels(fault::kFaultModels[i]),
+                  std::vector<FaultKind>{static_cast<FaultKind>(i)});
 }
 
 TEST(FaultRegistry, UnknownKeyNamesRegisteredOnes)
 {
     try {
-        fault::FaultRegistry::instance().make("cosmic-ray",
-                                              fault::FaultConfig{});
+        fault::parseFaultModels("bitflip,cosmic-ray");
         FAIL() << "expected std::out_of_range";
     } catch (const std::out_of_range &e) {
         const std::string msg = e.what();
@@ -91,17 +96,6 @@ TEST(FaultRegistry, UnknownKeyNamesRegisteredOnes)
         EXPECT_NE(msg.find("bitflip"), std::string::npos);
         EXPECT_NE(msg.find("stuck-row"), std::string::npos);
     }
-}
-
-TEST(FaultRegistry, RejectsBadKeys)
-{
-    auto factory = [](const fault::FaultConfig &)
-        -> std::unique_ptr<fault::FaultModel> { return nullptr; };
-    auto &reg = fault::FaultRegistry::instance();
-    EXPECT_THROW(reg.add("", factory), std::invalid_argument);
-    EXPECT_THROW(reg.add("a,b", factory), std::invalid_argument);
-    EXPECT_THROW(reg.add("has space", factory), std::invalid_argument);
-    EXPECT_THROW(reg.add("bitflip", factory), std::invalid_argument);
 }
 
 TEST(FaultModels, HealthyBlockIsPureAndVaries)
@@ -125,8 +119,7 @@ TEST(FaultModels, GoldenStreamsAreDeterministic)
 {
     const fault::FaultConfig fc = faultedConfig("unused");
     for (const char *key : {"bitflip", "weak-cell", "stuck-row"}) {
-        auto m1 = fault::FaultRegistry::instance().make(key, fc);
-        auto m2 = fault::FaultRegistry::instance().make(key, fc);
+        const fault::FaultKind kind = fault::parseFaultModels(key).at(0);
         for (std::uint64_t use = 0; use < 64; ++use) {
             fault::RoundContext ctx;
             ctx.seed = fc.seed;
@@ -139,8 +132,8 @@ TEST(FaultModels, GoldenStreamsAreDeterministic)
             ctx.severity = fc.weakSeverity;
             fault::AuditBlock b1 = fault::healthyBlock(ctx);
             fault::AuditBlock b2 = b1;
-            const std::uint64_t f1 = m1->corrupt(b1, ctx);
-            const std::uint64_t f2 = m2->corrupt(b2, ctx);
+            const std::uint64_t f1 = fault::corrupt(kind, fc, b1, ctx);
+            const std::uint64_t f2 = fault::corrupt(kind, fc, b2, ctx);
             EXPECT_EQ(b1, b2) << key << " use " << use;
             EXPECT_EQ(f1, f2) << key << " use " << use;
         }
@@ -151,7 +144,6 @@ TEST(FaultModels, BitflipFlipsSilently)
 {
     fault::FaultConfig fc = faultedConfig("bitflip");
     fc.bitflipRate = 8.0; // dense enough to observe on a few rounds
-    auto m = fault::FaultRegistry::instance().make("bitflip", fc);
     std::uint64_t total = 0;
     for (std::uint64_t use = 0; use < 32; ++use) {
         fault::RoundContext ctx;
@@ -160,7 +152,8 @@ TEST(FaultModels, BitflipFlipsSilently)
         ctx.use = use;
         fault::AuditBlock b = fault::healthyBlock(ctx);
         const fault::AuditBlock before = b;
-        const std::uint64_t flips = m->corrupt(b, ctx);
+        const std::uint64_t flips =
+            fault::corrupt(fault::FaultKind::Bitflip, fc, b, ctx);
         total += flips;
         // The reported flip count matches the actual Hamming distance.
         std::uint64_t hamming = 0;
@@ -175,13 +168,13 @@ TEST(FaultModels, BitflipFlipsSilently)
 TEST(FaultModels, StuckRowPinsTheBlock)
 {
     const fault::FaultConfig fc = faultedConfig("stuck-row");
-    auto m = fault::FaultRegistry::instance().make("stuck-row", fc);
     fault::RoundContext ctx;
     ctx.seed = fc.seed;
     ctx.cell = 5;
     ctx.cls = fault::CellClass::Stuck;
     fault::AuditBlock b = fault::healthyBlock(ctx);
-    EXPECT_EQ(m->corrupt(b, ctx), 0u); // caught by audit, not silent
+    // Caught by the audit, not silent.
+    EXPECT_EQ(fault::corrupt(fault::FaultKind::StuckRow, fc, b, ctx), 0u);
     // All bytes pinned to the same all-zeros/all-ones value.
     for (const std::uint8_t byte : b)
         EXPECT_EQ(byte, b[0]);
@@ -449,20 +442,18 @@ TEST(FaultBuilder, SettersValidateAndRoundTrip)
 
 TEST(ShedPolicy, BuiltinsRegisteredAndDeterministic)
 {
-    auto &reg = service::ShedRegistry::instance();
     for (const char *key : {"shed-none", "shed-tail", "shed-priority"})
-        EXPECT_TRUE(reg.contains(key)) << key;
-    EXPECT_THROW(reg.make("nope", service::ShedContext{}),
+        EXPECT_NO_THROW(service::requireShedPolicy(key)) << key;
+    EXPECT_THROW(service::ShedPolicy("nope", service::ShedContext{}),
                  std::out_of_range);
 
     service::ShedContext ctx;
     ctx.seed = 42;
     ctx.limit = 16;
     for (const char *key : {"shed-none", "shed-tail", "shed-priority"}) {
-        auto p1 = reg.make(key, ctx);
-        auto p2 = reg.make(key, ctx);
+        const service::ShedPolicy p1(key, ctx), p2(key, ctx);
         for (std::uint64_t i = 0; i < 200; ++i)
-            EXPECT_EQ(p1->admit(i, i % 24), p2->admit(i, i % 24))
+            EXPECT_EQ(p1.admit(i, i % 24), p2.admit(i, i % 24))
                 << key << " arrival " << i;
     }
 }
@@ -471,12 +462,12 @@ TEST(ShedPolicy, TailShedsOnlyAtTheLimit)
 {
     service::ShedContext ctx;
     ctx.limit = 8;
-    auto none = service::ShedRegistry::instance().make("shed-none", ctx);
-    auto tail = service::ShedRegistry::instance().make("shed-tail", ctx);
+    const service::ShedPolicy none("shed-none", ctx);
+    const service::ShedPolicy tail("shed-tail", ctx);
     for (std::uint64_t i = 0; i < 64; ++i) {
-        EXPECT_TRUE(none->admit(i, 1000));
-        EXPECT_TRUE(tail->admit(i, ctx.limit - 1));
-        EXPECT_FALSE(tail->admit(i, ctx.limit));
+        EXPECT_TRUE(none.admit(i, 1000));
+        EXPECT_TRUE(tail.admit(i, ctx.limit - 1));
+        EXPECT_FALSE(tail.admit(i, ctx.limit));
     }
 }
 

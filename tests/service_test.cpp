@@ -3,7 +3,7 @@
  * Tests for the open-loop RNG-as-a-service layer: the log-linear
  * latency histogram (exact low buckets, nearest-rank percentiles,
  * count-addition merge), the stats_util exact-percentile/merge helpers,
- * seeded golden-value arrival streams per ArrivalRegistry key,
+ * seeded golden-value arrival streams per arrival-process key,
  * closed-loop feedback, service.* config text and builder wiring,
  * end-to-end service cells through the Runner (bit-identical reruns,
  * fast-forward lockstep, saturation verdicts, and SloReport JSON round
@@ -60,11 +60,11 @@ std::vector<Cycle>
 firstArrivals(const std::string &key, const service::ArrivalParams &p,
               std::size_t n)
 {
-    auto proc = service::ArrivalRegistry::instance().make(key, p);
+    service::ArrivalProcess proc(key, p);
     std::vector<Cycle> out;
-    for (std::size_t i = 0; i < n && proc->peek() != kNoEvent; ++i) {
-        out.push_back(proc->peek());
-        proc->pop();
+    for (std::size_t i = 0; i < n && proc.peek() != kNoEvent; ++i) {
+        out.push_back(proc.peek());
+        proc.pop();
     }
     return out;
 }
@@ -215,7 +215,7 @@ TEST(StatsUtil, MergeHistogramsHelper)
 }
 
 // ---------------------------------------------------------------------
-// Arrival processes: golden streams and registry behavior.
+// Arrival processes: golden streams and key-list behavior.
 // ---------------------------------------------------------------------
 
 TEST(ArrivalProcess, GoldenPoissonStream)
@@ -238,8 +238,7 @@ TEST(ArrivalProcess, GoldenDiurnalStream)
 
 TEST(ArrivalProcess, StreamsAreSeedDeterministic)
 {
-    for (const std::string &key :
-         service::ArrivalRegistry::instance().keys()) {
+    for (const std::string key : service::kArrivals) {
         EXPECT_EQ(firstArrivals(key, goldenParams(), 16),
                   firstArrivals(key, goldenParams(), 16))
             << key;
@@ -256,8 +255,7 @@ TEST(ArrivalProcess, StreamsAreSeedDeterministic)
 
 TEST(ArrivalProcess, ArrivalsAreNondecreasing)
 {
-    for (const std::string &key :
-         service::ArrivalRegistry::instance().keys()) {
+    for (const std::string key : service::kArrivals) {
         const auto stream = firstArrivals(key, goldenParams(), 64);
         for (std::size_t i = 1; i < stream.size(); ++i)
             EXPECT_LE(stream[i - 1], stream[i]) << key << " @" << i;
@@ -268,57 +266,28 @@ TEST(ArrivalProcess, ClosedLoopWindowAndFeedback)
 {
     service::ArrivalParams p = goldenParams();
     p.clients = 4;
-    auto proc = service::ArrivalRegistry::instance().make("closed-loop", p);
+    service::ArrivalProcess proc("closed-loop", p);
     // Exactly `clients` immediate arrivals, then the window is closed.
     for (int i = 0; i < 4; ++i) {
-        EXPECT_EQ(proc->peek(), 0u);
-        proc->pop();
+        EXPECT_EQ(proc.peek(), 0u);
+        proc.pop();
     }
-    EXPECT_EQ(proc->peek(), kNoEvent);
+    EXPECT_EQ(proc.peek(), kNoEvent);
     // A completion releases one follow-up arrival just after `now`.
-    proc->onCompletion(100);
-    EXPECT_EQ(proc->peek(), 101u);
-    proc->pop();
-    EXPECT_EQ(proc->peek(), kNoEvent);
+    proc.onCompletion(100);
+    EXPECT_EQ(proc.peek(), 101u);
+    proc.pop();
+    EXPECT_EQ(proc.peek(), kNoEvent);
 }
 
 TEST(ArrivalRegistry, DefaultKeysAndErrors)
 {
-    auto &reg = service::ArrivalRegistry::instance();
     for (const char *key : {"poisson", "bursty", "diurnal", "closed-loop"})
-        EXPECT_TRUE(reg.contains(key)) << key;
-    EXPECT_FALSE(reg.contains("nope"));
-    EXPECT_THROW(reg.make("nope", goldenParams()), std::out_of_range);
-    EXPECT_THROW(reg.add("poisson", nullptr), std::invalid_argument);
-    EXPECT_THROW(
-        reg.add("has space", [](const service::ArrivalParams &) {
-            return std::unique_ptr<service::ArrivalProcess>();
-        }),
-        std::invalid_argument);
-}
-
-TEST(ArrivalRegistry, UserRegisteredProcess)
-{
-    /** Fixed-gap arrivals: deterministic without any RNG. */
-    class FixedGap : public service::ArrivalProcess
-    {
-      public:
-        explicit FixedGap(Cycle gap) : gap(gap) {}
-        Cycle peek() const override { return next; }
-        void pop() override { next += gap; }
-
-      private:
-        Cycle gap;
-        Cycle next = 0;
-    };
-    auto &reg = service::ArrivalRegistry::instance();
-    if (!reg.contains("fixed-gap-test"))
-        reg.add("fixed-gap-test", [](const service::ArrivalParams &p) {
-            return std::make_unique<FixedGap>(
-                static_cast<Cycle>(p.meanGapCycles));
-        });
-    const std::vector<Cycle> expect = {0, 10, 20, 30};
-    EXPECT_EQ(firstArrivals("fixed-gap-test", goldenParams(), 4), expect);
+        EXPECT_NO_THROW(service::requireArrival(key)) << key;
+    EXPECT_THROW(service::requireArrival("nope"), std::out_of_range);
+    EXPECT_THROW(service::ArrivalProcess("nope", goldenParams()),
+                 std::out_of_range);
+    EXPECT_EQ(service::ServiceConfig{}.arrival, "poisson");
 }
 
 // ---------------------------------------------------------------------

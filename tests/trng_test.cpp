@@ -14,7 +14,7 @@
 
 #include "common/rng.h"
 #include "dram/dram_channel.h"
-#include "fault/fault_registry.h"
+#include "fault/fault_model.h"
 #include "trng/bit_quality.h"
 #include "trng/entropy_source.h"
 #include "trng/rng_engine.h"
