@@ -18,6 +18,11 @@ file under those directories reads a variable by its quoted name
 every DS_* name that README.md or docs/ mentions must be read by some
 source file, so a retired knob cannot linger in the docs.
 
+It checks the policy registries both ways too. Every *Registry class
+declared under src/ must be named in README.md or docs/, and every
+*Registry name those documents mention must be declared as a class
+under src/, so a retired registry cannot linger in the docs.
+
 Usage: python3 tools/docs_lint.py [repo-root]
 """
 
@@ -34,6 +39,8 @@ SKIP_DIRS = {".git", "__pycache__", "out"}
 MD_NAME_RE = re.compile(r"[\w./-]*\w\.md\b")
 ENV_READ_RE = re.compile(r'"(DS_[A-Z][A-Z0-9_]*)"')
 ENV_NAME_RE = re.compile(r"\bDS_[A-Z][A-Z0-9_]*")
+REGISTRY_DECL_RE = re.compile(r"\b(?:class|struct)\s+(\w+Registry)\b")
+REGISTRY_NAME_RE = re.compile(r"\b(\w+Registry)\b")
 # Comment syntax per source kind: C-family line and block comments;
 # hash comments and docstrings for Python, CMake and shell.
 C_COMMENT_RE = re.compile(r"//[^\n]*|/\*.*?\*/", re.DOTALL)
@@ -149,6 +156,30 @@ def check_env_vars(root: str, doc_files: list) -> list:
     return errors
 
 
+def check_registries(root: str, doc_files: list) -> list:
+    """*Registry classes declared under src/ vs. named in the docs."""
+    declared = set()
+    for path in walk_files(os.path.join(root, "src")):
+        if os.path.splitext(path)[1] in (".h", ".cpp"):
+            with open(path, encoding="utf-8") as fh:
+                declared |= set(REGISTRY_DECL_RE.findall(fh.read()))
+    errors = []
+    documented = set()
+    for path in doc_files:
+        if not os.path.exists(path):
+            continue
+        with open(path, encoding="utf-8") as fh:
+            mentioned = set(REGISTRY_NAME_RE.findall(fh.read()))
+        documented |= mentioned
+        for name in sorted(mentioned - declared):
+            errors.append(f"{os.path.relpath(path, root)}: {name} is not "
+                          f"declared as a class under src/")
+    for name in sorted(declared - documented):
+        errors.append(f"{name} is declared under src/ but not named in "
+                      f"README.md or docs/")
+    return errors
+
+
 def main() -> int:
     root = os.path.abspath(sys.argv[1] if len(sys.argv) > 1 else ".")
     files = [os.path.join(root, "README.md")]
@@ -162,12 +193,15 @@ def main() -> int:
             errors += check_file(path, root)
     comment_errors = check_comment_refs(root)
     env_errors = check_env_vars(root, files)
-    for err in errors + comment_errors + env_errors:
+    registry_errors = check_registries(root, files)
+    for err in errors + comment_errors + env_errors + registry_errors:
         print(err, file=sys.stderr)
     print(f"docs-lint: {len(files)} file(s), {len(errors)} broken "
           f"link(s), {len(comment_errors)} comment(s) naming a missing "
-          f"markdown file, {len(env_errors)} DS_* variable mismatch(es)")
-    return 1 if errors or comment_errors or env_errors else 0
+          f"markdown file, {len(env_errors)} DS_* variable mismatch(es), "
+          f"{len(registry_errors)} registry mismatch(es)")
+    return 1 if (errors or comment_errors or env_errors or
+                 registry_errors) else 0
 
 
 if __name__ == "__main__":
