@@ -419,9 +419,9 @@ main(int argc, char **argv)
             service::SloReport::from(svc->config(), svc->stats())
                 .writeJson(w);
         }
-        if (const fault::FaultPlane *fp = sys.mc().faultInjection()) {
+        if (const auto rep = sys.mc().faultReport()) {
             w.key("fault");
-            fp->report().writeJson(w);
+            rep->writeJson(w);
         }
         w.key("cores").beginArray();
         for (unsigned i = 0; i < sys.numCores(); ++i) {
@@ -467,19 +467,18 @@ main(int argc, char **argv)
     }
     t.print(std::cout);
 
-    if (const fault::FaultPlane *fp = sys.mc().faultInjection()) {
-        const fault::FaultReport rep = fp->report();
-        std::cout << "\nfault injection (" << rep.models << ", monitor "
-                  << (rep.monitor ? "on" : "off") << "):\n"
-                  << "  rounds  passed: " << rep.roundsAudited
-                  << "  discarded: " << rep.roundsDiscarded << " (stuck "
-                  << rep.discardsStuck << ", weak " << rep.discardsWeak
-                  << ", other " << rep.discardsOther << ")\n"
-                  << "  silent corrupted bits: " << rep.corruptedBits
-                  << "\n  cells  blacklisted: " << rep.blacklisted
-                  << "  remapped: " << rep.remapped
-                  << "  forced: " << rep.forcedBlacklists
-                  << "  spares exhausted: " << rep.blacklistExhausted
+    if (const auto rep = sys.mc().faultReport()) {
+        std::cout << "\nfault injection (" << rep->models << ", monitor "
+                  << (rep->monitor ? "on" : "off") << "):\n"
+                  << "  rounds  passed: " << rep->roundsAudited
+                  << "  discarded: " << rep->roundsDiscarded << " (stuck "
+                  << rep->discardsStuck << ", weak " << rep->discardsWeak
+                  << ", other " << rep->discardsOther << ")\n"
+                  << "  silent corrupted bits: " << rep->corruptedBits
+                  << "\n  cells  blacklisted: " << rep->blacklisted
+                  << "  remapped: " << rep->remapped
+                  << "  forced: " << rep->forcedBlacklists
+                  << "  spares exhausted: " << rep->blacklistExhausted
                   << "\n";
     }
 

@@ -142,7 +142,7 @@ FaultPlane::FaultPlane(const FaultConfig &config, unsigned n_channels)
         st.spares.reserve(cfg.spareCells);
         for (std::uint32_t s = 0; s < cfg.spareCells; ++s)
             st.spares.push_back(cells + s);
-        st.peekExtraUses.assign(st.pool.size(), 0);
+        st.ahead.reserve(st.pool.size());
     }
 }
 
@@ -169,7 +169,36 @@ FaultPlane::evalRound(unsigned channel, const Cell &cell,
     Audit a;
     for (const FaultKind kind : models)
         a.flips += corrupt(kind, cfg, block, ctx);
-    a.pass = trng::monobitTest(block).pass && trng::runsTest(block).pass;
+    a.pass = trng::monobitAndRunsPass(block);
+    return a;
+}
+
+FaultPlane::Audit
+FaultPlane::auditAhead(unsigned channel, std::size_t k)
+{
+    // Round k after the next uses pool slot pointer + k; that cell has
+    // served k / n of the k rounds in between.
+    const ChannelState &st = channels[channel];
+    const std::size_t n = st.pool.size();
+    const Cell &c = st.pool[(st.pointer + k) % n];
+    ++evals;
+    return evalRound(channel, c, c.useCount + k / n);
+}
+
+FaultPlane::Audit
+FaultPlane::takeAudit(unsigned channel)
+{
+    ChannelState &st = channels[channel];
+    if (st.head == st.ahead.size())
+        return auditAhead(channel, 0);
+    const Audit a = st.ahead[st.head++];
+    assert(a == evalRound(channel, st.pool[st.pointer],
+                          st.pool[st.pointer].useCount) &&
+           "stale audit lookahead");
+    if (st.head == st.ahead.size())
+        st.dropLookahead();
+    else
+        st.cursor = std::max(st.cursor, st.head);
     return a;
 }
 
@@ -177,6 +206,7 @@ void
 FaultPlane::blacklistCell(ChannelState &st, std::size_t index)
 {
     counters.blacklisted++;
+    st.dropLookahead();
     if (!st.spares.empty()) {
         const std::uint32_t id = st.spares.back();
         st.spares.pop_back();
@@ -202,8 +232,8 @@ FaultPlane::onRound(unsigned channel, bool demand_waiting)
 {
     ChannelState &st = channels[channel];
     const std::size_t idx = st.pointer;
+    const Audit a = takeAudit(channel);
     Cell &c = st.pool[idx];
-    const Audit a = evalRound(channel, c, c.useCount);
     c.useCount++;
     st.pointer = (st.pointer + 1) % st.pool.size();
 
@@ -250,9 +280,9 @@ void
 FaultPlane::commitRound(unsigned channel)
 {
     ChannelState &st = channels[channel];
-    Cell &c = st.pool[st.pointer];
-    const Audit a = evalRound(channel, c, c.useCount);
+    const Audit a = takeAudit(channel);
     assert(a.pass && "fast-forward replayed a failing round");
+    Cell &c = st.pool[st.pointer];
     c.useCount++;
     st.pointer = (st.pointer + 1) % st.pool.size();
     counters.roundsAudited++;
@@ -263,23 +293,26 @@ FaultPlane::commitRound(unsigned channel)
 void
 FaultPlane::beginPeek()
 {
-    for (ChannelState &st : channels) {
-        st.peekPointer = st.pointer;
-        st.peekExtraUses.assign(st.pool.size(), 0);
-    }
+    for (ChannelState &st : channels)
+        st.cursor = st.head;
 }
 
 bool
 FaultPlane::peekRound(unsigned channel)
 {
     ChannelState &st = channels[channel];
-    const std::size_t idx = st.peekPointer;
-    const Cell &c = st.pool[idx];
-    const Audit a =
-        evalRound(channel, c, c.useCount + st.peekExtraUses[idx]);
-    st.peekExtraUses[idx]++;
-    st.peekPointer = (st.peekPointer + 1) % st.pool.size();
-    return a.pass;
+    if (st.cursor == st.ahead.size()) {
+        if (st.head > 0 && st.ahead.size() == st.ahead.capacity()) {
+            // Drop the consumed prefix instead of growing the storage.
+            st.ahead.erase(st.ahead.begin(),
+                           st.ahead.begin() +
+                               static_cast<std::ptrdiff_t>(st.head));
+            st.cursor -= st.head;
+            st.head = 0;
+        }
+        st.ahead.push_back(auditAhead(channel, st.cursor - st.head));
+    }
+    return st.ahead[st.cursor++].pass;
 }
 
 unsigned

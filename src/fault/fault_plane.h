@@ -11,11 +11,18 @@
  * when demand is waiting.
  *
  * Fast-forward contract: whether a round passes is a pure function of
- * the cell rotation state, so the plane exposes a side-effect-free peek
- * protocol (beginPeek/peekRound) for horizon queries — a *failing*
- * round is a span-ending event, which keeps every skipped span
- * discard-free and lets commitRound() replay skipped passing rounds
- * with mutations bit-identical to the tick path.
+ * the cell rotation state, so the plane exposes a peek protocol
+ * (beginPeek/peekRound) for horizon queries that leaves every counter
+ * and the rotation untouched — a *failing* round is a span-ending
+ * event, which keeps every skipped span discard-free and lets
+ * commitRound() replay skipped passing rounds with mutations
+ * bit-identical to the tick path.
+ *
+ * Each round is audited once: a per-channel lookahead caches the audits
+ * of the channel's next rounds in rotation order. peekRound() reads and
+ * extends it, onRound()/commitRound() take its head, and a blacklist,
+ * the only change to a pool, clears it. The lookahead is a cache, so it
+ * stays out of fingerprint() and the FaultReport.
  */
 
 #ifndef DSTRANGE_FAULT_FAULT_PLANE_H
@@ -116,14 +123,26 @@ class FaultPlane
      */
     void commitRound(unsigned channel);
 
-    /** Reset peek scratch on every channel before a horizon probe. */
+    /** Rewind every channel's peek cursor to its next round before a
+     *  horizon probe. */
     void beginPeek();
 
     /**
      * Probe whether @p channel's next unpeeked round passes, without
-     * mutating plane state. Successive calls walk successive rounds.
+     * mutating plane state. Successive calls walk successive rounds;
+     * each round is audited on its first peek only.
      */
     bool peekRound(unsigned channel);
+
+    /** Round audits run so far (monobit + runs over a synthesized
+     *  block); each round costs one, however often it is peeked. */
+    std::uint64_t evaluations() const { return evals; }
+
+    /** Rounds of @p channel audited ahead but not yet consumed. */
+    std::size_t lookahead(unsigned channel) const
+    {
+        return channels[channel].ahead.size() - channels[channel].head;
+    }
 
     const FaultReport &stats() const { return counters; }
 
@@ -142,6 +161,14 @@ class FaultPlane
     std::string fingerprint() const;
 
   private:
+    struct Audit
+    {
+        bool pass = false;
+        std::uint64_t flips = 0;
+
+        bool operator==(const Audit &) const = default;
+    };
+
     struct Cell
     {
         std::uint32_t id = 0;
@@ -156,20 +183,29 @@ class FaultPlane
         std::vector<std::uint32_t> spares; ///< Healthy remap targets.
         std::size_t pointer = 0;          ///< Next cell to use.
         unsigned consecDiscards = 0;      ///< Fails while demand waits.
-        // Peek scratch (side-effect-free horizon walk).
-        std::size_t peekPointer = 0;
-        std::vector<std::uint32_t> peekExtraUses;
-    };
+        /** Audit lookahead: ahead[head + k] is the audit of the round k
+         *  rounds after the next, valid while the pool is unchanged. */
+        std::vector<Audit> ahead;
+        std::size_t head = 0;   ///< First unconsumed entry of ahead.
+        std::size_t cursor = 0; ///< Entry the next peekRound() reads.
 
-    struct Audit
-    {
-        bool pass = false;
-        std::uint64_t flips = 0;
+        void dropLookahead()
+        {
+            ahead.clear();
+            head = cursor = 0;
+        }
     };
 
     /** Pure round evaluation for @p cell at use count @p use. */
     Audit evalRound(unsigned channel, const Cell &cell,
                     std::uint64_t use) const;
+
+    /** Audit the round @p k rounds after @p channel's next one. */
+    Audit auditAhead(unsigned channel, std::size_t k);
+
+    /** The audit of @p channel's next round, from the lookahead when it
+     *  holds one; the caller then advances the rotation. */
+    Audit takeAudit(unsigned channel);
 
     /** Retire pool slot @p index: swap in a spare or shrink the pool. */
     void blacklistCell(ChannelState &st, std::size_t index);
@@ -178,6 +214,7 @@ class FaultPlane
     std::vector<FaultKind> models; ///< In list order.
     std::vector<ChannelState> channels;
     FaultReport counters;
+    std::uint64_t evals = 0; ///< See evaluations().
 };
 
 } // namespace dstrange::fault

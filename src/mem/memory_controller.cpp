@@ -1388,6 +1388,19 @@ MemoryController::rngOccupiedCycles() const
     return total;
 }
 
+std::optional<fault::FaultReport>
+MemoryController::faultReport() const
+{
+    if (faultPlane)
+        return faultPlane->report();
+    if (!cfg.fault.enabled())
+        return std::nullopt;
+    fault::FaultReport r;
+    r.models = cfg.fault.models;
+    r.monitor = cfg.fault.monitor;
+    return r;
+}
+
 bool
 MemoryController::hasWorkForPort(CoreId first) const
 {

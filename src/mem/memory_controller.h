@@ -42,6 +42,7 @@
 
 namespace dstrange::fault {
 class FaultPlane;
+struct FaultReport;
 }
 
 namespace dstrange::mem {
@@ -408,6 +409,13 @@ class MemoryController
     {
         return faultPlane.get();
     }
+
+    /**
+     * The run's fault report: the plane's counters, or, when the only
+     * listed model is "outage" (no plane), the models and monitor flag
+     * with zero counts. Empty when no fault model is listed.
+     */
+    std::optional<fault::FaultReport> faultReport() const;
 
     /**
      * One steadily-generating engine's round-completion stream: a

@@ -102,8 +102,7 @@ controllerSide(const System &sys, const SimConfig &cfg,
     if (const service::OpenLoopService *svc = sys.service())
         result.service =
             service::SloReport::from(svc->config(), svc->stats());
-    if (const fault::FaultPlane *fp = sys.mc().faultInjection())
-        result.fault = fp->report();
+    result.fault = sys.mc().faultReport();
     result.bufferServeRate = result.mcStats.bufferServeRate();
     if (auto ps = sys.mc().predictorStats())
         result.predictorAccuracy = ps->accuracy();

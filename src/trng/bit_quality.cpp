@@ -60,6 +60,37 @@ countTransitions(std::span<const std::uint8_t> bytes)
     return transitions;
 }
 
+/** |z| of the monobit test over @p n bits holding @p ones ones. */
+double
+monobitStatistic(std::uint64_t ones, double n)
+{
+    return std::abs(2.0 * static_cast<double>(ones) - n) / std::sqrt(n);
+}
+
+/** The runs test over @p bytes, which hold @p ones ones; the
+ *  transitions are counted only when the statistic needs them. */
+TestResult
+runsResult(std::span<const std::uint8_t> bytes, std::uint64_t ones)
+{
+    TestResult res;
+    const std::size_t n_bits = bytes.size() * 8;
+    if (n_bits < 2)
+        return res;
+
+    const double n = static_cast<double>(n_bits);
+    const double pi = static_cast<double>(ones) / n; // fraction of ones
+    const double expected = 2.0 * n * pi * (1.0 - pi) + 1.0;
+    const double variance =
+        2.0 * n * pi * (1.0 - pi) * (2.0 * pi * (1.0 - pi));
+    if (variance <= 0.0)
+        return res;
+    const std::uint64_t runs = 1 + countTransitions(bytes);
+    res.statistic =
+        std::abs(static_cast<double>(runs) - expected) / std::sqrt(variance);
+    res.pass = res.statistic < 3.29;
+    return res;
+}
+
 } // namespace
 
 TestResult
@@ -69,8 +100,7 @@ monobitTest(std::span<const std::uint8_t> bytes)
     const double n = static_cast<double>(bytes.size()) * 8.0;
     if (n == 0.0)
         return res;
-    const double ones = static_cast<double>(countOnes(bytes));
-    res.statistic = std::abs(2.0 * ones - n) / std::sqrt(n);
+    res.statistic = monobitStatistic(countOnes(bytes), n);
     res.pass = res.statistic < 3.29;
     return res;
 }
@@ -78,24 +108,18 @@ monobitTest(std::span<const std::uint8_t> bytes)
 TestResult
 runsTest(std::span<const std::uint8_t> bytes)
 {
-    TestResult res;
-    const std::size_t n_bits = bytes.size() * 8;
-    if (n_bits < 2)
-        return res;
+    return runsResult(bytes, countOnes(bytes));
+}
 
-    const std::uint64_t runs = 1 + countTransitions(bytes);
-    const double n = static_cast<double>(n_bits);
-    const double pi =
-        static_cast<double>(countOnes(bytes)) / n; // fraction of ones
-    const double expected = 2.0 * n * pi * (1.0 - pi) + 1.0;
-    const double variance =
-        2.0 * n * pi * (1.0 - pi) * (2.0 * pi * (1.0 - pi));
-    if (variance <= 0.0)
-        return res;
-    res.statistic =
-        std::abs(static_cast<double>(runs) - expected) / std::sqrt(variance);
-    res.pass = res.statistic < 3.29;
-    return res;
+bool
+monobitAndRunsPass(std::span<const std::uint8_t> bytes)
+{
+    if (bytes.empty())
+        return false;
+    const std::uint64_t ones = countOnes(bytes);
+    return monobitStatistic(ones, static_cast<double>(bytes.size()) * 8.0) <
+               3.29 &&
+           runsResult(bytes, ones).pass;
 }
 
 TestResult

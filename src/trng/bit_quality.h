@@ -4,8 +4,9 @@
  * Tests and examples use them to validate the simulated entropy source
  * the same way the paper's TRNG mechanisms validate their post-processed
  * output. The monobit and runs tests are also the fault plane's health
- * audit: they run once per audited TRNG round on the simulator's hot
- * path, so they take a span, count 64 bits at a time and never allocate.
+ * audit, fused into monobitAndRunsPass(): it runs once per TRNG round on
+ * the simulator's hot path, so it takes a span, counts 64 bits at a
+ * time, counts the ones once for both tests and never allocates.
  */
 
 #ifndef DSTRANGE_TRNG_BIT_QUALITY_H
@@ -35,6 +36,13 @@ TestResult monobitTest(std::span<const std::uint8_t> bytes);
  * expectation for an unbiased source. Passes when |z| < 3.29.
  */
 TestResult runsTest(std::span<const std::uint8_t> bytes);
+
+/**
+ * Exactly `monobitTest(bytes).pass && runsTest(bytes).pass`, from the
+ * same expressions, with the ones counted once and the runs skipped
+ * when the monobit test already fails. False for an empty span.
+ */
+bool monobitAndRunsPass(std::span<const std::uint8_t> bytes);
 
 /**
  * Byte-level chi-square uniformity test over 256 bins. Passes when the

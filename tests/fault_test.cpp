@@ -2,8 +2,9 @@
  * @file
  * Tests for the deterministic fault-injection subsystem: golden seeded
  * fault streams per fault-model key (pure-function corruption of the
- * synthetic audit blocks), FaultPlane determinism and its side-effect
- * free peek protocol, a cross-commit golden of every FaultReport
+ * synthetic audit blocks), FaultPlane determinism, its peek protocol
+ * and the audit lookahead behind it (each round audited once, dropped
+ * on a blacklist), a cross-commit golden of every FaultReport
  * counter, health-monitor blacklist convergence onto spares,
  * fault.* / service.shed config-text and builder wiring with eager
  * key validation, shed-policy admission behaviour, DS_LOCKSTEP
@@ -226,6 +227,86 @@ TEST(FaultPlane, PeekMatchesCommitWithoutMutating)
         }
         EXPECT_EQ(plane.fingerprint(), mirror.fingerprint());
     }
+}
+
+TEST(FaultPlane, RepeatedPeeksAuditEachRoundOnce)
+{
+    const fault::FaultConfig fc =
+        faultedConfig("bitflip,weak-cell,stuck-row");
+    fault::FaultPlane plane(fc, 1);
+    auto peek8 = [&plane] {
+        plane.beginPeek();
+        std::vector<bool> v;
+        for (int i = 0; i < 8; ++i)
+            v.push_back(plane.peekRound(0));
+        return v;
+    };
+    const std::vector<bool> first = peek8();
+    EXPECT_EQ(plane.evaluations(), 8u);
+    EXPECT_EQ(plane.lookahead(0), 8u);
+    EXPECT_EQ(peek8(), first);
+    EXPECT_EQ(plane.evaluations(), 8u) << "a second probe re-audited";
+    // The tick path consumes the same audits...
+    for (const bool pass : first)
+        EXPECT_EQ(plane.onRound(0, false), pass);
+    EXPECT_EQ(plane.evaluations(), 8u);
+    EXPECT_EQ(plane.lookahead(0), 0u);
+    // ...and only an unpeeked round costs a fresh audit.
+    plane.onRound(0, false);
+    EXPECT_EQ(plane.evaluations(), 9u);
+}
+
+TEST(FaultPlane, BlacklistDropsTheLookahead)
+{
+    fault::FaultConfig fc = faultedConfig("bitflip,weak-cell,stuck-row");
+    fc.blacklistThreshold = 1; // every failing round retires its cell
+    fault::FaultPlane plane(fc, 1);
+    fault::FaultPlane mirror(fc, 1); // never peeks
+    int mid_lookahead = 0;
+    for (int span = 0; span < 300; ++span) {
+        // Each span's peeks must foresee the mirror's rounds up to the
+        // first failure, also right after a blacklist changed the pool.
+        plane.beginPeek();
+        std::vector<bool> peeked;
+        for (int i = 0; i < 8; ++i)
+            peeked.push_back(plane.peekRound(0));
+        for (std::size_t i = 0; i < peeked.size(); ++i) {
+            const std::uint64_t retired = plane.stats().blacklisted;
+            const bool pass = plane.onRound(0, false);
+            EXPECT_EQ(pass, mirror.onRound(0, false));
+            EXPECT_EQ(pass, peeked[i]) << "span " << span << " round " << i;
+            if (plane.stats().blacklisted != retired) {
+                EXPECT_EQ(plane.lookahead(0), 0u);
+                if (i + 1 < peeked.size())
+                    ++mid_lookahead;
+                break;
+            }
+        }
+        EXPECT_EQ(plane.fingerprint(), mirror.fingerprint());
+    }
+    EXPECT_GT(mid_lookahead, 0) << "no blacklist dropped cached audits";
+    EXPECT_GT(plane.stats().blacklistExhausted, 0u) << "no pool shrank";
+}
+
+TEST(FaultPlane, FastForwardedServiceAuditsEachRoundOnce)
+{
+    sim::System sys(faultyServiceConfig("bitflip,weak-cell,stuck-row"),
+                    {});
+    sys.run();
+    ASSERT_GT(sys.ffStats().skips, 0u);
+    const fault::FaultPlane *plane = sys.mc().faultInjection();
+    ASSERT_NE(plane, nullptr);
+    const fault::FaultReport &r = plane->stats();
+    ASSERT_GT(r.roundsDiscarded, 0u);
+    ASSERT_GT(r.blacklisted, 0u);
+    std::uint64_t ahead = 0;
+    for (unsigned ch = 0; ch < sys.mc().numChannels(); ++ch)
+        ahead += plane->lookahead(ch);
+    // A horizon probe stops at the first failing round, so a blacklist
+    // never drops a cached audit: every audit ran for a round that was
+    // consumed or is still ahead.
+    EXPECT_EQ(plane->evaluations(),
+              r.roundsAudited + r.roundsDiscarded + ahead);
 }
 
 TEST(FaultPlane, MonitorBlacklistsAndConverges)
@@ -518,6 +599,21 @@ TEST(FaultRun, ReportsAndRerunsBitIdentically)
     const auto clean =
         runner.run(faultyServiceConfig(""), serviceSpec());
     EXPECT_FALSE(clean.fault.has_value());
+}
+
+TEST(FaultRun, OutageOnlyRunReportsItsModels)
+{
+    // No cell model, so no fault plane: the report still names the
+    // listed model, with zero audit counts.
+    sim::SimConfig cfg = faultyServiceConfig("outage");
+    cfg.fault.outagePeriod = 2000;
+    cfg.fault.outageDuration = 150;
+    sim::Runner runner(cfg);
+    const auto r = runner.run(cfg, serviceSpec());
+    ASSERT_TRUE(r.fault.has_value());
+    EXPECT_EQ(r.fault->models, "outage");
+    EXPECT_TRUE(r.fault->monitor);
+    EXPECT_EQ(r.fault->roundsAudited + r.fault->roundsDiscarded, 0u);
 }
 
 TEST(FaultRun, MitigationBeatsNoMitigation)

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the TRNG substrate: mechanism parameter math, the simulated
- * entropy source, statistical bitstream quality, and the per-channel
+ * entropy source, statistical bitstream quality (and the fused monobit
+ * plus runs audit against the two separate tests), and the per-channel
  * RNG-mode engine state machine.
  */
 
@@ -229,6 +230,79 @@ TEST_F(BitQualityTest, WordParallelMatchesBitwiseOnAuditBlocks)
         ctx.cell = static_cast<std::uint32_t>(i % 64);
         ctx.use = i / 64;
         expectMatchesReference(fault::healthyBlock(ctx));
+    }
+}
+
+namespace {
+
+/** The fused audit is exactly the two-test conjunction on @p bytes. */
+void
+expectFusedMatches(std::span<const std::uint8_t> bytes)
+{
+    EXPECT_EQ(monobitAndRunsPass(bytes),
+              monobitTest(bytes).pass && runsTest(bytes).pass)
+        << bytes.size() << " B";
+}
+
+/** A 32-byte block whose 256 bits hold @p ones ones, at seeded
+ *  positions (a Fisher-Yates shuffle of a sorted block). */
+std::vector<std::uint8_t>
+blockWithOnes(unsigned ones, std::uint64_t seed)
+{
+    std::vector<int> bits(256, 0);
+    for (unsigned i = 0; i < ones; ++i)
+        bits[i] = 1;
+    for (std::size_t i = bits.size() - 1; i > 0; --i)
+        std::swap(bits[i], bits[mix64(seed ^ i) % (i + 1)]);
+    std::vector<std::uint8_t> block(32, 0);
+    for (std::size_t i = 0; i < bits.size(); ++i)
+        block[i / 8] |= static_cast<std::uint8_t>(bits[i] << (i % 8));
+    return block;
+}
+
+} // namespace
+
+TEST_F(BitQualityTest, FusedAuditMatchesConjunctionOnSeededBlocks)
+{
+    unsigned passed = 0, runs_only = 0;
+    for (std::uint64_t i = 0; i < 10000; ++i) {
+        std::vector<std::uint8_t> block = randomBytes(32, i + 1);
+        // Bias a third of the blocks toward zeros by a varying amount,
+        // so both verdicts and both failing tests occur.
+        if (i % 3 == 1)
+            for (std::size_t b = 0; b < i % 33; ++b)
+                block[b % 32] &= static_cast<std::uint8_t>(mix64(i ^ b));
+        expectFusedMatches(block);
+        passed += monobitAndRunsPass(block) ? 1u : 0u;
+        runs_only +=
+            monobitTest(block).pass && !runsTest(block).pass ? 1u : 0u;
+    }
+    EXPECT_GT(passed, 5000u);
+    EXPECT_LT(passed + runs_only, 10000u) << "no block failed monobit";
+    EXPECT_GT(runs_only, 0u) << "no block failed the runs test alone";
+}
+
+TEST_F(BitQualityTest, FusedAuditMatchesConjunctionOnEdgeCases)
+{
+    expectFusedMatches({});
+    EXPECT_FALSE(monobitAndRunsPass({}));
+    for (const std::uint8_t byte : {0x00, 0x01, 0x55, 0xff})
+        expectFusedMatches(std::vector<std::uint8_t>(1, byte));
+    for (const std::uint8_t fill : {0x00, 0xff, 0x55}) {
+        const std::vector<std::uint8_t> block(32, fill);
+        expectFusedMatches(block);
+        EXPECT_FALSE(monobitAndRunsPass(block));
+    }
+    // 256 bits: |z| = |2 ones - 256| / 16, so 154 ones give 3.25 (pass)
+    // and 155 ones 3.375 (fail), the two sides of the 3.29 bound.
+    for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+        const std::vector<std::uint8_t> below = blockWithOnes(154, seed);
+        const std::vector<std::uint8_t> above = blockWithOnes(155, seed);
+        ASSERT_EQ(monobitTest(below).statistic, 3.25);
+        ASSERT_EQ(monobitTest(above).statistic, 3.375);
+        expectFusedMatches(below);
+        expectFusedMatches(above);
+        EXPECT_FALSE(monobitAndRunsPass(above));
     }
 }
 
