@@ -197,8 +197,6 @@ FaultPlane::takeAudit(unsigned channel)
            "stale audit lookahead");
     if (st.head == st.ahead.size())
         st.dropLookahead();
-    else
-        st.cursor = std::max(st.cursor, st.head);
     return a;
 }
 

@@ -129,7 +129,8 @@ class FaultPlane
 
     /**
      * Probe whether @p channel's next unpeeked round passes, without
-     * mutating plane state. Successive calls walk successive rounds;
+     * mutating plane state. Successive calls after one beginPeek() walk
+     * successive rounds, with no onRound()/commitRound() in between;
      * each round is audited on its first peek only.
      */
     bool peekRound(unsigned channel);

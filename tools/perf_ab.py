@@ -8,18 +8,19 @@ WORKLOAD` for both sides one after the other on one pinned CPU
 run reports its per-pass `wall_s` (the minimum of its timed passes is
 kept) and its child CPU time (user + system, from getrusage). Per
 workload it prints the median B/A ratio of each over the pairs, the
-pairs B won, and the spread of A's own runs:
+pairs B won, the spread of A's own runs, and a verdict: `faster` or
+`slower` when B wins or loses at least 9 in 10 pairs and the median
+ratio is further from 1 than A's relative IQR, else `unresolved`:
 
-  perf_ab service-faults: wall_s B/A 0.742 (B won 8/8, A IQR 2.1%) \
-cpu_s B/A 0.745 (B won 8/8, A IQR 1.8%) digests identical
+  perf_ab service-faults: wall_s B/A 0.742 (B won 10/10, A IQR 2.1%, \
+faster) cpu_s B/A 0.745 (B won 10/10, A IQR 1.8%, faster) digests identical
 
 Exits 1 when any cell's `out_digest` differs between the two sides (or
 between runs of one side), 2 when a build or a run fails. `REV REV` is
 the self-check: both ratios should read ~1.000 with pairs split.
 
-  python3 tools/perf_ab.py REV_A REV_B [--workload W ...] [--pairs 8]
-                           [--reps 5] [--cpu 1] [--scale 1]
-                           [--work-dir DIR]
+  python3 tools/perf_ab.py REV_A REV_B [--workload W ...] [--pairs 10]
+                           [--reps 5] [--cpu 1] [--work-dir DIR]
 """
 
 import argparse
@@ -81,7 +82,7 @@ def child_env():
 def run_side(binary, workload, opts):
     """One perfbench e2e run: (min per-pass wall_s, child CPU s, digests)."""
     cmd = ["taskset", "-c", str(opts.cpu), str(binary), "e2e", workload,
-           "--reps", str(opts.reps), "--scale", str(opts.scale)]
+           "--reps", str(opts.reps)]
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     out = run(cmd, cwd=binary.parent, env=child_env(),
               timeout=CHILD_TIMEOUT_S)
@@ -107,10 +108,19 @@ def summarize(a_values, b_values):
     if not a_values or len(a_values) != len(b_values):
         raise ValueError("need one A and one B value per pair")
     ratios = [b / a for a, b in zip(a_values, b_values)]
-    return {"ratio": statistics.median(ratios),
-            "won": sum(1 for r in ratios if r < 1.0),
-            "pairs": len(ratios),
-            "a_iqr": relative_iqr(a_values)}
+    s = {"ratio": statistics.median(ratios),
+         "won": sum(1 for r in ratios if r < 1.0),
+         "lost": sum(1 for r in ratios if r > 1.0),
+         "pairs": len(ratios),
+         "a_iqr": relative_iqr(a_values)}
+    decisive = 0.9 * s["pairs"]
+    if s["won"] >= decisive and 1.0 - s["ratio"] > s["a_iqr"]:
+        s["verdict"] = "faster"
+    elif s["lost"] >= decisive and s["ratio"] - 1.0 > s["a_iqr"]:
+        s["verdict"] = "slower"
+    else:
+        s["verdict"] = "unresolved"
+    return s
 
 
 def digest_mismatches(runs):
@@ -125,7 +135,8 @@ def digest_mismatches(runs):
 def format_line(workload, wall, cpu, mismatched):
     def part(name, s):
         return (f"{name} B/A {s['ratio']:.3f} (B won {s['won']}/"
-                f"{s['pairs']}, A IQR {100 * s['a_iqr']:.1f}%)")
+                f"{s['pairs']}, A IQR {100 * s['a_iqr']:.1f}%, "
+                f"{s['verdict']})")
     tail = ("digests identical" if not mismatched else
             "DIGESTS DIFFER: " + ", ".join(mismatched))
     return f"perf_ab {workload}: {part('wall_s', wall)} " \
@@ -155,18 +166,16 @@ def parse_args(argv=None):
     p.add_argument("rev_b", help="the change side (B)")
     p.add_argument("--workload", action="append", choices=WORKLOADS,
                    help="repeatable; default: all four")
-    p.add_argument("--pairs", type=int, default=8)
+    p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--reps", type=int, default=5,
                    help="timed passes per perfbench run")
     p.add_argument("--cpu", type=int, default=1, help="CPU to pin to")
-    p.add_argument("--scale", type=int, default=1,
-                   help="perfbench --scale (divides every run)")
     p.add_argument("--work-dir", type=Path,
                    help="where the revisions are built (kept; default: "
                         "a temporary directory, removed)")
     opts = p.parse_args(argv)
-    if opts.pairs < 1 or opts.reps < 1 or opts.scale < 1:
-        p.error("--pairs, --reps and --scale must be positive")
+    if opts.pairs < 1 or opts.reps < 1:
+        p.error("--pairs and --reps must be positive")
     return opts
 
 

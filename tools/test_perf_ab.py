@@ -15,14 +15,31 @@ class Summarize(unittest.TestCase):
         s = perf_ab.summarize([1.0, 2.0, 4.0], [0.5, 1.5, 4.4])
         # Ratios 0.5, 0.75, 1.1: the median pair, not a ratio of medians.
         self.assertAlmostEqual(s["ratio"], 0.75)
-        self.assertEqual(s["won"], 2)
-        self.assertEqual(s["pairs"], 3)
+        self.assertEqual((s["won"], s["lost"], s["pairs"]), (2, 1, 3))
 
     def test_self_check_reads_one_and_wins_nothing(self):
         values = [1.0, 1.1, 0.9, 1.0]
         s = perf_ab.summarize(values, list(values))
         self.assertEqual(s["ratio"], 1.0)
-        self.assertEqual(s["won"], 0)
+        self.assertEqual((s["won"], s["lost"]), (0, 0))
+        self.assertEqual(s["verdict"], "unresolved")
+
+    def test_verdict_needs_nine_in_ten_pairs_and_a_gap_beyond_the_spread(self):
+        a = [1.0, 1.02, 0.98, 1.0, 1.01, 0.99, 1.0, 1.0, 1.03, 0.97]
+        faster = perf_ab.summarize(a, [x * 0.8 for x in a])
+        self.assertEqual(faster["verdict"], "faster")
+        slower = perf_ab.summarize(a, [x * 1.2 for x in a])
+        self.assertEqual(slower["verdict"], "slower")
+        # 8 of 10 pairs won is not decisive, however large the gap.
+        mixed = perf_ab.summarize(a, [x * 0.8 for x in a[:8]] + a[8:9] +
+                                  [a[9] * 1.5])
+        self.assertEqual(mixed["won"], 8)
+        self.assertEqual(mixed["verdict"], "unresolved")
+        # Every pair won, but by less than the parent's own spread.
+        noisy = [1.0, 1.5, 0.7, 1.2, 0.9, 1.4, 0.8, 1.1, 1.3, 0.6]
+        close = perf_ab.summarize(noisy, [x * 0.95 for x in noisy])
+        self.assertEqual(close["won"], 10)
+        self.assertEqual(close["verdict"], "unresolved")
 
     def test_even_pair_count_averages_the_middle_ratios(self):
         s = perf_ab.summarize([1.0] * 4, [0.7, 0.8, 0.9, 1.2])
@@ -55,12 +72,13 @@ class Digests(unittest.TestCase):
 
 class Output(unittest.TestCase):
     def test_line_carries_both_ratios_and_the_verdict(self):
-        s = {"ratio": 0.7421, "won": 8, "pairs": 8, "a_iqr": 0.021}
+        s = {"ratio": 0.7421, "won": 10, "pairs": 10, "a_iqr": 0.021,
+             "verdict": "faster"}
         line = perf_ab.format_line("service-faults", s, s, [])
         self.assertEqual(
-            line, "perf_ab service-faults: wall_s B/A 0.742 (B won 8/8, "
-                  "A IQR 2.1%) cpu_s B/A 0.742 (B won 8/8, A IQR 2.1%) "
-                  "digests identical")
+            line, "perf_ab service-faults: wall_s B/A 0.742 (B won 10/10, "
+                  "A IQR 2.1%, faster) cpu_s B/A 0.742 (B won 10/10, "
+                  "A IQR 2.1%, faster) digests identical")
         self.assertTrue(perf_ab.format_line("w", s, s, ["c1", "c2"])
                         .endswith("DIGESTS DIFFER: c1, c2"))
 
@@ -69,6 +87,7 @@ class Output(unittest.TestCase):
                                    "trng-ladder", "--pairs", "3"])
         self.assertEqual(opts.workload, ["trng-ladder"])
         self.assertEqual((opts.pairs, opts.reps, opts.cpu), (3, 5, 1))
+        self.assertEqual(perf_ab.parse_args(["A", "B"]).pairs, 10)
         with contextlib.redirect_stderr(io.StringIO()):
             with self.assertRaises(SystemExit):
                 perf_ab.parse_args(["A", "B", "--pairs", "0"])
