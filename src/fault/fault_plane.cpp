@@ -97,13 +97,21 @@ FaultReport::fromJson(const JsonValue &v)
     return r;
 }
 
+FaultReport
+FaultReport::headerFrom(const FaultConfig &cfg)
+{
+    FaultReport r;
+    r.models = cfg.models;
+    r.monitor = cfg.monitor;
+    return r;
+}
+
 FaultPlane::FaultPlane(const FaultConfig &config, unsigned n_channels)
-    : cfg(config), models(parseFaultModels(config.models))
+    : cfg(config), models(parseFaultModels(config.models)),
+      counters(FaultReport::headerFrom(config))
 {
     const bool want_stuck = lists(models, FaultKind::StuckRow);
     const bool want_weak = lists(models, FaultKind::WeakCell);
-    counters.models = cfg.models;
-    counters.monitor = cfg.monitor;
 
     const std::uint32_t cells = std::max(1u, cfg.cellsPerChannel);
     channels.resize(n_channels);

@@ -63,6 +63,9 @@ struct FaultReport
 
     /** Parse a writeJson() document back, bit-exactly. */
     static FaultReport fromJson(const JsonValue &v);
+
+    /** A report of @p cfg's models and monitor with every count zero. */
+    static FaultReport headerFrom(const FaultConfig &cfg);
 };
 
 /** Any of @p models (parseFaultModels) that corrupts audit blocks

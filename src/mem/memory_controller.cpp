@@ -1395,10 +1395,7 @@ MemoryController::faultReport() const
         return faultPlane->report();
     if (!cfg.fault.enabled())
         return std::nullopt;
-    fault::FaultReport r;
-    r.models = cfg.fault.models;
-    r.monitor = cfg.fault.monitor;
-    return r;
+    return fault::FaultReport::headerFrom(cfg.fault);
 }
 
 bool

@@ -3,24 +3,29 @@
 
 Exports each revision with `git archive` into a work directory, builds
 that revision's own perf/perfbench in Release, then runs `perfbench e2e
-WORKLOAD` for both sides one after the other on one pinned CPU
-(`taskset -c K`), alternating which side goes first, for N pairs. Each
-run reports its per-pass `wall_s` (the minimum of its timed passes is
-kept) and its child CPU time (user + system, from getrusage). Per
-workload it prints the median B/A ratio of each over the pairs, the
-pairs B won, the spread of A's own runs, and a verdict: `faster` or
-`slower` when B wins or loses at least 9 in 10 pairs and the median
-ratio is further from 1 than A's relative IQR, else `unresolved`:
+WORKLOAD --reps 5` for both sides one after the other on one pinned CPU
+(`taskset -c K`), alternating which side goes first, for N pairs. From
+each run it keeps four metrics, all lower-is-better: `wall_s` (the
+minimum of its timed passes), `cpu_s` (the child's user + system time,
+from getrusage), `setup_s` (the median of its setup samples) and
+`peak_rss_mb`. Per workload and metric it prints the median B/A ratio
+over the pairs, the pairs B won, the spread of A's own runs, and a
+verdict: `faster` or `slower` when B wins or loses at least 9 in 10
+pairs and the median ratio is further from 1 than A's relative IQR,
+else `unresolved`; then whether the output digests agree:
 
-  perf_ab service-faults: wall_s B/A 0.742 (B won 10/10, A IQR 2.1%, \
-faster) cpu_s B/A 0.745 (B won 10/10, A IQR 1.8%, faster) digests identical
+  perf_ab service-faults wall_s: B/A 0.783 (B won 9/10, A IQR 12.2%, \
+faster)
+  ...
+  perf_ab service-faults: digests identical
 
 Exits 1 when any cell's `out_digest` differs between the two sides (or
-between runs of one side), 2 when a build or a run fails. `REV REV` is
-the self-check: both ratios should read ~1.000 with pairs split.
+between runs of one side), 2 when a build or a run fails, a cell
+included. `REV REV` is the self-check: every ratio should read ~1.000
+with pairs split.
 
   python3 tools/perf_ab.py REV_A REV_B [--workload W ...] [--pairs 10]
-                           [--reps 5] [--cpu 1] [--work-dir DIR]
+                           [--cpu 1] [--work-dir DIR]
 """
 
 import argparse
@@ -35,6 +40,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ["dual-5gbps", "trng-ladder", "multicore-8", "service-faults"]
+METRICS = ["wall_s", "cpu_s", "setup_s", "peak_rss_mb"]
+REPS = 5
 CHILD_TIMEOUT_S = 1800
 
 
@@ -80,18 +87,28 @@ def child_env():
 
 
 def run_side(binary, workload, opts):
-    """One perfbench e2e run: (min per-pass wall_s, child CPU s, digests)."""
+    """One perfbench e2e run: ({metric: value}, {cell: out_digest})."""
     cmd = ["taskset", "-c", str(opts.cpu), str(binary), "e2e", workload,
-           "--reps", str(opts.reps)]
+           "--reps", str(REPS)]
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     out = run(cmd, cwd=binary.parent, env=child_env(),
               timeout=CHILD_TIMEOUT_S)
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     cpu = (after.ru_utime - before.ru_utime) + \
         (after.ru_stime - before.ru_stime)
-    doc = json.loads(out.strip().splitlines()[-1])
-    digests = {c["name"]: c["out_digest"] for c in doc["cells"]}
-    return min(doc["wall_s"]), cpu, digests
+    return read_run(json.loads(out.strip().splitlines()[-1]), cpu, binary)
+
+
+def read_run(doc, cpu, binary):
+    """The metrics and digests of one perfbench e2e document; a failed
+    cell (an error, or passes that disagreed) fails the comparison."""
+    for c in doc["cells"]:
+        if c["error"]:
+            fail(f"{binary}: cell {c['name']}: {c['error']}")
+    metrics = {"wall_s": min(doc["wall_s"]), "cpu_s": cpu,
+               "setup_s": statistics.median(doc["setup_s"]),
+               "peak_rss_mb": doc["peak_rss_mb"]}
+    return metrics, {c["name"]: c["out_digest"] for c in doc["cells"]}
 
 
 def relative_iqr(values):
@@ -132,31 +149,32 @@ def digest_mismatches(runs):
     return sorted(cell for cell, ds in seen.items() if len(ds) > 1)
 
 
-def format_line(workload, wall, cpu, mismatched):
-    def part(name, s):
-        return (f"{name} B/A {s['ratio']:.3f} (B won {s['won']}/"
-                f"{s['pairs']}, A IQR {100 * s['a_iqr']:.1f}%, "
-                f"{s['verdict']})")
-    tail = ("digests identical" if not mismatched else
-            "DIGESTS DIFFER: " + ", ".join(mismatched))
-    return f"perf_ab {workload}: {part('wall_s', wall)} " \
-        f"{part('cpu_s', cpu)} {tail}"
+def format_lines(workload, summaries, mismatched):
+    """One line per metric, then the digest verdict."""
+    lines = [f"perf_ab {workload} {name}: B/A {s['ratio']:.3f} (B won "
+             f"{s['won']}/{s['pairs']}, A IQR {100 * s['a_iqr']:.1f}%, "
+             f"{s['verdict']})" for name, s in summaries.items()]
+    lines.append(f"perf_ab {workload}: " +
+                 ("digests identical" if not mismatched else
+                  "DIGESTS DIFFER: " + ", ".join(mismatched)))
+    return lines
 
 
 def compare(binaries, workload, opts):
-    samples = {"A": ([], []), "B": ([], [])}
+    samples = {"A": {m: [] for m in METRICS}, "B": {m: [] for m in METRICS}}
     runs = []
     for pair in range(opts.pairs):
         order = ("A", "B") if pair % 2 == 0 else ("B", "A")
         for side in order:
-            wall, cpu, digests = run_side(binaries[side], workload, opts)
-            samples[side][0].append(wall)
-            samples[side][1].append(cpu)
+            metrics, digests = run_side(binaries[side], workload, opts)
+            for m in METRICS:
+                samples[side][m].append(metrics[m])
             runs.append(digests)
-    wall = summarize(samples["A"][0], samples["B"][0])
-    cpu = summarize(samples["A"][1], samples["B"][1])
+    summaries = {m: summarize(samples["A"][m], samples["B"][m])
+                 for m in METRICS}
     mismatched = digest_mismatches(runs)
-    print(format_line(workload, wall, cpu, mismatched), flush=True)
+    print("\n".join(format_lines(workload, summaries, mismatched)),
+          flush=True)
     return not mismatched
 
 
@@ -167,15 +185,13 @@ def parse_args(argv=None):
     p.add_argument("--workload", action="append", choices=WORKLOADS,
                    help="repeatable; default: all four")
     p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--reps", type=int, default=5,
-                   help="timed passes per perfbench run")
     p.add_argument("--cpu", type=int, default=1, help="CPU to pin to")
     p.add_argument("--work-dir", type=Path,
                    help="where the revisions are built (kept; default: "
                         "a temporary directory, removed)")
     opts = p.parse_args(argv)
-    if opts.pairs < 1 or opts.reps < 1:
-        p.error("--pairs and --reps must be positive")
+    if opts.pairs < 1:
+        p.error("--pairs must be positive")
     return opts
 
 

@@ -70,27 +70,57 @@ class Digests(unittest.TestCase):
         self.assertEqual(perf_ab.digest_mismatches(runs), ["b"])
 
 
+class ReadRun(unittest.TestCase):
+    DOC = {"wall_s": [1.2, 1.0, 1.1], "setup_s": [3e-4, 1e-4, 2e-4],
+           "peak_rss_mb": 4.9,
+           "cells": [{"name": "c1", "error": "", "out_digest": "d1"},
+                     {"name": "c2", "error": "", "out_digest": "d2"}]}
+
+    def test_keeps_the_fastest_pass_and_the_median_setup(self):
+        metrics, digests = perf_ab.read_run(self.DOC, 2.5, "bin")
+        self.assertEqual(metrics, {"wall_s": 1.0, "cpu_s": 2.5,
+                                   "setup_s": 2e-4, "peak_rss_mb": 4.9})
+        self.assertEqual(digests, {"c1": "d1", "c2": "d2"})
+
+    def test_a_failed_cell_fails_the_run(self):
+        doc = dict(self.DOC, cells=[
+            {"name": "c1", "error": "", "out_digest": "d1"},
+            {"name": "c2", "error": "repeated passes gave different "
+                                    "outputs", "out_digest": "d2"}])
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            with self.assertRaises(SystemExit) as cm:
+                perf_ab.read_run(doc, 2.5, "bin")
+        self.assertEqual(cm.exception.code, 2)
+        self.assertIn("cell c2: repeated passes", err.getvalue())
+
+
 class Output(unittest.TestCase):
-    def test_line_carries_both_ratios_and_the_verdict(self):
-        s = {"ratio": 0.7421, "won": 10, "pairs": 10, "a_iqr": 0.021,
+    def test_a_line_per_metric_then_the_digests(self):
+        s = {"ratio": 0.7831, "won": 9, "pairs": 10, "a_iqr": 0.122,
              "verdict": "faster"}
-        line = perf_ab.format_line("service-faults", s, s, [])
-        self.assertEqual(
-            line, "perf_ab service-faults: wall_s B/A 0.742 (B won 10/10, "
-                  "A IQR 2.1%, faster) cpu_s B/A 0.742 (B won 10/10, "
-                  "A IQR 2.1%, faster) digests identical")
-        self.assertTrue(perf_ab.format_line("w", s, s, ["c1", "c2"])
-                        .endswith("DIGESTS DIFFER: c1, c2"))
+        lines = perf_ab.format_lines("service-faults",
+                                     {"wall_s": s, "cpu_s": s}, [])
+        self.assertEqual(lines, [
+            "perf_ab service-faults wall_s: B/A 0.783 (B won 9/10, "
+            "A IQR 12.2%, faster)",
+            "perf_ab service-faults cpu_s: B/A 0.783 (B won 9/10, "
+            "A IQR 12.2%, faster)",
+            "perf_ab service-faults: digests identical"])
+        self.assertEqual(perf_ab.format_lines("w", {}, ["c1", "c2"]),
+                         ["perf_ab w: DIGESTS DIFFER: c1, c2"])
 
     def test_arguments(self):
         opts = perf_ab.parse_args(["HEAD~1", "HEAD", "--workload",
                                    "trng-ladder", "--pairs", "3"])
         self.assertEqual(opts.workload, ["trng-ladder"])
-        self.assertEqual((opts.pairs, opts.reps, opts.cpu), (3, 5, 1))
+        self.assertEqual((opts.pairs, opts.cpu), (3, 1))
         self.assertEqual(perf_ab.parse_args(["A", "B"]).pairs, 10)
         with contextlib.redirect_stderr(io.StringIO()):
             with self.assertRaises(SystemExit):
                 perf_ab.parse_args(["A", "B", "--pairs", "0"])
+            with self.assertRaises(SystemExit):
+                perf_ab.parse_args(["A", "B", "--reps", "3"])
 
 
 if __name__ == "__main__":
