@@ -4,7 +4,7 @@
 Exports each revision with `git archive` into a work directory, builds
 that revision's own perf/perfbench in Release, then runs `perfbench e2e
 WORKLOAD --reps 5` for both sides one after the other on one pinned CPU
-(`taskset -c K`), alternating which side goes first, for N pairs. From
+(`taskset -c K`), alternating which side goes first, for 10 pairs. From
 each run it keeps four metrics, all lower-is-better: `wall_s` (the
 minimum of its timed passes), `cpu_s` (the child's user + system time,
 from getrusage), `setup_s` (the median of its setup samples) and
@@ -24,8 +24,8 @@ between runs of one side), 2 when a build or a run fails, a cell
 included. `REV REV` is the self-check: every ratio should read ~1.000
 with pairs split.
 
-  python3 tools/perf_ab.py REV_A REV_B [--workload W ...] [--pairs 10]
-                           [--cpu 1] [--work-dir DIR]
+  python3 tools/perf_ab.py REV_A REV_B [--workload W ...] [--cpu 1]
+                           [--work-dir DIR]
 """
 
 import argparse
@@ -42,6 +42,7 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ["dual-5gbps", "trng-ladder", "multicore-8", "service-faults"]
 METRICS = ["wall_s", "cpu_s", "setup_s", "peak_rss_mb"]
 REPS = 5
+PAIRS = 10
 CHILD_TIMEOUT_S = 1800
 
 
@@ -163,7 +164,7 @@ def format_lines(workload, summaries, mismatched):
 def compare(binaries, workload, opts):
     samples = {"A": {m: [] for m in METRICS}, "B": {m: [] for m in METRICS}}
     runs = []
-    for pair in range(opts.pairs):
+    for pair in range(PAIRS):
         order = ("A", "B") if pair % 2 == 0 else ("B", "A")
         for side in order:
             metrics, digests = run_side(binaries[side], workload, opts)
@@ -184,15 +185,11 @@ def parse_args(argv=None):
     p.add_argument("rev_b", help="the change side (B)")
     p.add_argument("--workload", action="append", choices=WORKLOADS,
                    help="repeatable; default: all four")
-    p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--cpu", type=int, default=1, help="CPU to pin to")
     p.add_argument("--work-dir", type=Path,
                    help="where the revisions are built (kept; default: "
                         "a temporary directory, removed)")
-    opts = p.parse_args(argv)
-    if opts.pairs < 1:
-        p.error("--pairs must be positive")
-    return opts
+    return p.parse_args(argv)
 
 
 def main():

@@ -112,16 +112,14 @@ class Output(unittest.TestCase):
 
     def test_arguments(self):
         opts = perf_ab.parse_args(["HEAD~1", "HEAD", "--workload",
-                                   "trng-ladder", "--pairs", "3"])
+                                   "trng-ladder", "--cpu", "3"])
         self.assertEqual(opts.workload, ["trng-ladder"])
-        self.assertEqual((opts.pairs, opts.cpu), (3, 1))
-        self.assertEqual(perf_ab.parse_args(["A", "B"]).pairs, 10)
+        self.assertEqual(opts.cpu, 3)
+        self.assertEqual(perf_ab.parse_args(["A", "B"]).cpu, 1)
         with contextlib.redirect_stderr(io.StringIO()):
-            with self.assertRaises(SystemExit):
-                perf_ab.parse_args(["A", "B", "--pairs", "0"])
-            with self.assertRaises(SystemExit):
-                perf_ab.parse_args(["A", "B", "--reps", "3"])
-
+            for fixed in (["--reps", "3"], ["--pairs", "4"]):
+                with self.assertRaises(SystemExit):
+                    perf_ab.parse_args(["A", "B"] + fixed)
 
 if __name__ == "__main__":
     unittest.main()
